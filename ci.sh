@@ -3,7 +3,8 @@
 # the race-detector run that guards the parallel build pipeline and the
 # shared multi-group substrate, and short fuzz smokes over the codec,
 # fault-schedule, partition-schedule, drift-schedule, incremental-rebuild,
-# multi-group, SLO-rule, and snapshot round-trip fuzzers. `ci.sh bench`
+# multi-group, SLO-rule, snapshot round-trip, and grid cell-classifier
+# fuzzers. `ci.sh bench`
 # runs the benchmark regression gate instead.
 set -eu
 
@@ -84,5 +85,6 @@ go test -run='^$' -fuzz='^FuzzIncrementalRebuild$' -fuzztime=10s ./internal/prot
 go test -run='^$' -fuzz='^FuzzMultiGroup$' -fuzztime=10s ./internal/multigroup
 go test -run='^$' -fuzz='^FuzzSLORules$' -fuzztime=10s ./internal/obs/flight
 go test -run='^$' -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime=10s ./internal/protocol
+go test -run='^$' -fuzz='^FuzzCellOf$' -fuzztime=10s ./internal/grid
 
 echo "ci: all green"

@@ -19,28 +19,43 @@ type conn2 struct {
 	g   grid.PolarGrid
 }
 
-// repScore is the squared distance from the node to the center of the
-// cell's inner arc, computed in polar coordinates via the law of cosines.
+// polarDist2 is the squared distance from p to the point at radius r and
+// angle theta, by the law of cosines: the one formula behind every 2-D
+// score.
+func polarDist2(p geom.Polar, r, theta float64) float64 {
+	return p.R*p.R + r*r - 2*p.R*r*math.Cos(p.Theta-theta)
+}
+
+// repScore2 ranks p as the representative of the cell bounded by seg: the
+// squared distance to the center of the cell's inner arc. The bucketing
+// pass of a full build and repOf's single-cell re-election both call it,
+// so the two make the same float operations.
+func repScore2(p geom.Polar, seg geom.RingSegment) float64 {
+	return polarDist2(p, seg.RMin, seg.MidTheta())
+}
+
+// classify2 returns p's cell in g and p's representative score there.
+func classify2(g grid.PolarGrid, p geom.Polar) (int32, float64) {
+	ring := g.RingOf(p.R)
+	j := g.SegIndexOf(ring, p.Theta)
+	return int32(grid.CellID(ring, j)), repScore2(p, g.Segment(ring, j))
+}
+
 func (c *conn2) repScore(cellID int, id int32) float64 {
 	ring, j := grid.RingIdx(cellID)
-	seg := c.g.Segment(ring, j)
-	p := c.ctx.Pts[id]
-	return p.R*p.R + seg.RMin*seg.RMin -
-		2*p.R*seg.RMin*math.Cos(p.Theta-seg.MidTheta())
+	return repScore2(c.ctx.Pts[id], c.g.Segment(ring, j))
 }
 
 // relayScore is the squared distance to the center of the cell's outer arc.
 func (c *conn2) relayScore(cellID int, id int32) float64 {
 	ring, j := grid.RingIdx(cellID)
 	seg := c.g.Segment(ring, j)
-	p := c.ctx.Pts[id]
-	return p.R*p.R + seg.RMax*seg.RMax -
-		2*p.R*seg.RMax*math.Cos(p.Theta-seg.MidTheta())
+	return polarDist2(c.ctx.Pts[id], seg.RMax, seg.MidTheta())
 }
 
 func (c *conn2) pointDist2(a, b int32) float64 {
-	pa, pb := c.ctx.Pts[a], c.ctx.Pts[b]
-	return pa.R*pa.R + pb.R*pb.R - 2*pa.R*pb.R*math.Cos(pa.Theta-pb.Theta)
+	pb := c.ctx.Pts[b]
+	return polarDist2(c.ctx.Pts[a], pb.R, pb.Theta)
 }
 
 func (c *conn2) connectNatural(idx []int32, src int32, cellID int) {
@@ -66,6 +81,9 @@ func (c *conn2) connectBinary(idx []int32, src int32, cellID int) {
 // WithParallelism fans the construction over a worker pool; parallel and
 // serial builds of the same input produce identical trees.
 func Build2(source geom.Point2, receivers []geom.Point2, opts ...Option) (*Result, error) {
+	if !source.IsFinite() {
+		return nil, fmt.Errorf("core: source %v: %w", source, ErrNonFinite)
+	}
 	o := buildOptions(opts)
 	variant, degCap, err := variantFor(o.maxOutDegree, naturalDegree2D)
 	if err != nil {
@@ -79,10 +97,13 @@ func Build2(source geom.Point2, receivers []geom.Point2, opts ...Option) (*Resul
 
 	endConv := in.phase("build/convert")
 	polars := make([]geom.Polar, n+1)
-	scale := convertCoords(workers, receivers, polars,
+	scale, err := convertCoords(workers, receivers, polars,
 		func(p geom.Point2) geom.Polar { return p.PolarAround(source) },
 		func(c geom.Polar) float64 { return c.R })
 	endConv()
+	if err != nil {
+		return nil, err
+	}
 	dist := func(i, j int) float64 {
 		pi, pj := source, source
 		if i > 0 {
@@ -120,13 +141,15 @@ func Build2(source geom.Point2, receivers []geom.Point2, opts ...Option) (*Resul
 	g := grid.PolarGrid{K: k, Scale: scale}
 
 	endBucket := in.phase("build/bucketing")
-	cellOf := make([]int32, n)
-	assignCells(workers, cellOf, func(i int) int32 { return int32(g.CellOf(polars[i+1])) })
-	groups := groupByCellParallel(cellOf, g.NumCells(), workers)
+	groups, tallies := bucketCells(workers, g.NumCells(), n, nil, func(i int) (int32, float64) {
+		return classify2(g, polars[i+1])
+	})
 	endBucket()
-	var reps []int32
+	endReps := in.phase("build/reps")
+	reps := electReps(tallies)
+	endReps()
 	if workers > 1 {
-		res.Tree, reps, err = wireParallel(n, k, g.NumCells(), degCap, workers, groups,
+		res.Tree, err = wireParallel(n, k, g.NumCells(), degCap, workers, groups, reps,
 			func(a bisect.Attacher) connector {
 				return &conn2{ctx: &bisect.Ctx2{B: a, Pts: polars}, g: g}
 			}, variant, in)
@@ -139,10 +162,6 @@ func Build2(source geom.Point2, receivers []geom.Point2, opts ...Option) (*Resul
 			return nil, berr
 		}
 		conn := &conn2{ctx: &bisect.Ctx2{B: b, Pts: polars}, g: g}
-		endReps := in.phase("build/reps")
-		reps = chooseReps(groups, conn, g.NumCells())
-		endReps()
-		reps[0] = -1 // the source itself anchors ring 0; cell 0 has no separate representative
 		endWire := in.phase("build/wire")
 		wireCore(b, k, groups, reps, conn, variant, in)
 		endWire()

@@ -21,34 +21,43 @@ type conn3 struct {
 	g   grid.SphereGrid3
 }
 
-// repScore is the squared distance from the node to the center of the
-// cell's inner (spherical) arc: the point at radius RMin in the middle of
-// the cell's angular box.
-func (c *conn3) repScore(cellID int, id int32) float64 {
-	shell, j := grid.RingIdx(cellID)
-	cell := c.g.Cell(shell, j)
-	// Middle of the polar-angle interval (arc-length midpoint), not of the
-	// u interval, so the generic BuildD path agrees exactly.
+// arcCenter3 is the point at radius r in the middle of cell's angular box:
+// the middle of the polar-angle interval (its arc-length midpoint, not that
+// of the u interval, so the generic BuildD path agrees exactly) and of the
+// azimuth interval.
+func arcCenter3(cell geom.ShellCell, r float64) geom.Point3 {
 	phiMid := (math.Acos(clampUnit(cell.UMax)) + math.Acos(clampUnit(cell.UMin))) / 2
-	center := geom.Spherical{
-		R:     cell.RMin,
+	return geom.Spherical{
+		R:     r,
 		Theta: (cell.ThetaMin + cell.ThetaMax) / 2,
 		U:     math.Cos(phiMid),
 	}.ToPoint()
-	return c.ctx.Pts[id].ToPoint().Dist2(center)
+}
+
+// repScore3 ranks p as the representative of cell: the squared distance to
+// the center of the cell's inner (spherical) arc. Full builds and repOf
+// share it, as in 2-D.
+func repScore3(p geom.Spherical, cell geom.ShellCell) float64 {
+	return p.ToPoint().Dist2(arcCenter3(cell, cell.RMin))
+}
+
+// classify3 returns p's cell in g and p's representative score there.
+func classify3(g grid.SphereGrid3, p geom.Spherical) (int32, float64) {
+	shell := g.ShellOf(p.R)
+	j := g.SegIndexOf(shell, p.Theta, p.U)
+	return int32(grid.CellID(shell, j)), repScore3(p, g.Cell(shell, j))
+}
+
+func (c *conn3) repScore(cellID int, id int32) float64 {
+	shell, j := grid.RingIdx(cellID)
+	return repScore3(c.ctx.Pts[id], c.g.Cell(shell, j))
 }
 
 // relayScore is the squared distance to the center of the cell's outer arc.
 func (c *conn3) relayScore(cellID int, id int32) float64 {
 	shell, j := grid.RingIdx(cellID)
 	cell := c.g.Cell(shell, j)
-	phiMid := (math.Acos(clampUnit(cell.UMax)) + math.Acos(clampUnit(cell.UMin))) / 2
-	center := geom.Spherical{
-		R:     cell.RMax,
-		Theta: (cell.ThetaMin + cell.ThetaMax) / 2,
-		U:     math.Cos(phiMid),
-	}.ToPoint()
-	return c.ctx.Pts[id].ToPoint().Dist2(center)
+	return c.ctx.Pts[id].ToPoint().Dist2(arcCenter3(cell, cell.RMax))
 }
 
 func (c *conn3) pointDist2(a, b int32) float64 {
@@ -80,6 +89,9 @@ func clampUnit(x float64) float64 {
 // default builds the natural out-degree-10 variant; WithMaxOutDegree(d) for
 // d in [2, 10) selects the binary out-degree-2 variant.
 func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Result, error) {
+	if !source.IsFinite() {
+		return nil, fmt.Errorf("core: source %v: %w", source, ErrNonFinite)
+	}
 	o := buildOptions(opts)
 	variant, degCap, err := variantFor(o.maxOutDegree, naturalDegree3D)
 	if err != nil {
@@ -94,10 +106,13 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 	endConv := in.phase("build/convert")
 	sph := make([]geom.Spherical, n+1)
 	sph[0] = geom.Spherical{U: 1}
-	scale := convertCoords(workers, receivers, sph,
+	scale, err := convertCoords(workers, receivers, sph,
 		func(p geom.Point3) geom.Spherical { return p.SphericalAround(source) },
 		func(c geom.Spherical) float64 { return c.R })
 	endConv()
+	if err != nil {
+		return nil, err
+	}
 	dist := func(i, j int) float64 {
 		pi, pj := source, source
 		if i > 0 {
@@ -133,13 +148,15 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 	g := grid.SphereGrid3{K: k, Scale: scale}
 
 	endBucket := in.phase("build/bucketing")
-	cellOf := make([]int32, n)
-	assignCells(workers, cellOf, func(i int) int32 { return int32(g.CellOf(sph[i+1])) })
-	groups := groupByCellParallel(cellOf, g.NumCells(), workers)
+	groups, tallies := bucketCells(workers, g.NumCells(), n, nil, func(i int) (int32, float64) {
+		return classify3(g, sph[i+1])
+	})
 	endBucket()
-	var reps []int32
+	endReps := in.phase("build/reps")
+	reps := electReps(tallies)
+	endReps()
 	if workers > 1 {
-		res.Tree, reps, err = wireParallel(n, k, g.NumCells(), degCap, workers, groups,
+		res.Tree, err = wireParallel(n, k, g.NumCells(), degCap, workers, groups, reps,
 			func(a bisect.Attacher) connector {
 				return &conn3{ctx: &bisect.Ctx3{B: a, Pts: sph}, g: g}
 			}, variant, in)
@@ -152,10 +169,6 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 			return nil, berr
 		}
 		conn := &conn3{ctx: &bisect.Ctx3{B: b, Pts: sph}, g: g}
-		endReps := in.phase("build/reps")
-		reps = chooseReps(groups, conn, g.NumCells())
-		endReps()
-		reps[0] = -1 // the source itself anchors ring 0; cell 0 has no separate representative
 		endWire := in.phase("build/wire")
 		wireCore(b, k, groups, reps, conn, variant, in)
 		endWire()

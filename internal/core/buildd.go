@@ -16,35 +16,44 @@ type connD struct {
 	g   *grid.GridD
 }
 
-// repScore is the squared distance from the node to the center of the
-// cell's inner arc: radius RMin at the middle of every angular interval.
-func (c *connD) repScore(cellID int, id int32) float64 {
-	shell, j := grid.RingIdx(cellID)
-	cell := c.g.Cell(shell, j)
+// arcCenterD is the point at radius r in the middle of every angular
+// interval of cell.
+func arcCenterD(cell geom.CellD, r float64) geom.Vec {
 	center := geom.Hyperspherical{
-		R:     cell.RMin,
+		R:     r,
 		Theta: (cell.ThetaMin + cell.ThetaMax) / 2,
 		Phi:   make([]float64, len(cell.PhiMin)),
 	}
 	for m := range center.Phi {
 		center.Phi[m] = (cell.PhiMin[m] + cell.PhiMax[m]) / 2
 	}
-	return c.ctx.Pts[id].ToVec().Dist2(center.ToVec())
+	return center.ToVec()
+}
+
+// repScoreD ranks h as the representative of cell: the squared distance to
+// the center of the cell's inner arc. Full builds and repOf share it, as in
+// 2-D.
+func repScoreD(h geom.Hyperspherical, cell geom.CellD) float64 {
+	return h.ToVec().Dist2(arcCenterD(cell, cell.RMin))
+}
+
+// classifyD returns h's cell in g and h's representative score there.
+func classifyD(g *grid.GridD, h geom.Hyperspherical) (int32, float64) {
+	shell := g.ShellOf(h.R)
+	j := g.SegIndexOf(shell, h)
+	return int32(grid.CellID(shell, j)), repScoreD(h, g.Cell(shell, j))
+}
+
+func (c *connD) repScore(cellID int, id int32) float64 {
+	shell, j := grid.RingIdx(cellID)
+	return repScoreD(c.ctx.Pts[id], c.g.Cell(shell, j))
 }
 
 // relayScore is the squared distance to the center of the cell's outer arc.
 func (c *connD) relayScore(cellID int, id int32) float64 {
 	shell, j := grid.RingIdx(cellID)
 	cell := c.g.Cell(shell, j)
-	center := geom.Hyperspherical{
-		R:     cell.RMax,
-		Theta: (cell.ThetaMin + cell.ThetaMax) / 2,
-		Phi:   make([]float64, len(cell.PhiMin)),
-	}
-	for m := range center.Phi {
-		center.Phi[m] = (cell.PhiMin[m] + cell.PhiMax[m]) / 2
-	}
-	return c.ctx.Pts[id].ToVec().Dist2(center.ToVec())
+	return c.ctx.Pts[id].ToVec().Dist2(arcCenterD(cell, cell.RMax))
 }
 
 func (c *connD) pointDist2(a, b int32) float64 {
@@ -76,6 +85,9 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 			return nil, fmt.Errorf("core: receiver %d has dimension %d, want %d", i, len(p), d)
 		}
 	}
+	if !source.IsFinite() {
+		return nil, fmt.Errorf("core: source %v: %w", source, ErrNonFinite)
+	}
 	o := buildOptions(opts)
 	natural := 1<<uint(d) + 2
 	variant, degCap, err := variantFor(o.maxOutDegree, natural)
@@ -91,10 +103,13 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 	endConv := in.phase("build/convert")
 	hs := make([]geom.Hyperspherical, n+1)
 	hs[0] = geom.Hyperspherical{Phi: make([]float64, d-2)}
-	scale := convertCoords(workers, receivers, hs,
+	scale, err := convertCoords(workers, receivers, hs,
 		func(p geom.Vec) geom.Hyperspherical { return p.Sub(source).ToHyperspherical() },
 		func(c geom.Hyperspherical) float64 { return c.R })
 	endConv()
+	if err != nil {
+		return nil, err
+	}
 	dist := func(i, j int) float64 {
 		pi, pj := source, source
 		if i > 0 {
@@ -144,13 +159,15 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 	endGrid()
 
 	endBucket := in.phase("build/bucketing")
-	cellOf := make([]int32, n)
-	assignCells(workers, cellOf, func(i int) int32 { return int32(g.CellOf(hs[i+1])) })
-	groups := groupByCellParallel(cellOf, g.NumCells(), workers)
+	groups, tallies := bucketCells(workers, g.NumCells(), n, nil, func(i int) (int32, float64) {
+		return classifyD(g, hs[i+1])
+	})
 	endBucket()
-	var reps []int32
+	endReps := in.phase("build/reps")
+	reps := electReps(tallies)
+	endReps()
 	if workers > 1 {
-		res.Tree, reps, err = wireParallel(n, g.K, g.NumCells(), degCap, workers, groups,
+		res.Tree, err = wireParallel(n, g.K, g.NumCells(), degCap, workers, groups, reps,
 			func(a bisect.Attacher) connector {
 				return &connD{ctx: &bisect.CtxD{B: a, Pts: hs}, g: g}
 			}, variant, in)
@@ -163,10 +180,6 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 			return nil, berr
 		}
 		conn := &connD{ctx: &bisect.CtxD{B: b, Pts: hs}, g: g}
-		endReps := in.phase("build/reps")
-		reps = chooseReps(groups, conn, g.NumCells())
-		endReps()
-		reps[0] = -1 // the source itself anchors ring 0; cell 0 has no separate representative
 		endWire := in.phase("build/wire")
 		wireCore(b, g.K, groups, reps, conn, variant, in)
 		endWire()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"omtree/internal/bisect"
@@ -91,6 +92,9 @@ type BuildState struct {
 // incremental path is serial — parallel and serial builds are identical
 // anyway).
 func NewBuildState(source geom.Point2, opts ...Option) (*BuildState, error) {
+	if !source.IsFinite() {
+		return nil, fmt.Errorf("core: source %v: %w", source, ErrNonFinite)
+	}
 	s, err := newBuildState(opts)
 	if err != nil {
 		return nil, err
@@ -239,9 +243,10 @@ func (s *BuildState) addLive(slot int) {
 	if !s.built || s.needFull {
 		return
 	}
-	if c.R > s.scale {
+	if !(c.R <= s.scale) {
 		// The grid scale is the outermost radius: it just grew, which moves
-		// every dividing circle.
+		// every dividing circle (or the radius is NaN, which the full
+		// rebuild rejects).
 		s.needFull = true
 		return
 	}
@@ -366,7 +371,12 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	pts := s.geo.pts
 	var scale float64
 	for _, sl := range slots {
-		if r := pts[sl].R; r > scale {
+		r := pts[sl].R
+		if !(r <= math.MaxFloat64) {
+			endConv()
+			return nil, fmt.Errorf("core: slot %d is at distance %v from the source: %w", sl, r, ErrNonFinite)
+		}
+		if r > scale {
 			scale = r
 		}
 	}
@@ -406,12 +416,21 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 
 	endBucket := in.phase("build/bucketing")
 	numCells := grid.NumCells(k)
+	groups, tallies := bucketCells(1, numCells, len(slots), slots, func(i int) (int32, float64) {
+		return classify2(s.g, pts[slots[i]])
+	})
+	// Member lists grow one append at a time, in ascending slot order, so
+	// their capacities (which MemoryBytes reports) are those of a state
+	// that met its members one by one.
 	s.members = make([][]int32, numCells)
+	for c := range s.members {
+		for _, sl := range groups.order[groups.start[c]:groups.start[c+1]] {
+			s.members[c] = append(s.members[c], sl)
+			s.cellOf[sl] = int32(c)
+		}
+	}
 	s.cnt1 = make([]int32, grid.NumCells(k+1))
 	for _, sl := range slots {
-		cell := s.g.CellOf(pts[sl])
-		s.cellOf[sl] = int32(cell)
-		s.members[cell] = append(s.members[cell], sl) // slots ascend, so lists stay sorted
 		c1 := s.g1.CellOf(pts[sl])
 		if r1, _ := grid.RingIdx(c1); r1 > 0 && r1 < s.g1.K {
 			s.cnt1[c1]++
@@ -433,11 +452,7 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	sink := &parentSink{parents: s.parent}
 	conn := &conn2{ctx: &bisect.Ctx2{B: sink, Pts: pts}, g: s.g}
 	endReps := in.phase("build/reps")
-	s.reps = make([]int32, numCells)
-	s.reps[0] = -1 // the source itself anchors ring 0
-	for c := 1; c < numCells; c++ {
-		s.reps[c] = repOf(s.members[c], c, conn)
-	}
+	s.reps = electReps(tallies)
 	endReps()
 	endWire := in.phase("build/wire")
 	var scratch []int32
@@ -575,9 +590,9 @@ func (s *BuildState) exportResult(in instr, res *Result, slots []int32) (*Result
 	return res, nil
 }
 
-// repOf replicates chooseReps for a single cell over an explicit member
-// list: the member closest to the center of the cell's inner arc, ties to
-// the smallest id; -1 when empty.
+// repOf re-elects one cell's representative over an explicit member list,
+// by the rule electReps applies to a full build: the lowest (score, id)
+// pair; -1 when empty.
 func repOf(members []int32, cellID int, conn connector) int32 {
 	if len(members) == 0 {
 		return -1
@@ -585,7 +600,7 @@ func repOf(members []int32, cellID int, conn connector) int32 {
 	best := members[0]
 	bestScore := conn.repScore(cellID, best)
 	for _, id := range members[1:] {
-		if sc := conn.repScore(cellID, id); sc < bestScore || (sc == bestScore && id < best) {
+		if sc := conn.repScore(cellID, id); repBefore(sc, id, bestScore, best) {
 			best, bestScore = id, sc
 		}
 	}

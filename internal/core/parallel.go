@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,17 +64,15 @@ func (s *parentSink) build(degCap int) (*tree.Tree, error) {
 // for each chunk, concurrently when workers > 1. fn receives the chunk index
 // (for per-worker accumulators) and its half-open range.
 func parRange(workers, n int, fn func(w, lo, hi int)) {
-	if workers <= 1 || n == 0 {
+	shards := shardsOf(workers, n)
+	if shards == 1 {
 		fn(0, 0, n)
 		return
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w*chunk < n; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
+	for w := 0; w < shards; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, n)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -81,6 +80,16 @@ func parRange(workers, n int, fn func(w, lo, hi int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// shardsOf returns the number of contiguous chunks parRange splits n items
+// into: one per worker, the last possibly short, fewer when n is small.
+func shardsOf(workers, n int) int {
+	if workers <= 1 || n == 0 {
+		return 1
+	}
+	chunk := (n + workers - 1) / workers
+	return (n + chunk - 1) / chunk
 }
 
 // cellBlock sizes the work units of parCells: large enough to amortize the
@@ -128,122 +137,163 @@ func parCells(workers, numCells int, fn func(w, c int)) {
 // convertCoords fills coords[i+1] = conv(receivers[i]) across the worker
 // pool and returns the largest radius. The chunked maximum equals the serial
 // maximum exactly — float64 max is association-independent — so the grid
-// scale (and hence the whole build) does not depend on the worker count.
-func convertCoords[P, C any](workers int, receivers []P, coords []C, conv func(P) C, radius func(C) float64) float64 {
+// scale (and hence the whole build) does not depend on the worker count. A
+// radius that is NaN or infinite fails the conversion with ErrNonFinite,
+// naming the lowest such receiver at any worker count.
+func convertCoords[P, C any](workers int, receivers []P, coords []C, conv func(P) C, radius func(C) float64) (float64, error) {
 	maxR := make([]float64, workers)
+	bad := make([]int, workers)
 	parRange(workers, len(receivers), func(w, lo, hi int) {
 		var m float64
 		for i := lo; i < hi; i++ {
 			c := conv(receivers[i])
 			coords[i+1] = c
-			if r := radius(c); r > m {
+			r := radius(c)
+			if !(r <= math.MaxFloat64) {
+				bad[w] = i + 1
+				return
+			}
+			if r > m {
 				m = r
 			}
 		}
 		maxR[w] = m
 	})
 	var scale float64
-	for _, m := range maxR {
+	for w, m := range maxR {
+		if i := bad[w] - 1; i >= 0 {
+			return 0, fmt.Errorf("core: receiver %d is at distance %v from the source: %w",
+				i, radius(coords[i+1]), ErrNonFinite)
+		}
 		if m > scale {
 			scale = m
 		}
 	}
-	return scale
+	return scale, nil
 }
 
-// assignCells fills cellOf[i] with the grid cell of receiver i's coordinate
-// across the worker pool. cellAt must be pure (the grid types are immutable
-// value types, so their CellOf methods are).
-func assignCells(workers int, cellOf []int32, cellAt func(i int) int32) {
-	parRange(workers, len(cellOf), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cellOf[i] = cellAt(i)
+// cellTally is one shard's share of the bucketing pass: per cell, how many
+// of the shard's receivers landed there and the lowest (score, node id)
+// pair among them. Node id 0 is the source, never a receiver, so id 0 marks
+// a cell the shard has not seen.
+type cellTally struct {
+	count []int32
+	score []float64
+	id    []int32
+}
+
+// bucketCells is the bucketing pass every build shares. One sweep over the
+// receivers in index order, split into contiguous shards across the worker
+// pool, asks classify for receiver i's cell and its representative score
+// against that cell, counts cell populations, and keeps each cell's lowest
+// (score, node id) pair per shard; electReps merges those into the
+// representatives. A serial prefix pass then turns the per-shard counts into
+// write offsets (shard w writes cell c from start[c] + the counts of shards
+// before w) and a second sweep places the node ids, so nodes land grouped
+// by cell and in index order within a cell — byte-for-byte the layout of a
+// serial counting sort, at any worker count. nodes[i] is receiver i's node
+// id; nil means node i+1, the numbering of the one-shot builds. classify
+// must be pure: it runs concurrently on disjoint receivers.
+func bucketCells(workers, numCells, n int, nodes []int32, classify func(i int) (cell int32, score float64)) (cellGroups, []cellTally) {
+	nodeOf := func(i int) int32 {
+		if nodes == nil {
+			return int32(i + 1)
 		}
-	})
-}
-
-// groupByCellParallel reproduces groupByCell's exact output with a sharded
-// counting sort: each worker counts cell populations over its contiguous
-// shard of cellOf, a serial prefix pass converts the per-shard counts into
-// per-shard write offsets (off[w][c] = start[c] + sum of counts[w'][c] for
-// w' < w), and each worker then places its shard's nodes in index order.
-// Nodes therefore land grouped by cell, ordered by original index within a
-// cell — byte-for-byte the serial counting sort's layout.
-func groupByCellParallel(cellOf []int32, numCells, workers int) cellGroups {
-	n := len(cellOf)
-	if workers <= 1 {
-		return groupByCell(cellOf, numCells)
+		return nodes[i]
 	}
-	chunk := (n + workers - 1) / workers
-	shards := (n + chunk - 1) / chunk
-	counts := make([][]int32, shards)
+	cellOf := make([]int32, n)
+	tallies := make([]cellTally, shardsOf(workers, n))
 	parRange(workers, n, func(w, lo, hi int) {
-		cnt := make([]int32, numCells)
-		for _, c := range cellOf[lo:hi] {
-			cnt[c]++
+		t := cellTally{
+			count: make([]int32, numCells),
+			score: make([]float64, numCells),
+			id:    make([]int32, numCells),
 		}
-		counts[w] = cnt
+		for i := lo; i < hi; i++ {
+			c, s := classify(i)
+			cellOf[i] = c
+			if id := nodeOf(i); t.id[c] == 0 || repBefore(s, id, t.score[c], t.id[c]) {
+				t.score[c], t.id[c] = s, id
+			}
+			t.count[c]++
+		}
+		tallies[w] = t
 	})
 
 	start := make([]int32, numCells+1)
 	for c := 0; c < numCells; c++ {
-		var total int32
-		for w := 0; w < shards; w++ {
-			cellCount := counts[w][c]
-			counts[w][c] = start[c] + total // reuse the count as the shard's write offset
+		total := start[c]
+		for _, t := range tallies {
+			cellCount := t.count[c]
+			t.count[c] = total // reuse the count as the shard's write offset
 			total += cellCount
 		}
-		start[c+1] = start[c] + total
+		start[c+1] = total
 	}
 
 	order := make([]int32, n)
 	parRange(workers, n, func(w, lo, hi int) {
-		off := counts[w]
-		for i, c := range cellOf[lo:hi] {
-			order[off[c]] = int32(lo + i + 1) // receiver i is node i+1
+		off := tallies[w].count
+		for i := lo; i < hi; i++ {
+			c := cellOf[i]
+			order[off[c]] = nodeOf(i)
 			off[c]++
 		}
 	})
-	return cellGroups{start: start, order: order}
+	return cellGroups{start: start, order: order}, tallies
 }
 
-// chooseRepsParallel is chooseReps fanned out over the worker pool; the
-// per-cell selection is untouched, so the result is identical.
-func chooseRepsParallel(g cellGroups, conn connector, numCells, workers int) []int32 {
-	reps := make([]int32, numCells)
-	parCells(workers, numCells, func(_, c int) {
-		members := g.order[g.start[c]:g.start[c+1]]
-		if len(members) == 0 {
-			reps[c] = -1
-			return
-		}
-		best := members[0]
-		bestScore := conn.repScore(c, best)
-		for _, id := range members[1:] {
-			s := conn.repScore(c, id)
-			if s < bestScore || (s == bestScore && id < best) {
-				best, bestScore = id, s
+// electReps merges bucketCells's per-shard tallies into one representative
+// per cell: the member closest to the center of the cell's inner arc
+// (§III-B), ties broken by smallest node id — the lowest (score, id) pair
+// over the whole cell, which is what one sequential scan of the cell finds.
+// Empty cells get -1, and so does cell 0: the source anchors ring 0 itself.
+// The merge reuses the first shard's arrays.
+func electReps(tallies []cellTally) []int32 {
+	best := tallies[0]
+	for _, t := range tallies[1:] {
+		for c, id := range t.id {
+			if id != 0 && (best.id[c] == 0 || repBefore(t.score[c], id, best.score[c], best.id[c])) {
+				best.score[c], best.id[c] = t.score[c], id
 			}
 		}
-		reps[c] = best
-	})
+	}
+	reps := best.id
+	for c, id := range reps {
+		if id == 0 {
+			reps[c] = -1
+		}
+	}
+	reps[0] = -1
 	return reps
 }
 
-// wireParallel runs the cell-parallel tail of every Build: representative
-// selection, then core + in-cell wiring of all cells into a shared parent
-// array, then one-shot validation. mkConn builds the dimension's connector
-// around the shared sink. Determinism needs no merge step: cells write
-// disjoint parent entries, so the finished array is independent of the
-// order in which workers happen to process cells.
-func wireParallel(n, k, numCells, degCap, workers int, g cellGroups,
-	mkConn func(bisect.Attacher) connector, variant Variant, in instr) (*tree.Tree, []int32, error) {
+// repBefore reports whether a member with score s and node id beats the
+// incumbent (bs, bid) in the representative election: lower score first,
+// then lower id. NaN ranks after every number, which makes the order total:
+// the winner does not depend on the order members are visited in, so
+// per-shard minima merge to the answer of one sequential scan.
+func repBefore(s float64, id int32, bs float64, bid int32) bool {
+	switch {
+	case s < bs:
+		return true
+	case s == bs || (s != s && bs != bs):
+		return id < bid
+	default:
+		return bs != bs && s == s
+	}
+}
+
+// wireParallel runs the cell-parallel tail of every Build: core + in-cell
+// wiring of all cells into a shared parent array, then one-shot validation.
+// mkConn builds the dimension's connector around the shared sink.
+// Determinism needs no merge step: cells write disjoint parent entries, so
+// the finished array is independent of the order in which workers happen
+// to process cells.
+func wireParallel(n, k, numCells, degCap, workers int, g cellGroups, reps []int32,
+	mkConn func(bisect.Attacher) connector, variant Variant, in instr) (*tree.Tree, error) {
 	sink := newParentSink(n + 1)
 	conn := mkConn(sink)
-	endReps := in.phase("build/reps")
-	reps := chooseRepsParallel(g, conn, numCells, workers)
-	endReps()
-	reps[0] = -1 // the source itself anchors ring 0; cell 0 has no separate representative
 	endWire := in.phase("build/wire")
 	reg := in.obs
 	if reg.Enabled() {
@@ -284,7 +334,7 @@ func wireParallel(n, k, numCells, degCap, workers int, g cellGroups,
 	endWire()
 	t, err := sink.build(degCap)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: incomplete wiring (bug): %w", err)
+		return nil, fmt.Errorf("core: incomplete wiring (bug): %w", err)
 	}
-	return t, reps, nil
+	return t, nil
 }

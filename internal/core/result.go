@@ -1,6 +1,17 @@
 package core
 
-import "omtree/internal/tree"
+import (
+	"errors"
+
+	"omtree/internal/tree"
+)
+
+// ErrNonFinite reports a point the grid cannot place: a NaN or infinite
+// source or receiver coordinate, or a receiver whose distance from the
+// source overflows float64. Builds, joins and substrates reject such points
+// up front; a NaN radius would otherwise fall silently into ring 0 and out
+// of every delay maximum. Match it with errors.Is.
+var ErrNonFinite = errors.New("non-finite coordinate")
 
 // Result is the outcome of a Polar_Grid build. Node 0 of the tree is the
 // source; node i >= 1 is receivers[i-1] of the Build call.

@@ -34,48 +34,6 @@ type cellGroups struct {
 	order []int32
 }
 
-// groupByCell counting-sorts the receiver node ids by cell id.
-func groupByCell(cellOf []int32, numCells int) cellGroups {
-	start := make([]int32, numCells+1)
-	for _, c := range cellOf {
-		start[c+1]++
-	}
-	for c := 0; c < numCells; c++ {
-		start[c+1] += start[c]
-	}
-	order := make([]int32, len(cellOf))
-	fill := append([]int32(nil), start[:numCells]...)
-	for i, c := range cellOf {
-		order[fill[c]] = int32(i + 1) // receiver i is node i+1
-		fill[c]++
-	}
-	return cellGroups{start: start, order: order}
-}
-
-// chooseReps returns, per cell, the representative node: the member closest
-// to the center of the cell's inner arc (§III-B), ties broken by smallest
-// node id; -1 for empty cells.
-func chooseReps(g cellGroups, conn connector, numCells int) []int32 {
-	reps := make([]int32, numCells)
-	for c := 0; c < numCells; c++ {
-		members := g.order[g.start[c]:g.start[c+1]]
-		if len(members) == 0 {
-			reps[c] = -1
-			continue
-		}
-		best := members[0]
-		bestScore := conn.repScore(c, best)
-		for _, id := range members[1:] {
-			s := conn.repScore(c, id)
-			if s < bestScore || (s == bestScore && id < best) {
-				best, bestScore = id, s
-			}
-		}
-		reps[c] = best
-	}
-	return reps
-}
-
 // wireCore attaches the entire tree: core edges between representatives,
 // ring by ring from the center out, plus the in-cell Bisection runs. The
 // source (node 0) acts as ring 0's representative. Interior cells (rings

@@ -25,6 +25,9 @@ func (p Point2) Dot(q Point2) float64 { return p.X*q.X + p.Y*q.Y }
 // Norm returns the Euclidean norm of p.
 func (p Point2) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
+// IsFinite reports whether both coordinates are finite numbers.
+func (p Point2) IsFinite() bool { return isFinite(p.X) && isFinite(p.Y) }
+
 // Dist returns the Euclidean distance between p and q.
 func (p Point2) Dist(q Point2) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
@@ -56,6 +59,9 @@ func (p Point3) Dot(q Point3) float64 { return p.X*q.X + p.Y*q.Y + p.Z*q.Z }
 
 // Norm returns the Euclidean norm of p.
 func (p Point3) Norm() float64 { return math.Sqrt(p.X*p.X + p.Y*p.Y + p.Z*p.Z) }
+
+// IsFinite reports whether all three coordinates are finite numbers.
+func (p Point3) IsFinite() bool { return isFinite(p.X) && isFinite(p.Y) && isFinite(p.Z) }
 
 // Dist returns the Euclidean distance between p and q.
 func (p Point3) Dist(q Point3) float64 {
@@ -125,6 +131,18 @@ func (v Vec) Dot(w Vec) float64 {
 	}
 	return s
 }
+
+// IsFinite reports whether every coordinate is a finite number.
+func (v Vec) IsFinite() bool {
+	for _, x := range v {
+		if !isFinite(x) {
+			return false
+		}
+	}
+	return true
+}
+
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Norm returns the Euclidean norm of v.
 func (v Vec) Norm() float64 {

@@ -269,6 +269,6 @@ func MaxFeasibleKDAnalytic(d int, hs []geom.Hyperspherical, scale float64, kMax 
 		if k == cap {
 			return ref, nil
 		}
-		return &GridD{D: d, K: k, Scale: scale, levels: ref.levels[:k+1]}, nil
+		return &GridD{D: d, K: k, Scale: scale, exp2: ref.exp2[:k+1], levels: ref.levels[:k+1]}, nil
 	}
 }

@@ -19,6 +19,7 @@ type GridD struct {
 	D, K  int
 	Scale float64
 
+	exp2   []float64 // exp2[j] = 2^(-j/D), j in [0, K]: radius K-j over Scale
 	levels []levelD
 }
 
@@ -62,7 +63,7 @@ func NewGridD(d, k int, scale float64) (*GridD, error) {
 	if !(scale > 0) || math.IsInf(scale, 0) || math.IsNaN(scale) {
 		return nil, fmt.Errorf("grid: GridD needs positive finite scale, got %v", scale)
 	}
-	g := &GridD{D: d, K: k, Scale: scale, levels: make([]levelD, k+1)}
+	g := &GridD{D: d, K: k, Scale: scale, exp2: exp2Powers(d, k), levels: make([]levelD, k+1)}
 
 	full := angBox{lo: make([]float64, d-1), hi: make([]float64, d-1)}
 	full.hi[0] = geom.TwoPi
@@ -105,28 +106,27 @@ func (g *GridD) SphereRadius(i int) float64 {
 	if i < 0 || i > g.K {
 		panic(fmt.Sprintf("grid: sphere index %d out of [0, %d]", i, g.K))
 	}
-	return g.Scale * math.Exp2(float64(i-g.K)/float64(g.D))
+	return g.radius(i)
 }
 
-// ShellOf returns the shell containing radius r, clamped to [0, K].
+// radius is SphereRadius without the range check: Scale * 2^((i-K)/D),
+// read from the grid's exact power table.
+func (g *GridD) radius(i int) float64 { return g.Scale * g.exp2[g.K-i] }
+
+// ShellOf returns the shell containing radius r, clamped to [0, K] (NaN
+// lands in shell 0).
 func (g *GridD) ShellOf(r float64) int {
-	if r <= 0 {
+	if !(r > 0) {
 		return 0
 	}
 	if r >= g.Scale {
 		return g.K
 	}
-	i := int(math.Ceil(float64(g.K) + float64(g.D)*math.Log2(r/g.Scale)))
-	if i < 0 {
-		i = 0
-	}
-	if i > g.K {
-		i = g.K
-	}
-	for i > 0 && r <= g.SphereRadius(i-1) {
+	i := firstGuess(r, g.Scale, g.K, g.D)
+	for i > 0 && r <= g.radius(i-1) {
 		i--
 	}
-	for i < g.K && r > g.SphereRadius(i) {
+	for i < g.K && r > g.radius(i) {
 		i++
 	}
 	return i

@@ -1,0 +1,205 @@
+package grid
+
+import (
+	"math"
+	"testing"
+
+	"omtree/internal/geom"
+)
+
+// The classifiers' former bodies, kept as oracles: every dividing radius
+// straight from math.Exp2, and a first guess from math.Log2. The guard
+// loops are the same as in the production classifiers, so the two must
+// agree on every input; the radius tables and the Frexp guess are what is
+// under test.
+
+func oracleRadius(scale float64, i, k, d int) float64 {
+	return scale * math.Exp2(float64(i-k)/float64(d))
+}
+
+// oracleRing is the Log2-guess RingOf/ShellOf body for a depth-k grid
+// whose radii grow by 2^(1/d).
+func oracleRing(scale float64, k, d int, r float64) int {
+	if r <= 0 {
+		return 0
+	}
+	if r >= scale {
+		return k
+	}
+	i := int(math.Ceil(float64(k) + float64(d)*math.Log2(r/scale)))
+	if i < 0 {
+		i = 0
+	}
+	if i > k {
+		i = k
+	}
+	for i > 0 && r <= oracleRadius(scale, i-1, k, d) {
+		i--
+	}
+	for i < k && r > oracleRadius(scale, i, k, d) {
+		i++
+	}
+	return i
+}
+
+// oracleScales covers ordinary, extreme and infinite grid scales.
+var oracleScales = []float64{1, 0.7, 3.3e5, 1e-300, 1e300, 5e-324, math.MaxFloat64, math.Inf(1)}
+
+// probeRadii returns the radii to classify in a depth-k grid: every
+// dividing radius and its two neighbouring floats, zero, negatives,
+// subnormals, radii at and beyond the scale, the infinities and NaN.
+func probeRadii(scale float64, k, d int) []float64 {
+	rs := []float64{
+		0, math.Copysign(0, -1), -1, -math.SmallestNonzeroFloat64,
+		math.SmallestNonzeroFloat64, 1e-310, 0x1p-1022,
+		scale, math.Nextafter(scale, math.Inf(1)), 2 * scale, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for i := 0; i <= k; i++ {
+		c := oracleRadius(scale, i, k, d)
+		rs = append(rs, math.Nextafter(c, 0), c, math.Nextafter(c, math.Inf(1)))
+	}
+	return rs
+}
+
+// sameRing compares a classifier with the oracle over every probe radius.
+func sameRing(t *testing.T, name string, scale float64, k, d int, classify func(float64) int) {
+	t.Helper()
+	for _, r := range probeRadii(scale, k, d) {
+		if got, want := classify(r), oracleRingNaN0(scale, k, d, r); got != want {
+			t.Fatalf("%s: d=%d k=%d scale=%v r=%v (%#x): ring %d, oracle %d",
+				name, d, k, scale, r, math.Float64bits(r), got, want)
+		}
+	}
+}
+
+func TestRadiusTablesMatchExp2(t *testing.T) {
+	for k := 1; k <= MaxK; k++ {
+		for _, s := range oracleScales {
+			g2, g3 := PolarGrid{K: k, Scale: s}, SphereGrid3{K: k, Scale: s}
+			for i := 0; i <= k; i++ {
+				if got, want := g2.CircleRadius(i), oracleRadius(s, i, k, 2); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("2-D k=%d scale=%v circle %d: %v, Exp2 gives %v", k, s, i, got, want)
+				}
+				if got, want := g3.SphereRadius(i), oracleRadius(s, i, k, 3); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("3-D k=%d scale=%v sphere %d: %v, Exp2 gives %v", k, s, i, got, want)
+				}
+			}
+		}
+	}
+	for d := 2; d <= 6; d++ {
+		g, err := NewGridD(d, 10, 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= g.K; i++ {
+			if got, want := g.SphereRadius(i), oracleRadius(1.5, i, 10, d); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("GridD d=%d sphere %d: %v, Exp2 gives %v", d, i, got, want)
+			}
+		}
+	}
+}
+
+func TestRingOfMatchesOracle(t *testing.T) {
+	for k := 1; k <= MaxK; k++ {
+		for _, s := range oracleScales {
+			sameRing(t, "PolarGrid.RingOf", s, k, 2, PolarGrid{K: k, Scale: s}.RingOf)
+		}
+	}
+}
+
+func TestShellOfMatchesOracle(t *testing.T) {
+	for k := 1; k <= MaxK; k++ {
+		for _, s := range oracleScales {
+			sameRing(t, "SphereGrid3.ShellOf", s, k, 3, SphereGrid3{K: k, Scale: s}.ShellOf)
+		}
+	}
+}
+
+// shellGridD returns a GridD carrying exactly what ShellOf reads. NewGridD
+// would also materialize 2^k angular boxes, which ShellOf never touches;
+// the table is the one NewGridD fills.
+func shellGridD(d, k int, scale float64) *GridD {
+	return &GridD{D: d, K: k, Scale: scale, exp2: exp2Powers(d, k)}
+}
+
+func TestGridDShellOfMatchesOracle(t *testing.T) {
+	for d := 3; d <= 6; d++ {
+		for k := 1; k <= 28; k++ {
+			for _, s := range oracleScales {
+				sameRing(t, "GridD.ShellOf", s, k, d, shellGridD(d, k, s).ShellOf)
+			}
+		}
+		// The constructed grids, and the prefix grids the analytic search
+		// cuts from them, classify the same way.
+		g, err := NewGridD(d, 9, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRing(t, "NewGridD.ShellOf", 2, 9, d, g.ShellOf)
+		cut := &GridD{D: d, K: 5, Scale: 2, exp2: g.exp2[:6], levels: g.levels[:6]}
+		sameRing(t, "prefix GridD.ShellOf", 2, 5, d, cut.ShellOf)
+	}
+}
+
+func TestConstructorsRejectBeyondMaxK(t *testing.T) {
+	if _, err := NewPolarGrid(MaxK+1, 1); err == nil {
+		t.Errorf("NewPolarGrid accepted k = %d", MaxK+1)
+	}
+	if _, err := NewSphereGrid3(MaxK+1, 1); err == nil {
+		t.Errorf("NewSphereGrid3 accepted k = %d", MaxK+1)
+	}
+	if _, err := NewPolarGrid(MaxK, 1); err != nil {
+		t.Errorf("NewPolarGrid rejected k = MaxK: %v", err)
+	}
+	if _, err := NewSphereGrid3(MaxK, 1); err != nil {
+		t.Errorf("NewSphereGrid3 rejected k = MaxK: %v", err)
+	}
+}
+
+// oracleRingNaN0 is oracleRing with NaN sent to ring 0, where both the
+// oracle (by way of an implementation-defined float-to-int conversion) and
+// the classifiers (explicitly) put it.
+func oracleRingNaN0(scale float64, k, d int, r float64) int {
+	if math.IsNaN(r) {
+		return 0
+	}
+	return oracleRing(scale, k, d, r)
+}
+
+// FuzzCellOf checks the table-driven classifiers against the Exp2/Log2
+// oracles on arbitrary radii, scales, angles and depths: the cell CellOf
+// returns must sit in the oracle's ring, at the angular index of that ring.
+func FuzzCellOf(f *testing.F) {
+	f.Add(uint8(12), 1.0, 0.5, 1.0, 0.3)
+	f.Add(uint8(1), 1.0, 1.0, 0.0, -1.0)
+	f.Add(uint8(61), 1e300, 1e-300, 6.2, 0.99)
+	f.Add(uint8(20), math.Inf(1), 3.0, 3.0, 0.0)
+	f.Add(uint8(7), 2.0, math.NaN(), 1.0, 0.5)
+	f.Add(uint8(30), 1.0, 5e-324, 2.0, -0.5)
+	f.Fuzz(func(t *testing.T, kb uint8, scale, r, theta, u float64) {
+		if !(scale > 0) || math.IsNaN(theta) || math.IsInf(theta, 0) || !(u >= -1 && u <= 1) {
+			return // outside what the grids and the coordinate types produce
+		}
+		theta = geom.NormalizeAngle(theta)
+		k := 1 + int(kb)%MaxK
+
+		g2 := PolarGrid{K: k, Scale: scale}
+		want := oracleRingNaN0(scale, k, 2, r)
+		if ring, idx := RingIdx(g2.CellOf(geom.Polar{R: r, Theta: theta})); ring != want || idx != g2.SegIndexOf(want, theta) {
+			t.Fatalf("2-D k=%d scale=%v r=%v theta=%v: cell (%d, %d), oracle ring %d", k, scale, r, theta, ring, idx, want)
+		}
+
+		g3 := SphereGrid3{K: k, Scale: scale}
+		want = oracleRingNaN0(scale, k, 3, r)
+		if ring, idx := RingIdx(g3.CellOf(geom.Spherical{R: r, Theta: theta, U: u})); ring != want || idx != g3.SegIndexOf(want, theta, u) {
+			t.Fatalf("3-D k=%d scale=%v r=%v: cell (%d, %d), oracle shell %d", k, scale, r, ring, idx, want)
+		}
+
+		d, kd := 3+int(kb)%4, 1+int(kb)%28
+		want = oracleRingNaN0(scale, kd, d, r)
+		if got := shellGridD(d, kd, scale).ShellOf(r); got != want {
+			t.Fatalf("GridD d=%d k=%d scale=%v r=%v: shell %d, oracle %d", d, kd, scale, r, got, want)
+		}
+	})
+}

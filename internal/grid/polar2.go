@@ -18,8 +18,8 @@ type PolarGrid struct {
 
 // NewPolarGrid validates the parameters and returns the grid.
 func NewPolarGrid(k int, scale float64) (PolarGrid, error) {
-	if k < 1 {
-		return PolarGrid{}, fmt.Errorf("grid: polar grid needs k >= 1, got %d", k)
+	if k < 1 || k > MaxK {
+		return PolarGrid{}, fmt.Errorf("grid: polar grid needs k in [1, %d], got %d", MaxK, k)
 	}
 	if !(scale > 0) || math.IsInf(scale, 0) || math.IsNaN(scale) {
 		return PolarGrid{}, fmt.Errorf("grid: polar grid needs positive finite scale, got %v", scale)
@@ -41,32 +41,30 @@ func (g PolarGrid) CircleRadius(i int) float64 {
 	if i < 0 || i > g.K {
 		panic(fmt.Sprintf("grid: circle index %d out of [0, %d]", i, g.K))
 	}
-	return g.Scale * math.Exp2(float64(i-g.K)/2)
+	return g.radius(i)
 }
+
+// radius is CircleRadius without the range check, for the classifier's
+// guard loops: Scale * 2^((i-K)/2), read from the exact power table.
+func (g PolarGrid) radius(i int) float64 { return g.Scale * exp2Half[g.K-i] }
 
 // RingOf returns the ring containing radius r: the smallest i with
 // r <= CircleRadius(i), clamped to [0, K] (points outside the disk land in
-// the outermost ring).
+// the outermost ring, NaN in ring 0).
 func (g PolarGrid) RingOf(r float64) int {
-	if r <= 0 {
+	if !(r > 0) {
 		return 0
 	}
 	if r >= g.Scale {
 		return g.K
 	}
-	i := int(math.Ceil(float64(g.K) + 2*math.Log2(r/g.Scale)))
-	if i < 0 {
-		i = 0
-	}
-	if i > g.K {
-		i = g.K
-	}
-	// Guard against floating-point boundary error: the formula may be off
-	// by one at exact circle radii.
-	for i > 0 && r <= g.CircleRadius(i-1) {
+	// The guard loops compare r with the exact dividing radii, so they
+	// return the smallest ring whose circle holds r from any start.
+	i := firstGuess(r, g.Scale, g.K, 2)
+	for i > 0 && r <= g.radius(i-1) {
 		i--
 	}
-	for i < g.K && r > g.CircleRadius(i) {
+	for i < g.K && r > g.radius(i) {
 		i++
 	}
 	return i

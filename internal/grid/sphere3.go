@@ -21,8 +21,8 @@ type SphereGrid3 struct {
 
 // NewSphereGrid3 validates the parameters and returns the grid.
 func NewSphereGrid3(k int, scale float64) (SphereGrid3, error) {
-	if k < 1 {
-		return SphereGrid3{}, fmt.Errorf("grid: sphere grid needs k >= 1, got %d", k)
+	if k < 1 || k > MaxK {
+		return SphereGrid3{}, fmt.Errorf("grid: sphere grid needs k in [1, %d], got %d", MaxK, k)
 	}
 	if !(scale > 0) || math.IsInf(scale, 0) || math.IsNaN(scale) {
 		return SphereGrid3{}, fmt.Errorf("grid: sphere grid needs positive finite scale, got %v", scale)
@@ -42,28 +42,27 @@ func (g SphereGrid3) SphereRadius(i int) float64 {
 	if i < 0 || i > g.K {
 		panic(fmt.Sprintf("grid: sphere index %d out of [0, %d]", i, g.K))
 	}
-	return g.Scale * math.Exp2(float64(i-g.K)/3)
+	return g.radius(i)
 }
 
-// ShellOf returns the shell containing radius r, clamped to [0, K].
+// radius is SphereRadius without the range check: Scale * 2^((i-K)/3),
+// read from the exact power table.
+func (g SphereGrid3) radius(i int) float64 { return g.Scale * exp2Third[g.K-i] }
+
+// ShellOf returns the shell containing radius r, clamped to [0, K] (NaN
+// lands in shell 0).
 func (g SphereGrid3) ShellOf(r float64) int {
-	if r <= 0 {
+	if !(r > 0) {
 		return 0
 	}
 	if r >= g.Scale {
 		return g.K
 	}
-	i := int(math.Ceil(float64(g.K) + 3*math.Log2(r/g.Scale)))
-	if i < 0 {
-		i = 0
-	}
-	if i > g.K {
-		i = g.K
-	}
-	for i > 0 && r <= g.SphereRadius(i-1) {
+	i := firstGuess(r, g.Scale, g.K, 3)
+	for i > 0 && r <= g.radius(i-1) {
 		i--
 	}
-	for i < g.K && r > g.SphereRadius(i) {
+	for i < g.K && r > g.radius(i) {
 		i++
 	}
 	return i

@@ -1,6 +1,8 @@
 package multigroup_test
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"omtree/internal/core"
@@ -142,5 +144,30 @@ func TestGroupCertificateAndDirty(t *testing.T) {
 	}
 	if c := gd.Certificate(); c != (core.Certificate{}) {
 		t.Errorf("4-D certificate = %+v, want zero", c)
+	}
+}
+
+// TestSubstrateRejectsNonFinite checks every substrate constructor and the
+// group source reject a non-finite coordinate with core.ErrNonFinite.
+func TestSubstrateRejectsNonFinite(t *testing.T) {
+	hosts := rng.New(6).UniformDiskN(50, 1)
+	bad := append([]geom.Point2(nil), hosts...)
+	bad[20].X = math.NaN()
+	if _, err := multigroup.NewSubstrate(bad); !errors.Is(err, core.ErrNonFinite) {
+		t.Errorf("NewSubstrate: err = %v, want ErrNonFinite", err)
+	}
+	axes := [][]float64{{0, 1, 2}, {0, math.Inf(1), 0}, {1, 1, 1}}
+	if _, err := multigroup.NewSubstrateND(axes); !errors.Is(err, core.ErrNonFinite) {
+		t.Errorf("NewSubstrateND: err = %v, want ErrNonFinite", err)
+	}
+	if _, err := multigroup.NewSubstrate3([]geom.Point3{{X: 1}, {Z: math.NaN()}}); !errors.Is(err, core.ErrNonFinite) {
+		t.Errorf("NewSubstrate3: err = %v, want ErrNonFinite", err)
+	}
+	sub, err := multigroup.NewSubstrate(hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sub.NewGroup(multigroup.GroupConfig{Source: []float64{0, math.Inf(-1)}}); !errors.Is(err, core.ErrNonFinite) {
+		t.Errorf("NewGroup: err = %v, want ErrNonFinite", err)
 	}
 }

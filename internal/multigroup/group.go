@@ -47,6 +47,9 @@ func (s *Substrate) NewGroup(cfg GroupConfig) (*GroupTree, error) {
 	if len(cfg.Source) != s.dim {
 		return nil, fmt.Errorf("multigroup: source has %d coordinates on a %d-D substrate", len(cfg.Source), s.dim)
 	}
+	if !geom.Vec(cfg.Source).IsFinite() {
+		return nil, fmt.Errorf("multigroup: source %v: %w", cfg.Source, core.ErrNonFinite)
+	}
 	if cfg.ForceK != 0 && s.dim != 2 {
 		return nil, fmt.Errorf("multigroup: ForceK applies to 2-D groups only")
 	}

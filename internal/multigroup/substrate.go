@@ -59,6 +59,9 @@ func NewSubstrate(hosts []geom.Point2, opts ...SubstrateOption) (*Substrate, err
 	ys := make([]float64, len(hosts))
 	var cx, cy float64
 	for h, p := range hosts {
+		if !p.IsFinite() {
+			return nil, fmt.Errorf("multigroup: host %d at %v: %w", h, p, core.ErrNonFinite)
+		}
 		xs[h], ys[h] = p.X, p.Y
 		cx += p.X
 		cy += p.Y
@@ -109,6 +112,9 @@ func NewSubstrateND(axes [][]float64, opts ...SubstrateOption) (*Substrate, erro
 	for a, ax := range axes {
 		if len(ax) != n {
 			return nil, fmt.Errorf("multigroup: axis %d has %d hosts, axis 0 has %d", a, len(ax), n)
+		}
+		if !geom.Vec(ax).IsFinite() {
+			return nil, fmt.Errorf("multigroup: axis %d: %w", a, core.ErrNonFinite)
 		}
 	}
 	s := &Substrate{dim: len(axes), axes: axes}

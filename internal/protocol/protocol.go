@@ -94,9 +94,8 @@ const maxK = 30
 // Validate rejects configurations New would misbehave on, with one
 // descriptive error per field.
 func (c Config) Validate() error {
-	if math.IsNaN(c.Source.X) || math.IsInf(c.Source.X, 0) ||
-		math.IsNaN(c.Source.Y) || math.IsInf(c.Source.Y, 0) {
-		return fmt.Errorf("protocol: source position (%v, %v) must be finite", c.Source.X, c.Source.Y)
+	if !c.Source.IsFinite() {
+		return fmt.Errorf("protocol: source position (%v, %v): %w", c.Source.X, c.Source.Y, core.ErrNonFinite)
 	}
 	if math.IsNaN(c.Scale) || math.IsInf(c.Scale, 0) || c.Scale <= 0 {
 		return fmt.Errorf("protocol: scale %v must be positive and finite", c.Scale)
@@ -462,6 +461,9 @@ func (o *Overlay) detachChild(parent, child int32) {
 // reach the source may still be served by a degraded-mode island — the
 // returned OpStats then has Degraded set.
 func (o *Overlay) Join(p geom.Point2) (int, OpStats, error) {
+	if !p.IsFinite() {
+		return 0, OpStats{}, fmt.Errorf("protocol: join at (%v, %v): %w", p.X, p.Y, core.ErrNonFinite)
+	}
 	if o.adm.Enabled() {
 		if o.admTokens >= 1 {
 			o.admTokens--

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -26,6 +27,29 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(sessionConfig(4)); err != nil {
 		t.Errorf("rejected valid config: %v", err)
+	}
+}
+
+// TestNonFiniteRejected checks a session refuses a non-finite source at
+// construction and a non-finite joiner, leaving its membership untouched.
+func TestNonFiniteRejected(t *testing.T) {
+	cfg := sessionConfig(4)
+	cfg.Source = geom.Point2{X: math.Inf(-1)}
+	if _, err := New(cfg); !errors.Is(err, core.ErrNonFinite) {
+		t.Errorf("New with an infinite source: err = %v, want ErrNonFinite", err)
+	}
+	o, err := New(sessionConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n0 := o.N()
+	for _, p := range []geom.Point2{{X: math.NaN()}, {Y: math.Inf(1)}} {
+		if _, _, err := o.Join(p); !errors.Is(err, core.ErrNonFinite) {
+			t.Errorf("Join(%v): err = %v, want ErrNonFinite", p, err)
+		}
+	}
+	if n := o.N(); n != n0 {
+		t.Errorf("rejected joins changed the live count from %d to %d", n0, n)
 	}
 }
 

@@ -57,22 +57,24 @@ func (t *Tree) adjacency() {
 		return
 	}
 	n := len(t.parent)
-	counts := make([]int32, n+1)
+	// Count children into start, prefix-sum so start[p] ends p's run, then
+	// fill every run backwards: each decrement leaves start[p] one slot
+	// earlier, so it ends at the run's first slot — the CSR start — and
+	// children come out in ascending id order.
+	start := make([]int32, n+1)
 	for _, p := range t.parent {
 		if p >= 0 {
-			counts[p+1]++
+			start[p]++
 		}
 	}
-	start := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		start[i+1] = start[i] + counts[i+1]
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
 	}
 	list := make([]int32, n-1)
-	fill := append([]int32(nil), start[:n]...)
-	for i, p := range t.parent {
-		if p >= 0 {
-			list[fill[p]] = int32(i)
-			fill[p]++
+	for i := n - 1; i >= 0; i-- {
+		if p := t.parent[i]; p >= 0 {
+			start[p]--
+			list[start[p]] = int32(i)
 		}
 	}
 

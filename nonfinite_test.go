@@ -1,0 +1,91 @@
+package omtree_test
+
+import (
+	"errors"
+	"math"
+	"testing"
+
+	"omtree"
+)
+
+// withPoint returns a copy of pts with pts[i] replaced by p.
+func withPoint(pts []omtree.Point2, i int, p omtree.Point2) []omtree.Point2 {
+	out := append([]omtree.Point2(nil), pts...)
+	out[i] = p
+	return out
+}
+
+// TestBuildRejectsNaNReceiver is the NaN probe: a NaN receiver used to
+// build with err == nil, dropping out of the radius maximum.
+func TestBuildRejectsNaNReceiver(t *testing.T) {
+	recv := withPoint(omtree.NewRand(5).UniformDiskN(200, 1), 17, omtree.Point2{X: math.NaN(), Y: 0.5})
+	res, err := omtree.Build(omtree.Point2{}, recv)
+	if !errors.Is(err, omtree.ErrNonFinite) {
+		t.Fatalf("Build with a NaN receiver: err = %v, result %+v; want ErrNonFinite", err, res)
+	}
+}
+
+// TestBuildRejectsInfReceiver is the +Inf probe: a receiver at +Inf used
+// to build with err == nil and radius/bound = NaN.
+func TestBuildRejectsInfReceiver(t *testing.T) {
+	recv := withPoint(omtree.NewRand(5).UniformDiskN(200, 1), 3, omtree.Point2{X: math.Inf(1), Y: 0})
+	res, err := omtree.Build(omtree.Point2{}, recv)
+	if !errors.Is(err, omtree.ErrNonFinite) {
+		t.Fatalf("Build with a +Inf receiver: err = %v, result %+v; want ErrNonFinite", err, res)
+	}
+}
+
+// TestNonFiniteErrorIndependentOfWorkers checks the rejection names the
+// lowest bad receiver whatever the worker count, so a parallel build's
+// error is as deterministic as its tree.
+func TestNonFiniteErrorIndependentOfWorkers(t *testing.T) {
+	recv := omtree.NewRand(8).UniformDiskN(5000, 1)
+	recv = withPoint(recv, 4000, omtree.Point2{X: math.NaN()})
+	recv = withPoint(recv, 1200, omtree.Point2{Y: math.Inf(-1)})
+	var want string
+	for _, w := range []int{1, 2, 3, 8} {
+		_, err := omtree.Build(omtree.Point2{}, recv, omtree.WithParallelism(w))
+		if !errors.Is(err, omtree.ErrNonFinite) {
+			t.Fatalf("workers=%d: err = %v, want ErrNonFinite", w, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("workers=%d: error %q, want %q", w, err, want)
+		}
+	}
+}
+
+// TestBuildStateNonFiniteJoinRecovers adds a NaN member to a built state:
+// the incremental path must hand it to the full rebuild, which rejects it,
+// and removing the member must make the state build again.
+func TestBuildStateNonFiniteJoinRecovers(t *testing.T) {
+	recv := omtree.NewRand(10).UniformDiskN(400, 1)
+	bs, err := omtree.NewBuildState(omtree.Point2{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range recv {
+		bs.Add(i+1, p)
+	}
+	if _, _, err := bs.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	bad := len(recv) + 1
+	bs.Add(bad, omtree.Point2{X: math.NaN(), Y: 0.2})
+	if _, _, err := bs.Rebuild(); !errors.Is(err, omtree.ErrNonFinite) {
+		t.Fatalf("rebuild with a NaN member: err = %v, want ErrNonFinite", err)
+	}
+	bs.Remove(bad)
+	res, _, err := bs.Rebuild()
+	if err != nil {
+		t.Fatalf("rebuild after removing the NaN member: %v", err)
+	}
+	want, err := omtree.Build(omtree.Point2{}, recv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Radius != want.Radius || res.K != want.K {
+		t.Errorf("recovered state builds radius %v k %d, fresh build %v k %d", res.Radius, res.K, want.Radius, want.K)
+	}
+}

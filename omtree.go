@@ -101,6 +101,12 @@ var (
 	WithFlight = core.WithFlight
 )
 
+// ErrNonFinite reports a NaN or infinite source, receiver or host
+// coordinate, or a receiver whose distance from the source overflows.
+// Every build, BuildState rebuild, overlay join and substrate constructor
+// rejects such points with an error matching it under errors.Is.
+var ErrNonFinite = core.ErrNonFinite
+
 // Observability types (see internal/obs): a dependency-free registry of
 // counters, gauges, histograms, and hierarchical timing spans with stable
 // text/JSON snapshots. An Observer threads through builds (WithObserver),

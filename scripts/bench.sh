@@ -8,29 +8,38 @@
 # Environment overrides:
 #   BENCH_PKGS     packages to benchmark (default: the protocol hot path —
 #                  including the DriftRepair local-vs-full pair at 10k and
-#                  100k nodes — the trace recorder, the grid k-search, the
-#                  multi-group substrate, and the flight recorder: the
-#                  surfaces the tracing layer, the analytic rebuild path,
-#                  the kinetic repair loop, the shared-substrate overhead,
-#                  and the per-round sampling cost must not slow down)
+#                  100k nodes — the trace recorder, the grid k-search and
+#                  cell lookup, the tree delay pass, the multi-group
+#                  substrate, and the flight recorder: the surfaces the
+#                  tracing layer, the analytic rebuild path, the kinetic
+#                  repair loop, the metrics phase of every build, the
+#                  shared-substrate overhead, and the per-round sampling
+#                  cost must not slow down; the default set also runs the
+#                  root package's end-to-end BenchmarkTable1 builds, and
+#                  only that root benchmark, as the figure ones are slow)
 #   BENCH_PATTERN  -bench regexp (default: all benchmarks in BENCH_PKGS)
 #   BENCH_COUNT    -count repetitions (default 1; use 5+ for a decision)
 #
 # The snapshot is a JSON array of {name, ns_per_op, allocs_per_op, n}, one
-# entry per benchmark run. Compare a fresh snapshot against the committed
+# entry per benchmark run; the root rows are named Table1/n=.../deg=.... Compare a fresh snapshot against the committed
 # BENCH_baseline.json to spot regressions; see EXPERIMENTS.md for the
 # regression workflow and the <2% budget on the protocol benchmarks.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-PKGS=${BENCH_PKGS:-"./internal/protocol ./internal/obs/trace ./internal/obs/flight ./internal/grid ./internal/multigroup"}
+PKGS=${BENCH_PKGS:-"./internal/protocol ./internal/obs/trace ./internal/obs/flight ./internal/grid ./internal/tree ./internal/multigroup"}
 PATTERN=${BENCH_PATTERN:-.}
 COUNT=${BENCH_COUNT:-1}
 OUT=${1:-BENCH_$(date +%Y%m%d).json}
 
-# shellcheck disable=SC2086  # PKGS is a deliberate word list
-go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" $PKGS \
+{
+    # shellcheck disable=SC2086  # PKGS is a deliberate word list
+    go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" $PKGS
+    if [ -z "${BENCH_PKGS:-}" ]; then
+        go test -run '^$' -bench '^BenchmarkTable1$' -benchmem -count "$COUNT" .
+    fi
+} \
     | tee /dev/stderr \
     | awk '
         BEGIN { print "[" }
