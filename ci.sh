@@ -33,6 +33,10 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+# perfbench is a nested module that imports the facade and the internal
+# packages it times; vetting it builds it, so a rename it depends on fails
+# here rather than inside a benchmark run.
+(cd perfbench && go vet ./...)
 
 echo "== go test =="
 go test ./...
@@ -40,8 +44,8 @@ go test ./...
 echo "== coverage floors =="
 # Checked-in floors for the packages whose correctness the rest of the repo
 # leans on. Floors sit a few points below the coverage measured when each
-# was set (grid was ~91% when its floor landed) so honest refactors pass
-# but a PR that lands untested code fails.
+# was set (core and grid measured ~94.8% when their floors were last
+# raised) so honest refactors pass but a PR that lands untested code fails.
 check_cover() {
     pkg=$1 floor=$2
     pct=$(go test -cover "$pkg" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
@@ -58,9 +62,9 @@ check_cover() {
 check_cover ./internal/obs 92
 check_cover ./internal/obs/trace 90
 check_cover ./internal/obs/flight 90
-check_cover ./internal/core 89
+check_cover ./internal/core 92
 check_cover ./internal/coords 92
-check_cover ./internal/grid 90
+check_cover ./internal/grid 92
 check_cover ./internal/protocol 92
 check_cover ./internal/multigroup 90
 check_cover ./internal/snapshot 90

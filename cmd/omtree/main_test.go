@@ -3,8 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"omtree/internal/grid"
 )
 
 func TestRunUsageErrors(t *testing.T) {
@@ -96,8 +99,13 @@ func TestBuildForceK(t *testing.T) {
 	if err := run([]string{"build", "-points", pts, "-force-k", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"build", "-points", pts, "-force-k", "20"}); err == nil {
-		t.Error("accepted infeasible forced k")
+	// 2^k - 2 interior cells outnumber the 500 receivers: each depth must
+	// fail with the occupancy error, before anything is sized by 2^k.
+	for _, k := range []int{20, 40, grid.MaxK + 1} {
+		err := run([]string{"build", "-points", pts, "-force-k", strconv.Itoa(k)})
+		if err == nil || !strings.Contains(err.Error(), "leaves an interior grid cell empty") {
+			t.Errorf("-force-k %d: err = %v", k, err)
+		}
 	}
 }
 

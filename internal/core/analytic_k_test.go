@@ -2,34 +2,73 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"omtree/internal/geom"
+	"omtree/internal/grid"
 	"omtree/internal/rng"
 )
 
-// assertSameBuild runs one build twice — analytic k search vs the legacy
-// trial loop — and requires the same k and a byte-identical tree.
-func assertSameBuild(t *testing.T, name string, build func(extra ...Option) (*Result, error)) {
+// These tests check the depth each build picks against the trial loop's
+// definition — the deepest grid, up to the ceiling, whose interior cells
+// (rings 1..k-1) all hold a receiver — read off the cells the grid itself
+// assigns, and that pinning a build to a depth agrees: the chosen depth
+// rebuilds the same tree, and one deeper is accepted exactly when it is
+// feasible. Package grid checks the searches against the trial loop; these
+// check how the builds use them.
+
+// interiorFull reports whether cells, the receivers' cell ids in a depth-k
+// grid, cover every interior cell.
+func interiorFull(k int, cells []int) bool {
+	seen := make([]bool, grid.NumCells(k))
+	for _, c := range cells {
+		seen[c] = true
+	}
+	for id := 1; id < grid.CellID(k, 0); id++ {
+		if !seen[id] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkDepth checks res, built by build() with no extra options, against
+// the trial loop's depth up to kMax; cellsAt(k) returns the receivers'
+// cells in the depth-k grid over res.Scale.
+func checkDepth(t *testing.T, name string, res *Result, kMax int, cellsAt func(k int) []int, build func(extra ...Option) (*Result, error)) {
 	t.Helper()
-	analytic, err := build()
+	if res.K == 0 {
+		return // degenerate geometry: no grid
+	}
+	if !interiorFull(res.K, cellsAt(res.K)) {
+		t.Fatalf("%s: k=%d leaves an interior cell empty", name, res.K)
+	}
+	deeper := interiorFull(res.K+1, cellsAt(res.K+1))
+	if deeper && res.K < kMax {
+		t.Fatalf("%s: picked k=%d, but depth %d is feasible and within kMax %d", name, res.K, res.K+1, kMax)
+	}
+	forced, err := build(WithForceK(res.K))
 	if err != nil {
-		t.Fatalf("%s analytic: %v", name, err)
+		t.Fatalf("%s: forcing the chosen k=%d: %v", name, res.K, err)
 	}
-	trial, err := build(withTrialK())
-	if err != nil {
-		t.Fatalf("%s trial: %v", name, err)
+	if !bytes.Equal(treeBytes(t, forced.Tree), treeBytes(t, res.Tree)) || forced.Radius != res.Radius || forced.Bound != res.Bound {
+		t.Fatalf("%s: forcing the chosen k=%d changed the build", name, res.K)
 	}
-	if analytic.K != trial.K {
-		t.Fatalf("%s: analytic k=%d, trial k=%d", name, analytic.K, trial.K)
+	if _, err := build(WithForceK(res.K + 1)); (err == nil) != deeper {
+		t.Fatalf("%s: forcing k=%d: err = %v, but that depth is feasible: %v", name, res.K+1, err, deeper)
 	}
-	if !bytes.Equal(treeBytes(t, analytic.Tree), treeBytes(t, trial.Tree)) {
-		t.Fatalf("%s: trees differ at k=%d", name, analytic.K)
+}
+
+func cells2(pts []geom.Point2, scale float64, k int) []int {
+	g := grid.PolarGrid{K: k, Scale: scale}
+	cells := make([]int, len(pts))
+	for i, p := range pts {
+		cells[i] = g.CellOf(p.PolarAround(geom.Point2{}))
 	}
-	if analytic.Radius != trial.Radius || analytic.Bound != trial.Bound {
-		t.Fatalf("%s: metrics differ: radius %v vs %v, bound %v vs %v",
-			name, analytic.Radius, trial.Radius, analytic.Bound, trial.Bound)
-	}
+	return cells
 }
 
 func TestAnalyticKMatchesTrial2D(t *testing.T) {
@@ -46,7 +85,12 @@ func TestAnalyticKMatchesTrial2D(t *testing.T) {
 					build := func(extra ...Option) (*Result, error) {
 						return Build2(geom.Point2{}, pts, append([]Option{WithMaxOutDegree(deg)}, extra...)...)
 					}
-					assertSameBuild(t, "2d", build)
+					res, err := build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkDepth(t, fmt.Sprintf("2d n=%d scale=%v deg=%d", n, scale, deg), res, grid.DefaultKMax(n),
+						func(k int) []int { return cells2(pts, res.Scale, k) }, build)
 				}
 			}
 		}
@@ -59,24 +103,47 @@ func TestAnalyticKMatchesTrial3D(t *testing.T) {
 		sizes = append(sizes, 30000)
 	}
 	for _, n := range sizes {
-		r := rng.New(uint64(77 + n))
-		pts := r.UniformBall3N(n, 1)
+		pts := rng.New(uint64(77+n)).UniformBall3N(n, 1)
 		build := func(extra ...Option) (*Result, error) {
 			return Build3(geom.Point3{}, pts, extra...)
 		}
-		assertSameBuild(t, "3d", build)
+		res, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDepth(t, fmt.Sprintf("3d n=%d", n), res, grid.DefaultKMax(n), func(k int) []int {
+			g := grid.SphereGrid3{K: k, Scale: res.Scale}
+			cells := make([]int, n)
+			for i, p := range pts {
+				cells[i] = g.CellOf(p.SphericalAround(geom.Point3{}))
+			}
+			return cells
+		}, build)
 	}
 }
 
 func TestAnalyticKMatchesTrialD(t *testing.T) {
 	for _, d := range []int{2, 4, 6} {
 		for _, n := range []int{1, 30, 800} {
-			r := rng.New(uint64(10*d + n))
-			pts := r.UniformBallDN(n, d, 3)
+			pts := rng.New(uint64(10*d+n)).UniformBallDN(n, d, 3)
 			build := func(extra ...Option) (*Result, error) {
 				return BuildD(geom.NewVec(d), pts, extra...)
 			}
-			assertSameBuild(t, "dD", build)
+			res, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDepth(t, fmt.Sprintf("d=%d n=%d", d, n), res, grid.DefaultKMax(n), func(k int) []int {
+				g, err := grid.NewGridD(d, k, res.Scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cells := make([]int, n)
+				for i, p := range pts {
+					cells[i] = g.CellOf(p.ToHyperspherical())
+				}
+				return cells
+			}, build)
 		}
 	}
 }
@@ -92,11 +159,16 @@ func TestAnalyticKMatchesTrialClustered(t *testing.T) {
 	build := func(extra ...Option) (*Result, error) {
 		return Build2(geom.Point2{}, pts, extra...)
 	}
-	assertSameBuild(t, "clustered", build)
+	res, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDepth(t, "clustered", res, grid.DefaultKMax(len(pts)),
+		func(k int) []int { return cells2(pts, res.Scale, k) }, build)
 }
 
-// The kMax cap and forced-k paths must behave identically too, including the
-// forced-k occupancy error.
+// The kMax cap binds the search, and an infeasible forced depth fails with
+// the occupancy error.
 func TestAnalyticKOptionParity(t *testing.T) {
 	r := rng.New(8)
 	pts := r.UniformDiskN(1000, 1)
@@ -104,13 +176,57 @@ func TestAnalyticKOptionParity(t *testing.T) {
 		build := func(extra ...Option) (*Result, error) {
 			return Build2(geom.Point2{}, pts, append([]Option{WithKMax(kMax)}, extra...)...)
 		}
-		assertSameBuild(t, "kmax", build)
+		res, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.K > kMax {
+			t.Fatalf("kMax=%d: picked k=%d", kMax, res.K)
+		}
+		checkDepth(t, fmt.Sprintf("kMax=%d", kMax), res, kMax,
+			func(k int) []int { return cells2(pts, res.Scale, k) }, build)
 	}
-	// forceK does not consult the k search at all; both paths must reject an
-	// infeasible forced depth with the same error.
-	_, errA := Build2(geom.Point2{}, pts, WithForceK(15))
-	_, errT := Build2(geom.Point2{}, pts, WithForceK(15), withTrialK())
-	if errA == nil || errT == nil || errA.Error() != errT.Error() {
-		t.Fatalf("forceK errors differ: %v vs %v", errA, errT)
+	_, err := Build2(geom.Point2{}, pts, WithForceK(15))
+	if err == nil || err.Error() != "core: forced k = 15 leaves an interior grid cell empty" {
+		t.Fatalf("forced k = 15 over 1000 receivers: err = %v", err)
+	}
+}
+
+// TestForcedDepthFailsBeforeAllocating pins depths no receiver set of this
+// size can fill: a depth-k grid has 2^k - 2 interior cells. Every build
+// must reject them with the occupancy error without first sizing anything
+// by 2^k.
+func TestForcedDepthFailsBeforeAllocating(t *testing.T) {
+	r := rng.New(9)
+	p2, p3, pd := r.UniformDiskN(100, 1), r.UniformBall3N(100, 1), r.UniformBallDN(100, 4, 1)
+	builds := map[string]func(k int) error{
+		"Build2": func(k int) error { _, err := Build2(geom.Point2{}, p2, WithForceK(k)); return err },
+		"Build3": func(k int) error { _, err := Build3(geom.Point3{}, p3, WithForceK(k)); return err },
+		"BuildD": func(k int) error { _, err := BuildD(geom.NewVec(4), pd, WithForceK(k)); return err },
+		"BuildState": func(k int) error {
+			s, err := NewBuildState(geom.Point2{}, WithForceK(k))
+			if err != nil {
+				return err
+			}
+			for i, p := range p2 {
+				s.Add(i+1, p)
+			}
+			_, _, err = s.Rebuild()
+			return err
+		},
+	}
+	for name, build := range builds {
+		for _, k := range []int{40, grid.MaxK + 1} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := build(k)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "leaves an interior grid cell empty") {
+				t.Fatalf("%s forced k = %d: err = %v", name, k, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("%s forced k = %d allocated %d bytes before failing", name, k, got)
+			}
+		}
 	}
 }

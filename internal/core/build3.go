@@ -7,7 +7,6 @@ import (
 	"omtree/internal/bisect"
 	"omtree/internal/geom"
 	"omtree/internal/grid"
-	"omtree/internal/tree"
 )
 
 // naturalDegree3D is 2 core links + the 8-way Bisection fan-out (§V: "the
@@ -19,6 +18,11 @@ const naturalDegree3D = 10
 type conn3 struct {
 	ctx *bisect.Ctx3
 	g   grid.SphereGrid3
+}
+
+// newConn3 returns the 3-D connector wiring into a.
+func newConn3(g grid.SphereGrid3, sph []geom.Spherical, a bisect.Attacher) connector {
+	return &conn3{ctx: &bisect.Ctx3{B: a, Pts: sph}, g: g}
 }
 
 // arcCenter3 is the point at radius r in the middle of cell's angular box:
@@ -92,96 +96,27 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 	if !source.IsFinite() {
 		return nil, fmt.Errorf("core: source %v: %w", source, ErrNonFinite)
 	}
-	o := buildOptions(opts)
-	variant, degCap, err := variantFor(o.maxOutDegree, naturalDegree3D)
-	if err != nil {
-		return nil, err
-	}
-	n := len(receivers)
-	workers := o.effectiveWorkers(n)
-	o.obs.Gauge("build/workers").Set(float64(workers))
-	in := newInstr(o, 3, n)
-	defer in.finish()
-
-	endConv := in.phase("build/convert")
-	sph := make([]geom.Spherical, n+1)
-	sph[0] = geom.Spherical{U: 1}
-	scale, err := convertCoords(workers, receivers, sph,
-		func(p geom.Point3) geom.Spherical { return p.SphericalAround(source) },
-		func(c geom.Spherical) float64 { return c.R })
-	endConv()
-	if err != nil {
-		return nil, err
-	}
-	dist := func(i, j int) float64 {
-		pi, pj := source, source
-		if i > 0 {
-			pi = receivers[i-1]
-		}
-		if j > 0 {
-			pj = receivers[j-1]
-		}
-		return pi.Dist(pj)
-	}
-
-	res := &Result{Dim: 3, Variant: variant, MaxOutDegree: degCap, Scale: scale}
-	if n == 0 || scale == 0 {
-		if res.Tree, err = buildDegenerate(n, degCap); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-
-	endGrid := in.phase("build/grid")
-	k, err := pickK(o, n, func(k int) bool {
-		return grid.SphereGrid3{K: k, Scale: scale}.InteriorOccupied(sph[1:])
-	}, func(kMax int) int {
-		if o.trialK {
-			return grid.MaxFeasibleK3(sph[1:], scale, kMax)
-		}
-		return grid.MaxFeasibleK3Analytic(sph[1:], scale, kMax)
+	return build(receivers, opts, dimension[geom.Point3, geom.Spherical, grid.SphereGrid3]{
+		dim:     3,
+		natural: naturalDegree3D,
+		origin:  geom.Spherical{U: 1},
+		convert: func(p geom.Point3) geom.Spherical { return p.SphericalAround(source) },
+		radius:  func(c geom.Spherical) float64 { return c.R },
+		dist: func(i, j int) float64 {
+			pi, pj := source, source
+			if i > 0 {
+				pi = receivers[i-1]
+			}
+			if j > 0 {
+				pj = receivers[j-1]
+			}
+			return pi.Dist(pj)
+		},
+		search: func(sph []geom.Spherical, scale float64, kMax int) (grid.SphereGrid3, int, error) {
+			k := grid.MaxFeasibleK3Analytic(sph, scale, kMax)
+			return grid.SphereGrid3{K: k, Scale: scale}, k, nil
+		},
+		classify:  classify3,
+		connector: newConn3,
 	})
-	endGrid()
-	if err != nil {
-		return nil, err
-	}
-	g := grid.SphereGrid3{K: k, Scale: scale}
-
-	endBucket := in.phase("build/bucketing")
-	groups, tallies := bucketCells(workers, g.NumCells(), n, nil, func(i int) (int32, float64) {
-		return classify3(g, sph[i+1])
-	})
-	endBucket()
-	endReps := in.phase("build/reps")
-	reps := electReps(tallies)
-	endReps()
-	if workers > 1 {
-		res.Tree, err = wireParallel(n, k, g.NumCells(), degCap, workers, groups, reps,
-			func(a bisect.Attacher) connector {
-				return &conn3{ctx: &bisect.Ctx3{B: a, Pts: sph}, g: g}
-			}, variant, in)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		b, berr := tree.NewBuilder(n+1, 0, degCap)
-		if berr != nil {
-			return nil, berr
-		}
-		conn := &conn3{ctx: &bisect.Ctx3{B: b, Pts: sph}, g: g}
-		endWire := in.phase("build/wire")
-		wireCore(b, k, groups, reps, conn, variant, in)
-		endWire()
-		if res.Tree, err = b.Build(); err != nil {
-			return nil, fmt.Errorf("core: incomplete wiring (bug): %w", err)
-		}
-	}
-	endMetrics := in.phase("build/metrics")
-	delays := res.Tree.Delays(dist)
-	res.K = k
-	res.Radius = maxOf(delays)
-	res.CoreDelay = coreDelay(delays, reps)
-	res.Bound = g.UpperBound(arcCoeff(variant))
-	endMetrics()
-	return res, nil
 }

@@ -6,7 +6,6 @@ import (
 	"omtree/internal/bisect"
 	"omtree/internal/geom"
 	"omtree/internal/grid"
-	"omtree/internal/tree"
 )
 
 // connD adapts the d-dimensional grid and Bisection context to the wiring
@@ -14,6 +13,11 @@ import (
 type connD struct {
 	ctx *bisect.CtxD
 	g   *grid.GridD
+}
+
+// newConnD returns the d-dimensional connector wiring into a.
+func newConnD(g *grid.GridD, hs []geom.Hyperspherical, a bisect.Attacher) connector {
+	return &connD{ctx: &bisect.CtxD{B: a, Pts: hs}, g: g}
 }
 
 // arcCenterD is the point at radius r in the middle of every angular
@@ -88,111 +92,30 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 	if !source.IsFinite() {
 		return nil, fmt.Errorf("core: source %v: %w", source, ErrNonFinite)
 	}
-	o := buildOptions(opts)
-	natural := 1<<uint(d) + 2
-	variant, degCap, err := variantFor(o.maxOutDegree, natural)
-	if err != nil {
-		return nil, err
-	}
-	n := len(receivers)
-	workers := o.effectiveWorkers(n)
-	o.obs.Gauge("build/workers").Set(float64(workers))
-	in := newInstr(o, d, n)
-	defer in.finish()
-
-	endConv := in.phase("build/convert")
-	hs := make([]geom.Hyperspherical, n+1)
-	hs[0] = geom.Hyperspherical{Phi: make([]float64, d-2)}
-	scale, err := convertCoords(workers, receivers, hs,
-		func(p geom.Vec) geom.Hyperspherical { return p.Sub(source).ToHyperspherical() },
-		func(c geom.Hyperspherical) float64 { return c.R })
-	endConv()
-	if err != nil {
-		return nil, err
-	}
-	dist := func(i, j int) float64 {
-		pi, pj := source, source
-		if i > 0 {
-			pi = receivers[i-1]
-		}
-		if j > 0 {
-			pj = receivers[j-1]
-		}
-		return pi.Dist(pj)
-	}
-
-	res := &Result{Dim: d, Variant: variant, MaxOutDegree: degCap, Scale: scale}
-	if n == 0 || scale == 0 {
-		if res.Tree, err = buildDegenerate(n, degCap); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-
-	endGrid := in.phase("build/grid")
-	var g *grid.GridD
-	if o.forceK > 0 {
-		g, err = grid.NewGridD(d, o.forceK, scale)
-		if err != nil {
-			endGrid()
-			return nil, err
-		}
-		if o.forceK > 1 && !g.InteriorOccupied(hs[1:]) {
-			endGrid()
-			return nil, fmt.Errorf("core: forced k = %d leaves an interior grid cell empty", o.forceK)
-		}
-	} else {
-		kMax := o.kMax
-		if kMax <= 0 {
-			kMax = grid.DefaultKMax(n)
-		}
-		if o.trialK {
-			g, err = grid.MaxFeasibleKD(d, hs[1:], scale, kMax)
-		} else {
-			g, err = grid.MaxFeasibleKDAnalytic(d, hs[1:], scale, kMax)
-		}
-		if err != nil {
-			endGrid()
-			return nil, err
-		}
-	}
-	endGrid()
-
-	endBucket := in.phase("build/bucketing")
-	groups, tallies := bucketCells(workers, g.NumCells(), n, nil, func(i int) (int32, float64) {
-		return classifyD(g, hs[i+1])
+	return build(receivers, opts, dimension[geom.Vec, geom.Hyperspherical, *grid.GridD]{
+		dim:     d,
+		natural: 1<<uint(d) + 2,
+		origin:  geom.Hyperspherical{Phi: make([]float64, d-2)},
+		convert: func(p geom.Vec) geom.Hyperspherical { return p.Sub(source).ToHyperspherical() },
+		radius:  func(c geom.Hyperspherical) float64 { return c.R },
+		dist: func(i, j int) float64 {
+			pi, pj := source, source
+			if i > 0 {
+				pi = receivers[i-1]
+			}
+			if j > 0 {
+				pj = receivers[j-1]
+			}
+			return pi.Dist(pj)
+		},
+		search: func(hs []geom.Hyperspherical, scale float64, kMax int) (*grid.GridD, int, error) {
+			g, err := grid.MaxFeasibleKDAnalytic(d, hs, scale, kMax)
+			if err != nil {
+				return nil, 0, err
+			}
+			return g, g.K, nil
+		},
+		classify:  classifyD,
+		connector: newConnD,
 	})
-	endBucket()
-	endReps := in.phase("build/reps")
-	reps := electReps(tallies)
-	endReps()
-	if workers > 1 {
-		res.Tree, err = wireParallel(n, g.K, g.NumCells(), degCap, workers, groups, reps,
-			func(a bisect.Attacher) connector {
-				return &connD{ctx: &bisect.CtxD{B: a, Pts: hs}, g: g}
-			}, variant, in)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		b, berr := tree.NewBuilder(n+1, 0, degCap)
-		if berr != nil {
-			return nil, berr
-		}
-		conn := &connD{ctx: &bisect.CtxD{B: b, Pts: hs}, g: g}
-		endWire := in.phase("build/wire")
-		wireCore(b, g.K, groups, reps, conn, variant, in)
-		endWire()
-		if res.Tree, err = b.Build(); err != nil {
-			return nil, fmt.Errorf("core: incomplete wiring (bug): %w", err)
-		}
-	}
-	endMetrics := in.phase("build/metrics")
-	delays := res.Tree.Delays(dist)
-	res.K = g.K
-	res.Radius = maxOf(delays)
-	res.CoreDelay = coreDelay(delays, reps)
-	res.Bound = g.UpperBound(arcCoeff(variant))
-	endMetrics()
-	return res, nil
 }

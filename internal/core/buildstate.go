@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"omtree/internal/bisect"
 	"omtree/internal/geom"
 	"omtree/internal/grid"
 	"omtree/internal/obs"
@@ -363,8 +362,9 @@ func (s *BuildState) liveSlots() []int32 {
 	return slots
 }
 
-// rebuildFull reconstructs everything from the slot membership, mirroring
-// the serial Build2 pipeline phase by phase.
+// rebuildFull reconstructs everything from the slot membership with the
+// pipeline's stages — grid choice, classifier, bucketing and election,
+// wiring — keeping only the slot bookkeeping of its own.
 func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	endConv := in.phase("build/convert")
 	slots := s.liveSlots()
@@ -398,27 +398,20 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	}
 
 	endGrid := in.phase("build/grid")
-	k, err := pickK(s.o, s.n, func(k int) bool {
-		return grid.PolarGrid{K: k, Scale: scale}.InteriorOccupiedSlots(pts, slots)
-	}, func(kMax int) int {
-		if s.o.trialK {
-			return grid.MaxFeasibleKSlots(pts, slots, scale, kMax)
-		}
-		return grid.MaxFeasibleKAnalyticSlots(pts, slots, scale, kMax)
+	g, k, err := pickK(s.o, s.n, func(kMax int) (grid.PolarGrid, int, error) {
+		k := grid.MaxFeasibleKAnalyticSlots(pts, slots, scale, kMax)
+		return grid.PolarGrid{K: k, Scale: scale}, k, nil
 	})
 	endGrid()
 	if err != nil {
 		return nil, err
 	}
-	s.k = k
-	s.g = grid.PolarGrid{K: k, Scale: scale}
+	s.k, s.g = k, g
 	s.g1 = grid.PolarGrid{K: k + 1, Scale: scale}
 
 	endBucket := in.phase("build/bucketing")
 	numCells := grid.NumCells(k)
-	groups, tallies := bucketCells(1, numCells, len(slots), slots, func(i int) (int32, float64) {
-		return classify2(s.g, pts[slots[i]])
-	})
+	groups, tallies := bucketCells(1, numCells, slots, pts, g, classify2)
 	// Member lists grow one append at a time, in ascending slot order, so
 	// their capacities (which MemoryBytes reports) are those of a state
 	// that met its members one by one.
@@ -445,22 +438,13 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	}
 	endBucket()
 
-	for i := range s.parent {
-		s.parent[i] = unattachedNode
-	}
-	s.parent[0] = tree.NoParent
-	sink := &parentSink{parents: s.parent}
-	conn := &conn2{ctx: &bisect.Ctx2{B: sink, Pts: pts}, g: s.g}
+	sink := sinkOver(s.parent)
 	endReps := in.phase("build/reps")
 	s.reps = electReps(tallies)
 	endReps()
-	endWire := in.phase("build/wire")
-	var scratch []int32
-	for id := 0; id < numCells; id++ {
-		scratch = append(scratch[:0], s.members[id]...)
-		wireCellMembers(sink, k, id, scratch, s.reps, conn, s.variant, in)
-	}
-	endWire()
+	// The wiring permutes groups.order in place; the member lists above are
+	// already copied out of it.
+	wireCells(sink, k, groups, s.reps, newConn2(g, pts, sink), s.variant, 1, in)
 	s.built, s.needFull = true, false
 	clear(s.dirty)
 	return s.exportResult(in, res, slots)
@@ -517,7 +501,7 @@ func (s *BuildState) rebuildIncremental(in instr) (*Result, error) {
 	in.obs.Gauge("build/dirty_cells").Set(float64(len(cells)))
 
 	sink := &parentSink{parents: s.parent}
-	conn := &conn2{ctx: &bisect.Ctx2{B: sink, Pts: s.geo.pts}, g: s.g}
+	conn := newConn2(s.g, s.geo.pts, sink)
 	endReps := in.phase("build/reps")
 	for _, c := range cells {
 		if c != 0 {
@@ -538,7 +522,7 @@ func (s *BuildState) rebuildIncremental(in instr) (*Result, error) {
 }
 
 // exportResult compacts the slot-space parent array into a dense validated
-// tree and computes the Result metrics, mirroring Build2's metrics phase.
+// tree and runs the pipeline's metrics phase over it.
 func (s *BuildState) exportResult(in instr, res *Result, slots []int32) (*Result, error) {
 	endExp := in.phase("build/export")
 	rank := make([]int32, len(s.present))
@@ -561,8 +545,7 @@ func (s *BuildState) exportResult(in instr, res *Result, slots []int32) (*Result
 	res.Tree = t
 	endExp()
 
-	endMetrics := in.phase("build/metrics")
-	dist := func(i, j int) float64 {
+	measure(in, res, func(i, j int) float64 {
 		pi, pj := s.geo.source, s.geo.source
 		if i > 0 {
 			pi = s.geo.pos(slots[i-1])
@@ -571,22 +554,8 @@ func (s *BuildState) exportResult(in instr, res *Result, slots []int32) (*Result
 			pj = s.geo.pos(slots[j-1])
 		}
 		return pi.Dist(pj)
-	}
-	delays := t.Delays(dist)
-	res.K = s.k
-	res.Radius = maxOf(delays)
-	var cd float64
-	for _, r := range s.reps {
-		if r >= 0 {
-			if d := delays[rank[r]]; d > cd {
-				cd = d
-			}
-		}
-	}
-	res.CoreDelay = cd
-	res.Bound = s.g.UpperBound(arcCoeff(s.variant))
+	}, s.reps, rank, s.k, s.g)
 	s.cert = Certificate{Bound: res.Bound, Radius: res.Radius}
-	endMetrics()
 	return res, nil
 }
 

@@ -61,7 +61,7 @@ var electionWorkers = []int{1, 2, 3, 8}
 // per-cell scan) and the fused one at every worker count, and requires the
 // same grouping and the same representatives.
 func checkElection(t *testing.T, name string, n, numCells int, cellOf func(i int) int32,
-	classify func(i int) (int32, float64), conn connector) {
+	bucket func(workers int) (cellGroups, []cellTally), conn connector) {
 	t.Helper()
 	cells := make([]int32, n)
 	for i := range cells {
@@ -71,7 +71,7 @@ func checkElection(t *testing.T, name string, n, numCells int, cellOf func(i int
 	wantReps := chooseReps(want, conn, numCells)
 	wantReps[0] = -1
 	for _, w := range electionWorkers {
-		got, tallies := bucketCells(w, numCells, n, nil, classify)
+		got, tallies := bucket(w)
 		if !slices.Equal(got.start, want.start) || !slices.Equal(got.order, want.order) {
 			t.Fatalf("%s workers=%d: grouping differs from the serial counting sort", name, w)
 		}
@@ -119,7 +119,9 @@ func TestElectionMatchesPerCellScan2D(t *testing.T) {
 			conn := &conn2{ctx: &bisect.Ctx2{Pts: polars}, g: g}
 			checkElection(t, tc.name, len(tc.pts), g.NumCells(),
 				func(i int) int32 { return int32(g.CellOf(polars[i+1])) },
-				func(i int) (int32, float64) { return classify2(g, polars[i+1]) }, conn)
+				func(w int) (cellGroups, []cellTally) {
+					return bucketCells(w, g.NumCells(), nil, polars, g, classify2)
+				}, conn)
 		}
 	}
 }
@@ -138,7 +140,9 @@ func TestElectionMatchesPerCellScan3D(t *testing.T) {
 		conn := &conn3{ctx: &bisect.Ctx3{Pts: sph}, g: g}
 		checkElection(t, "3-D", len(pts), g.NumCells(),
 			func(i int) int32 { return int32(g.CellOf(sph[i+1])) },
-			func(i int) (int32, float64) { return classify3(g, sph[i+1]) }, conn)
+			func(w int) (cellGroups, []cellTally) {
+				return bucketCells(w, g.NumCells(), nil, sph, g, classify3)
+			}, conn)
 	}
 }
 
@@ -159,7 +163,9 @@ func TestElectionMatchesPerCellScanD(t *testing.T) {
 		conn := &connD{ctx: &bisect.CtxD{Pts: hs}, g: g}
 		checkElection(t, "d-D", len(pts), g.NumCells(),
 			func(i int) int32 { return int32(g.CellOf(hs[i+1])) },
-			func(i int) (int32, float64) { return classifyD(g, hs[i+1]) }, conn)
+			func(w int) (cellGroups, []cellTally) {
+				return bucketCells(w, g.NumCells(), nil, hs, g, classifyD)
+			}, conn)
 	}
 }
 

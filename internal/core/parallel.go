@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"omtree/internal/bisect"
 	"omtree/internal/tree"
@@ -17,25 +16,25 @@ import (
 const parallelBuildThreshold = 2048
 
 // unattachedNode mirrors the tree.Builder sentinel for nodes not yet wired
-// into a parallel build's shared parent array.
+// into a build's parent array.
 const unattachedNode int32 = -2
 
-// parentSink is the attachment sink of the parallel pipeline and of the
-// incremental BuildState path: a bare parent array shared by every worker. It
-// is lock-free by construction — the wiring attaches each node exactly once,
-// from the one cell responsible for it, so concurrent MustAttach calls always
-// target distinct entries. Structural validation (spanning, acyclicity,
-// degree caps) that tree.Builder performs edge-by-edge is instead run once
-// over the finished array in build (or, for BuildState, at export).
+// parentSink is the attachment sink of every build, one-shot and
+// incremental: a bare parent array shared by every worker. It is lock-free
+// by construction — the wiring attaches each node exactly once, from the one
+// cell responsible for it, so concurrent MustAttach calls always target
+// distinct entries. Structural validation (spanning, acyclicity, degree
+// caps) runs once over the finished array: tree.FromParents in build, or
+// at export for BuildState.
 type parentSink struct {
 	parents []int32
 }
 
 var _ bisect.Attacher = (*parentSink)(nil)
 
-// newParentSink returns a sink for n nodes rooted at node 0.
-func newParentSink(n int) *parentSink {
-	parents := make([]int32, n)
+// sinkOver resets parents to a tree rooted at node 0 with nothing attached
+// yet and returns the sink that wires into it.
+func sinkOver(parents []int32) *parentSink {
 	for i := range parents {
 		parents[i] = unattachedNode
 	}
@@ -51,13 +50,6 @@ func (s *parentSink) MustAttach(child, parent int) {
 		panic(fmt.Sprintf("core: node %d attached twice (wiring bug)", child))
 	}
 	s.parents[child] = int32(parent)
-}
-
-// build finalizes the sink into a validated tree; FromParents checks that
-// the array is spanning, acyclic and within the degree cap, restoring the
-// guarantees the serial Builder enforces incrementally.
-func (s *parentSink) build(degCap int) (*tree.Tree, error) {
-	return tree.FromParents(0, s.parents, degCap)
 }
 
 // parRange splits [0, n) into one contiguous chunk per worker and runs fn
@@ -184,17 +176,22 @@ type cellTally struct {
 
 // bucketCells is the bucketing pass every build shares. One sweep over the
 // receivers in index order, split into contiguous shards across the worker
-// pool, asks classify for receiver i's cell and its representative score
-// against that cell, counts cell populations, and keeps each cell's lowest
-// (score, node id) pair per shard; electReps merges those into the
+// pool, classifies each receiver in g — its cell and its representative
+// score against that cell — counts cell populations, and keeps each cell's
+// lowest (score, node id) pair per shard; electReps merges those into the
 // representatives. A serial prefix pass then turns the per-shard counts into
 // write offsets (shard w writes cell c from start[c] + the counts of shards
 // before w) and a second sweep places the node ids, so nodes land grouped
 // by cell and in index order within a cell — byte-for-byte the layout of a
-// serial counting sort, at any worker count. nodes[i] is receiver i's node
-// id; nil means node i+1, the numbering of the one-shot builds. classify
-// must be pure: it runs concurrently on disjoint receivers.
-func bucketCells(workers, numCells, n int, nodes []int32, classify func(i int) (cell int32, score float64)) (cellGroups, []cellTally) {
+// serial counting sort, at any worker count. Receiver i is node nodes[i],
+// at coords[nodes[i]]; nil nodes means node i+1 at coords[i+1], the
+// numbering of the one-shot builds, whose coords[0] is the source.
+// classify must be pure: it runs concurrently on disjoint receivers.
+func bucketCells[C, G any](workers, numCells int, nodes []int32, coords []C, g G, classify func(G, C) (int32, float64)) (cellGroups, []cellTally) {
+	n := len(coords) - 1
+	if nodes != nil {
+		n = len(nodes)
+	}
 	nodeOf := func(i int) int32 {
 		if nodes == nil {
 			return int32(i + 1)
@@ -210,9 +207,10 @@ func bucketCells(workers, numCells, n int, nodes []int32, classify func(i int) (
 			id:    make([]int32, numCells),
 		}
 		for i := lo; i < hi; i++ {
-			c, s := classify(i)
+			id := nodeOf(i)
+			c, s := classify(g, coords[id])
 			cellOf[i] = c
-			if id := nodeOf(i); t.id[c] == 0 || repBefore(s, id, t.score[c], t.id[c]) {
+			if t.id[c] == 0 || repBefore(s, id, t.score[c], t.id[c]) {
 				t.score[c], t.id[c] = s, id
 			}
 			t.count[c]++
@@ -282,59 +280,4 @@ func repBefore(s float64, id int32, bs float64, bid int32) bool {
 	default:
 		return bs != bs && s == s
 	}
-}
-
-// wireParallel runs the cell-parallel tail of every Build: core + in-cell
-// wiring of all cells into a shared parent array, then one-shot validation.
-// mkConn builds the dimension's connector around the shared sink.
-// Determinism needs no merge step: cells write disjoint parent entries, so
-// the finished array is independent of the order in which workers happen
-// to process cells.
-func wireParallel(n, k, numCells, degCap, workers int, g cellGroups, reps []int32,
-	mkConn func(bisect.Attacher) connector, variant Variant, in instr) (*tree.Tree, error) {
-	sink := newParentSink(n + 1)
-	conn := mkConn(sink)
-	endWire := in.phase("build/wire")
-	reg := in.obs
-	if reg.Enabled() {
-		// Instrumented pass: per-worker busy time and cell counts feed the
-		// utilization and skew gauges. Each worker writes only its own slot;
-		// parCells's WaitGroup publishes the slices to this goroutine.
-		wireStart := time.Now()
-		busyNs := make([]int64, workers)
-		cellCnt := make([]int64, workers)
-		parCells(workers, numCells, func(w, c int) {
-			t0 := time.Now()
-			wireCell(sink, k, c, g, reps, conn, variant, in)
-			busyNs[w] += int64(time.Since(t0))
-			cellCnt[w]++
-		})
-		wall := time.Since(wireStart).Seconds()
-		var busyTotal, maxCells int64
-		for w := 0; w < workers; w++ {
-			busyTotal += busyNs[w]
-			if cellCnt[w] > maxCells {
-				maxCells = cellCnt[w]
-			}
-		}
-		if wall > 0 && workers > 0 {
-			reg.Gauge("build/wire/worker_utilization").Set(
-				float64(busyTotal) / 1e9 / (wall * float64(workers)))
-		}
-		if numCells > 0 && workers > 0 {
-			mean := float64(numCells) / float64(workers)
-			reg.Gauge("build/wire/cells_per_worker_max").Set(float64(maxCells))
-			reg.Gauge("build/wire/cells_per_worker_skew").Set(float64(maxCells) / mean)
-		}
-	} else {
-		parCells(workers, numCells, func(_, c int) {
-			wireCell(sink, k, c, g, reps, conn, variant, instr{rec: in.rec, tid: in.tid})
-		})
-	}
-	endWire()
-	t, err := sink.build(degCap)
-	if err != nil {
-		return nil, fmt.Errorf("core: incomplete wiring (bug): %w", err)
-	}
-	return t, nil
 }

@@ -52,7 +52,7 @@ func (s *BuildState) EncodeTo(e *snapshot.Encoder, putPt PointEncoder) {
 	e.Int(s.o.maxOutDegree)
 	e.Int(s.o.forceK)
 	e.Int(s.o.kMax)
-	e.Bool(s.o.trialK)
+	e.Bool(false) // reserved: once a k-search selector; read and ignored
 	e.Bool(s.shared)
 	if !s.shared {
 		putPt(e, s.geo.source)
@@ -130,8 +130,8 @@ func decodeBuildState(d *snapshot.Decoder, geo *SlotGeometry, getPt PointDecoder
 		maxOutDegree: d.Int(),
 		forceK:       d.Int(),
 		kMax:         d.Int(),
-		trialK:       d.Bool(),
 	}
+	d.Bool() // reserved (see EncodeTo); an old true is harmless, as every k search agrees
 	shared := d.Bool()
 	if d.Err() == nil && shared != (geo != nil) {
 		if shared {

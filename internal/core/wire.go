@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"omtree/internal/bisect"
 	"omtree/internal/grid"
 )
@@ -34,15 +36,52 @@ type cellGroups struct {
 	order []int32
 }
 
-// wireCore attaches the entire tree: core edges between representatives,
-// ring by ring from the center out, plus the in-cell Bisection runs. The
-// source (node 0) acts as ring 0's representative. Interior cells (rings
-// 1..k-1) must be occupied. The ring-by-ring order matters only for sinks
-// (tree.Builder) that enforce top-down attachment.
-func wireCore(b bisect.Attacher, k int, g cellGroups, reps []int32, conn connector, variant Variant, in instr) {
-	for id := 0; id < grid.NumCells(k); id++ {
-		wireCell(b, k, id, g, reps, conn, variant, in)
+// wireCells attaches every node: the core edges between representatives,
+// from the source (ring 0's representative) outward, plus the in-cell
+// Bisection runs, one cell at a time over the worker pool. Interior cells
+// (rings 1..k-1) must be occupied. Cells write disjoint parent entries (see
+// wireCell), so the finished array does not depend on the order workers
+// take cells in; one worker takes them in id order, which keeps serial
+// trace timelines byte-stable. The pool gauges are published only when
+// several workers run.
+func wireCells(sink *parentSink, k int, g cellGroups, reps []int32, conn connector, variant Variant, workers int, in instr) {
+	endWire := in.phase("build/wire")
+	defer endWire()
+	numCells := grid.NumCells(k)
+	if workers == 1 || !in.obs.Enabled() {
+		parCells(workers, numCells, func(_, c int) {
+			wireCell(sink, k, c, g, reps, conn, variant, in)
+		})
+		return
 	}
+	// Per-worker busy time and cell counts feed the utilization and skew
+	// gauges. Each worker writes only its own slot; parCells's WaitGroup
+	// publishes the slices to this goroutine.
+	wireStart := time.Now()
+	busyNs := make([]int64, workers)
+	cellCnt := make([]int64, workers)
+	parCells(workers, numCells, func(w, c int) {
+		t0 := time.Now()
+		wireCell(sink, k, c, g, reps, conn, variant, in)
+		busyNs[w] += int64(time.Since(t0))
+		cellCnt[w]++
+	})
+	wall := time.Since(wireStart).Seconds()
+	var busyTotal, maxCells int64
+	for w := 0; w < workers; w++ {
+		busyTotal += busyNs[w]
+		if cellCnt[w] > maxCells {
+			maxCells = cellCnt[w]
+		}
+	}
+	reg := in.obs
+	if wall > 0 {
+		reg.Gauge("build/wire/worker_utilization").Set(
+			float64(busyTotal) / 1e9 / (wall * float64(workers)))
+	}
+	mean := float64(numCells) / float64(workers)
+	reg.Gauge("build/wire/cells_per_worker_max").Set(float64(maxCells))
+	reg.Gauge("build/wire/cells_per_worker_skew").Set(float64(maxCells) / mean)
 }
 
 // wireCell wires one grid cell: the core edges from the cell's
@@ -59,8 +98,8 @@ func wireCell(b bisect.Attacher, k, id int, g cellGroups, reps []int32, conn con
 }
 
 // wireCellMembers is wireCell over an explicit member slice: the shared entry
-// point of the one-shot builds (handing out slices of the CSR order array)
-// and the incremental BuildState path (handing out scratch copies of its
+// point of the full builds (handing out slices of the CSR order array) and
+// the incremental BuildState path (handing out scratch copies of its
 // persistent per-cell member lists, which wiring must not permute). members
 // is the cell's full membership including its representative; it is shuffled
 // in place.
@@ -180,11 +219,18 @@ func wireBinaryCell(b bisect.Attacher, conn connector, rep int32, members, child
 }
 
 // coreDelay returns the longest source-to-representative delay — the
-// paper's "Core" column. delays must be indexed by node id.
-func coreDelay(delays []float64, reps []int32) float64 {
+// paper's "Core" column. delays is indexed by node id; reps holds node ids,
+// or slots that rank maps to node ids when rank is not nil.
+func coreDelay(delays []float64, reps, rank []int32) float64 {
 	var maxDelay float64
 	for _, rep := range reps {
-		if rep >= 0 && delays[rep] > maxDelay {
+		if rep < 0 {
+			continue
+		}
+		if rank != nil {
+			rep = rank[rep]
+		}
+		if delays[rep] > maxDelay {
 			maxDelay = delays[rep]
 		}
 	}

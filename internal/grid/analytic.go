@@ -6,9 +6,12 @@ import (
 	"omtree/internal/geom"
 )
 
-// This file replaces the downward trial loop of MaxFeasibleK (one full
-// bucketing pass per candidate k) with an analytic estimate plus a single
-// verification pass.
+// This file picks the grid depth — the largest k whose interior cells are
+// all occupied ("choose the number of rings k as large as possible",
+// §III-A) — with an analytic estimate plus a single verification pass,
+// where a downward trial loop would run one full bucketing pass per
+// candidate k. The trial loop survives in the package tests as the oracle
+// every search here is checked against.
 //
 // Estimate. The grid's rings are equal-measure by construction in every
 // dimension: ring i of a depth-k grid holds the fraction 2^(i-k-1) of the
@@ -34,6 +37,10 @@ import (
 // off the occupancy of every coarser grid at once. The estimate caps the
 // resolution of that pass; if the verified answer hits the cap, the pass is
 // re-run uncapped, so the result always equals the trial loop's.
+//
+// Forced depths. Feasibility being downward-closed, depth k is feasible
+// exactly when the search capped at k returns k, so the same search checks
+// a pinned depth.
 
 // EstimateK returns the occupancy-lemma estimate of the feasible grid depth
 // for n points: the largest k in [1, kMax] whose expected number of empty
@@ -183,92 +190,102 @@ func compactPairsOr(x uint64) uint64 {
 	return x
 }
 
-// MaxFeasibleKAnalytic returns exactly MaxFeasibleK(polars, scale, kMax),
-// computed with the occupancy-lemma estimate plus a single classification
-// pass instead of one bucketing trial per candidate depth (see the file
-// comment for why the two searches always agree).
-func MaxFeasibleKAnalytic(polars []geom.Polar, scale float64, kMax int) int {
+// searchK is the estimate-verify-escalate loop of every analytic search
+// over n points: mark(cap, b) classifies each point once in the depth-cap
+// grid and marks every point of ring 1..cap-1 in b; the folded bitmaps give
+// the deepest feasible depth, and an answer that hits the estimated cap
+// re-runs the pass at kMax.
+func searchK(n, kMax int, mark func(cap int, b *occBits)) int {
 	if kMax < 1 {
 		kMax = 1
 	}
-	for cap := analyticCap(len(polars), kMax); ; cap = kMax {
+	for cap := analyticCap(n, kMax); ; cap = kMax {
 		if cap <= 1 {
 			return 1
 		}
-		ref := PolarGrid{K: cap, Scale: scale}
 		b := newOccBits(cap)
+		mark(cap, b)
+		if k := b.maxFeasible(); k < cap || cap == kMax {
+			return k
+		}
+	}
+}
+
+// MaxFeasibleKAnalytic returns the largest k in [1, kMax] for which every
+// interior cell of the depth-k polar grid holds one of the points (k = 1,
+// with no interior cells, always qualifies).
+func MaxFeasibleKAnalytic(polars []geom.Polar, scale float64, kMax int) int {
+	return searchK(len(polars), kMax, func(cap int, b *occBits) {
+		ref := PolarGrid{K: cap, Scale: scale}
 		for _, c := range polars {
-			ring := ref.RingOf(c.R)
-			if ring > 0 && ring < cap {
+			if ring := ref.RingOf(c.R); ring > 0 && ring < cap {
 				b.mark(cap-ring, ref.SegIndexOf(ring, c.Theta))
 			}
 		}
-		if k := b.maxFeasible(); k < cap || cap == kMax {
-			return k
-		}
-	}
+	})
 }
 
-// MaxFeasibleK3Analytic returns exactly MaxFeasibleK3(sphericals, scale,
-// kMax) via the analytic search.
-func MaxFeasibleK3Analytic(sphericals []geom.Spherical, scale float64, kMax int) int {
-	if kMax < 1 {
-		kMax = 1
-	}
-	for cap := analyticCap(len(sphericals), kMax); ; cap = kMax {
-		if cap <= 1 {
-			return 1
+// MaxFeasibleKAnalyticSlots is MaxFeasibleKAnalytic over the subset
+// pts[slots[0]], pts[slots[1]], ... without materializing it. The
+// multi-group substrate keeps one polar array per source, shared read-only
+// across every group built around that source; a group's membership is a
+// slot list into that array, and gathering it into a dense slice per build
+// would copy O(membership) coordinates on every rebuild of every group. It
+// returns exactly what the dense search returns over the gathered slice —
+// the differential tests lock that down — so swapping one for the other can
+// never change a chosen depth or a built tree.
+func MaxFeasibleKAnalyticSlots(pts []geom.Polar, slots []int32, scale float64, kMax int) int {
+	return searchK(len(slots), kMax, func(cap int, b *occBits) {
+		ref := PolarGrid{K: cap, Scale: scale}
+		for _, sl := range slots {
+			c := pts[sl]
+			if ring := ref.RingOf(c.R); ring > 0 && ring < cap {
+				b.mark(cap-ring, ref.SegIndexOf(ring, c.Theta))
+			}
 		}
+	})
+}
+
+// MaxFeasibleK3Analytic is MaxFeasibleKAnalytic over the 3-D sphere grid.
+func MaxFeasibleK3Analytic(sphericals []geom.Spherical, scale float64, kMax int) int {
+	return searchK(len(sphericals), kMax, func(cap int, b *occBits) {
 		ref := SphereGrid3{K: cap, Scale: scale}
-		b := newOccBits(cap)
 		for _, c := range sphericals {
-			shell := ref.ShellOf(c.R)
-			if shell > 0 && shell < cap {
+			if shell := ref.ShellOf(c.R); shell > 0 && shell < cap {
 				b.mark(cap-shell, ref.SegIndexOf(shell, c.Theta, c.U))
 			}
 		}
-		if k := b.maxFeasible(); k < cap || cap == kMax {
-			return k
-		}
-	}
+	})
 }
 
-// MaxFeasibleKDAnalytic returns exactly MaxFeasibleKD(d, hs, scale, kMax)
-// via the analytic search. Beyond skipping the per-candidate bucketing
-// passes, it materializes one grid (at the capped resolution) instead of one
-// per candidate; the returned grid shares that grid's angular tables, which
+// MaxFeasibleKDAnalytic is MaxFeasibleKAnalytic over the d-dimensional
+// grid, returning the grid itself. It materializes one grid, at the capped
+// resolution; a shallower answer shares that grid's angular tables, which
 // are identical for every depth (levels do not depend on K).
 func MaxFeasibleKDAnalytic(d int, hs []geom.Hyperspherical, scale float64, kMax int) (*GridD, error) {
-	if kMax < 1 {
-		kMax = 1
-	}
 	if kMax > 28 {
-		// The trial loop fails constructing its first (deepest) grid; fail
-		// identically without consulting the estimate.
+		// Too deep to materialize: fail as constructing that grid does.
 		return NewGridD(d, kMax, scale)
 	}
-	for cap := analyticCap(len(hs), kMax); ; cap = kMax {
-		ref, err := NewGridD(d, cap, scale)
-		if err != nil {
-			return nil, err
+	var ref *GridD
+	var err error
+	k := searchK(len(hs), kMax, func(cap int, b *occBits) {
+		if ref, err = NewGridD(d, cap, scale); err != nil {
+			return // nothing marked: the search stops, and err is returned below
 		}
-		if cap <= 1 {
-			return ref, nil
-		}
-		b := newOccBits(cap)
 		for _, h := range hs {
-			shell := ref.ShellOf(h.R)
-			if shell > 0 && shell < cap {
+			if shell := ref.ShellOf(h.R); shell > 0 && shell < cap {
 				b.mark(cap-shell, ref.SegIndexOf(shell, h))
 			}
 		}
-		k := b.maxFeasible()
-		if k == cap && cap < kMax {
-			continue
-		}
-		if k == cap {
-			return ref, nil
-		}
-		return &GridD{D: d, K: k, Scale: scale, exp2: ref.exp2[:k+1], levels: ref.levels[:k+1]}, nil
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case ref == nil: // kMax <= 1: no pass ran
+		return NewGridD(d, 1, scale)
+	case k == ref.K:
+		return ref, nil
 	}
+	return &GridD{D: d, K: k, Scale: scale, exp2: ref.exp2[:k+1], levels: ref.levels[:k+1]}, nil
 }

@@ -101,16 +101,16 @@ func TestEstimateK(t *testing.T) {
 	}
 }
 
+// pointSet is a sample in one dimension's coordinates plus its scale.
+type pointSet[C any] struct {
+	pts   []C
+	scale float64
+}
+
 // polarSets enumerates adversarial and typical 2-D point sets, as polar
 // coordinates with the scale the core build would derive (max radius).
-func polarSets() map[string]struct {
-	pts   []geom.Polar
-	scale float64
-} {
-	sets := make(map[string]struct {
-		pts   []geom.Polar
-		scale float64
-	})
+func polarSets() map[string]pointSet[geom.Polar] {
+	sets := make(map[string]pointSet[geom.Polar])
 	add := func(name string, pts []geom.Polar) {
 		var scale float64
 		for _, p := range pts {
@@ -118,20 +118,35 @@ func polarSets() map[string]struct {
 				scale = p.R
 			}
 		}
-		sets[name] = struct {
-			pts   []geom.Polar
-			scale float64
-		}{pts, scale}
+		sets[name] = pointSet[geom.Polar]{pts, scale}
 	}
 
-	for _, n := range []int{1, 2, 3, 10, 100, 2000, 20000} {
-		r := rng.New(uint64(n))
-		pts := make([]geom.Polar, n)
-		for i := range pts {
-			pts[i] = r.UniformDisk(1).ToPolar()
-		}
-		add(fmt.Sprintf("uniform-%d", n), pts)
+	sizes := []int{0, 1, 2, 3, 5, 10, 50, 100, 500, 2000, 5000, 20000}
+	if !testing.Short() {
+		sizes = append(sizes, 100000)
 	}
+	for _, n := range sizes {
+		for _, radius := range []float64{1, 250} {
+			r := rng.New(uint64(n))
+			pts := make([]geom.Polar, n)
+			for i := range pts {
+				pts[i] = r.UniformDisk(radius).ToPolar()
+			}
+			add(fmt.Sprintf("uniform-%d-r%v", n, radius), pts)
+		}
+	}
+
+	// A dense off-center blob plus a wide sparse one: far from the uniform
+	// density the estimate assumes.
+	clustered := rng.New(31).ClusteredDiskN(2000, 1, []rng.Cluster{
+		{Center: geom.Point2{X: 0.1, Y: 0}, Sigma: 0.01, Weight: 0.8},
+		{Center: geom.Point2{X: -0.5, Y: 0.5}, Sigma: 0.3, Weight: 0.2},
+	})
+	cpts := make([]geom.Polar, len(clustered))
+	for i, p := range clustered {
+		cpts[i] = p.ToPolar()
+	}
+	add("clustered", cpts)
 
 	// Exact circle radii: boundary guard paths of RingOf.
 	g := PolarGrid{K: 8, Scale: 1}
@@ -188,7 +203,7 @@ func designedOccupancy(k int) []geom.Polar {
 
 func TestMaxFeasibleKAnalyticMatchesTrial2D(t *testing.T) {
 	for name, s := range polarSets() {
-		for _, kMax := range []int{1, 2, 5, 9, 14} {
+		for _, kMax := range []int{1, 2, 3, 5, 9, 14, 20} {
 			want := MaxFeasibleK(s.pts, s.scale, kMax)
 			got := MaxFeasibleKAnalytic(s.pts, s.scale, kMax)
 			if got != want {
@@ -218,20 +233,49 @@ func TestMaxFeasibleKAnalyticEscalates(t *testing.T) {
 	}
 }
 
-func TestMaxFeasibleK3AnalyticMatchesTrial(t *testing.T) {
-	for _, n := range []int{1, 5, 50, 1000, 10000} {
+// ballSets3 returns uniform 3-D ball samples as spherical coordinates,
+// with the scale the core build would derive.
+func ballSets3() map[int]pointSet[geom.Spherical] {
+	sizes := []int{1, 5, 10, 50, 200, 1000, 3000, 10000}
+	if !testing.Short() {
+		sizes = append(sizes, 30000)
+	}
+	sets := make(map[int]pointSet[geom.Spherical])
+	for _, n := range sizes {
 		r := rng.New(uint64(300 + n))
-		pts := make([]geom.Spherical, n)
-		var scale float64
-		for i := range pts {
-			pts[i] = r.UniformBall3(1).SphericalAround(geom.Point3{})
-			if pts[i].R > scale {
-				scale = pts[i].R
-			}
+		s := pointSet[geom.Spherical]{pts: make([]geom.Spherical, n)}
+		for i := range s.pts {
+			s.pts[i] = r.UniformBall3(1).SphericalAround(geom.Point3{})
+			s.scale = math.Max(s.scale, s.pts[i].R)
 		}
-		for _, kMax := range []int{1, 4, 8, DefaultKMax(n)} {
-			want := MaxFeasibleK3(pts, scale, kMax)
-			got := MaxFeasibleK3Analytic(pts, scale, kMax)
+		sets[n] = s
+	}
+	return sets
+}
+
+// ballSetsD returns uniform d-ball samples for d = 2..6 as hyperspherical
+// coordinates, keyed "d=.. n=..".
+func ballSetsD() map[string]pointSet[geom.Hyperspherical] {
+	sets := make(map[string]pointSet[geom.Hyperspherical])
+	for _, d := range []int{2, 3, 4, 5, 6} {
+		for _, n := range []int{1, 20, 30, 500, 800, 5000} {
+			r := rng.New(uint64(100*d + n))
+			s := pointSet[geom.Hyperspherical]{pts: make([]geom.Hyperspherical, n)}
+			for i := range s.pts {
+				s.pts[i] = r.UniformBallD(d, 3).ToHyperspherical()
+				s.scale = math.Max(s.scale, s.pts[i].R)
+			}
+			sets[fmt.Sprintf("d=%d n=%d", d, n)] = s
+		}
+	}
+	return sets
+}
+
+func TestMaxFeasibleK3AnalyticMatchesTrial(t *testing.T) {
+	for n, s := range ballSets3() {
+		for _, kMax := range []int{1, 3, 4, 8, 20, DefaultKMax(n)} {
+			want := MaxFeasibleK3(s.pts, s.scale, kMax)
+			got := MaxFeasibleK3Analytic(s.pts, s.scale, kMax)
 			if got != want {
 				t.Errorf("n=%d kMax=%d: analytic %d, trial %d", n, kMax, got, want)
 			}
@@ -240,37 +284,76 @@ func TestMaxFeasibleK3AnalyticMatchesTrial(t *testing.T) {
 }
 
 func TestMaxFeasibleKDAnalyticMatchesTrial(t *testing.T) {
-	for _, d := range []int{2, 3, 4, 5} {
-		for _, n := range []int{1, 20, 500, 5000} {
-			r := rng.New(uint64(100*d + n))
-			pts := make([]geom.Hyperspherical, n)
-			var scale float64
-			for i := range pts {
-				pts[i] = r.UniformBallD(d, 1).ToHyperspherical()
-				if pts[i].R > scale {
-					scale = pts[i].R
-				}
+	for name, s := range ballSetsD() {
+		d := len(s.pts[0].Phi) + 2
+		for _, kMax := range []int{1, 3, 4, DefaultKMax(len(s.pts))} {
+			want, errW := MaxFeasibleKD(d, s.pts, s.scale, kMax)
+			got, errG := MaxFeasibleKDAnalytic(d, s.pts, s.scale, kMax)
+			if (errW == nil) != (errG == nil) {
+				t.Fatalf("%s kMax=%d: error mismatch %v vs %v", name, kMax, errW, errG)
 			}
-			for _, kMax := range []int{1, 4, DefaultKMax(n)} {
-				want, errW := MaxFeasibleKD(d, pts, scale, kMax)
-				got, errG := MaxFeasibleKDAnalytic(d, pts, scale, kMax)
-				if (errW == nil) != (errG == nil) {
-					t.Fatalf("d=%d n=%d kMax=%d: error mismatch %v vs %v", d, n, kMax, errW, errG)
-				}
-				if errW != nil {
-					continue
-				}
-				if got.K != want.K {
-					t.Errorf("d=%d n=%d kMax=%d: analytic K=%d, trial K=%d", d, n, kMax, got.K, want.K)
-				}
-				// The shared-levels grid must classify points identically.
-				for _, h := range pts {
-					if got.CellOf(h) != want.CellOf(h) {
-						t.Fatalf("d=%d n=%d: CellOf mismatch on shared-levels grid", d, n)
-					}
+			if errW != nil {
+				continue
+			}
+			if got.K != want.K {
+				t.Errorf("%s kMax=%d: analytic K=%d, trial K=%d", name, kMax, got.K, want.K)
+			}
+			// The shared-levels grid must classify points identically.
+			for _, h := range s.pts {
+				if got.CellOf(h) != want.CellOf(h) {
+					t.Fatalf("%s: CellOf mismatch on shared-levels grid", name)
 				}
 			}
 		}
+	}
+}
+
+// TestForcedDepthMatchesOracle checks the forced-depth rule the builds
+// apply: depth k is feasible exactly when the analytic search capped at k
+// returns k. Every depth from 1 to one past the default ceiling is compared
+// with the occupancy oracle, in every dimension and over slot subsets.
+func TestForcedDepthMatchesOracle(t *testing.T) {
+	forced := func(name string, n int, capped func(k int) int, occupied func(k int) bool) {
+		t.Helper()
+		for k := 1; k <= DefaultKMax(n)+1; k++ {
+			if got, want := capped(k) == k, occupied(k); got != want {
+				t.Errorf("%s k=%d: search capped at k accepts it: %v, oracle: %v", name, k, got, want)
+			}
+		}
+	}
+	for name, s := range polarSets() {
+		forced(name, len(s.pts),
+			func(k int) int { return MaxFeasibleKAnalytic(s.pts, s.scale, k) },
+			func(k int) bool { return PolarGrid{K: k, Scale: s.scale}.InteriorOccupied(s.pts) })
+	}
+	for n, s := range ballSets3() {
+		forced(fmt.Sprintf("3-D n=%d", n), n,
+			func(k int) int { return MaxFeasibleK3Analytic(s.pts, s.scale, k) },
+			func(k int) bool { return SphereGrid3{K: k, Scale: s.scale}.InteriorOccupied(s.pts) })
+	}
+	for name, s := range ballSetsD() {
+		d := len(s.pts[0].Phi) + 2
+		forced(name, len(s.pts),
+			func(k int) int {
+				g, err := MaxFeasibleKDAnalytic(d, s.pts, s.scale, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g.K
+			},
+			func(k int) bool {
+				g, err := NewGridD(d, k, s.scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g.InteriorOccupied(s.pts)
+			})
+	}
+	for _, keep := range []float64{0.1, 0.5, 1} {
+		pts, slots, _, scale := subsetFixture(uint64(keep*100), 3000, keep)
+		forced(fmt.Sprintf("slots keep=%v", keep), len(slots),
+			func(k int) int { return MaxFeasibleKAnalyticSlots(pts, slots, scale, k) },
+			func(k int) bool { return PolarGrid{K: k, Scale: scale}.InteriorOccupiedSlots(pts, slots) })
 	}
 }
 

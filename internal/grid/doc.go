@@ -19,7 +19,13 @@
 // cell id of (ring i, index j) is 2^i - 1 + j.
 //
 // The grids do not own points; they map already-computed polar coordinates
-// to cell ids. MaxFeasibleK selects the deepest grid whose interior cells
+// to cell ids. MaxFeasibleKAnalytic (and its 3-D, d-dimensional and
+// slot-subset counterparts) selects the deepest grid whose interior cells
 // (rings 1..k-1 — ring 0 is covered by the source, and the outermost ring is
-// exempted by the paper's property 3) are all occupied.
+// exempted by the paper's property 3) are all occupied, from an
+// occupancy-lemma estimate and one verification pass; capped at a pinned
+// depth k, the same search tells whether k is feasible. The downward trial
+// loops that define the answer (MaxFeasibleK and friends, one occupancy
+// scan per candidate depth) live in the package's tests as the oracles the
+// searches are checked against.
 package grid

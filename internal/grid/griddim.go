@@ -95,9 +95,6 @@ func NewGridD(d, k int, scale float64) (*GridD, error) {
 	return g, nil
 }
 
-// NumRings returns the number of shells, K+1.
-func (g *GridD) NumRings() int { return g.K + 1 }
-
 // NumCells returns the total number of cells, 2^(K+1) - 1.
 func (g *GridD) NumCells() int { return NumCells(g.K) }
 
@@ -106,31 +103,12 @@ func (g *GridD) SphereRadius(i int) float64 {
 	if i < 0 || i > g.K {
 		panic(fmt.Sprintf("grid: sphere index %d out of [0, %d]", i, g.K))
 	}
-	return g.radius(i)
+	return g.Scale * g.exp2[g.K-i]
 }
-
-// radius is SphereRadius without the range check: Scale * 2^((i-K)/D),
-// read from the grid's exact power table.
-func (g *GridD) radius(i int) float64 { return g.Scale * g.exp2[g.K-i] }
 
 // ShellOf returns the shell containing radius r, clamped to [0, K] (NaN
 // lands in shell 0).
-func (g *GridD) ShellOf(r float64) int {
-	if !(r > 0) {
-		return 0
-	}
-	if r >= g.Scale {
-		return g.K
-	}
-	i := firstGuess(r, g.Scale, g.K, g.D)
-	for i > 0 && r <= g.radius(i-1) {
-		i--
-	}
-	for i < g.K && r > g.radius(i) {
-		i++
-	}
-	return i
-}
+func (g *GridD) ShellOf(r float64) int { return ringOf(r, g.Scale, g.K, g.D, g.exp2) }
 
 // angularValue extracts the coordinate of h along an angular axis.
 func angularValue(h geom.Hyperspherical, axis int) float64 {
@@ -218,58 +196,4 @@ func (g *GridD) InnerArcSum() float64 {
 // shell 0.
 func (g *GridD) UpperBound(arcCoeff float64) float64 {
 	return g.Scale + arcCoeff*g.MaxArc(0) + g.InnerArcSum()
-}
-
-// Assign maps every hyperspherical point to its global cell id.
-func (g *GridD) Assign(hs []geom.Hyperspherical) []int32 {
-	ids := make([]int32, len(hs))
-	for i, h := range hs {
-		ids[i] = int32(g.CellOf(h))
-	}
-	return ids
-}
-
-// InteriorOccupied reports whether every cell of shells 1..K-1 holds at
-// least one point.
-func (g *GridD) InteriorOccupied(hs []geom.Hyperspherical) bool {
-	if g.K == 1 {
-		return true
-	}
-	lo, hi := 1, 1<<uint(g.K)-1
-	seen := make([]bool, hi-lo)
-	need := hi - lo
-	for _, h := range hs {
-		shell := g.ShellOf(h.R)
-		if shell == 0 || shell == g.K {
-			continue
-		}
-		id := CellID(shell, g.SegIndexOf(shell, h))
-		if !seen[id-lo] {
-			seen[id-lo] = true
-			need--
-			if need == 0 {
-				return true
-			}
-		}
-	}
-	return need == 0
-}
-
-// MaxFeasibleKD returns the largest k in [1, kMax] whose d-dimensional grid
-// has all interior cells occupied, scanning downward, along with the grid
-// itself (grids are expensive to rebuild in high dimension).
-func MaxFeasibleKD(d int, hs []geom.Hyperspherical, scale float64, kMax int) (*GridD, error) {
-	if kMax < 1 {
-		kMax = 1
-	}
-	for k := kMax; k >= 1; k-- {
-		g, err := NewGridD(d, k, scale)
-		if err != nil {
-			return nil, err
-		}
-		if k == 1 || g.InteriorOccupied(hs) {
-			return g, nil
-		}
-	}
-	return NewGridD(d, 1, scale)
 }

@@ -197,11 +197,11 @@ func TestGridDAssign(t *testing.T) {
 		geom.Vec{0.001, 0, 0}.ToHyperspherical(),
 		geom.Vec{0, 0.97, 0}.ToHyperspherical(),
 	}
-	ids := g.Assign(hs)
+	ids := []int{g.CellOf(hs[0]), g.CellOf(hs[1])}
 	if ids[0] != 0 {
 		t.Errorf("center cell = %d", ids[0])
 	}
-	shell, _ := RingIdx(int(ids[1]))
+	shell, _ := RingIdx(ids[1])
 	if shell != 3 {
 		t.Errorf("outer shell = %d", shell)
 	}

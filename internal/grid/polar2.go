@@ -27,9 +27,6 @@ func NewPolarGrid(k int, scale float64) (PolarGrid, error) {
 	return PolarGrid{K: k, Scale: scale}, nil
 }
 
-// NumRings returns the number of rings, K+1 (rings 0..K).
-func (g PolarGrid) NumRings() int { return g.K + 1 }
-
 // NumCells returns the total number of cells, 2^(K+1) - 1.
 func (g PolarGrid) NumCells() int { return NumCells(g.K) }
 
@@ -41,34 +38,13 @@ func (g PolarGrid) CircleRadius(i int) float64 {
 	if i < 0 || i > g.K {
 		panic(fmt.Sprintf("grid: circle index %d out of [0, %d]", i, g.K))
 	}
-	return g.radius(i)
+	return g.Scale * exp2Half[g.K-i]
 }
-
-// radius is CircleRadius without the range check, for the classifier's
-// guard loops: Scale * 2^((i-K)/2), read from the exact power table.
-func (g PolarGrid) radius(i int) float64 { return g.Scale * exp2Half[g.K-i] }
 
 // RingOf returns the ring containing radius r: the smallest i with
 // r <= CircleRadius(i), clamped to [0, K] (points outside the disk land in
 // the outermost ring, NaN in ring 0).
-func (g PolarGrid) RingOf(r float64) int {
-	if !(r > 0) {
-		return 0
-	}
-	if r >= g.Scale {
-		return g.K
-	}
-	// The guard loops compare r with the exact dividing radii, so they
-	// return the smallest ring whose circle holds r from any start.
-	i := firstGuess(r, g.Scale, g.K, 2)
-	for i > 0 && r <= g.radius(i-1) {
-		i--
-	}
-	for i < g.K && r > g.radius(i) {
-		i++
-	}
-	return i
-}
+func (g PolarGrid) RingOf(r float64) int { return ringOf(r, g.Scale, g.K, 2, exp2Half) }
 
 // SegIndexOf returns the angular segment index of theta within ring:
 // floor(theta / (2*pi / 2^ring)), clamped to the valid range.
@@ -137,63 +113,7 @@ func (g PolarGrid) UpperBound(arcCoeff float64) float64 {
 	return g.Scale + arcCoeff*g.ArcLength(0) + g.InnerArcSum()
 }
 
-// Assign maps every polar point to its global cell id.
-func (g PolarGrid) Assign(polars []geom.Polar) []int32 {
-	ids := make([]int32, len(polars))
-	for i, c := range polars {
-		ids[i] = int32(g.CellOf(c))
-	}
-	return ids
-}
-
-// InteriorOccupied reports whether every cell of rings 1..K-1 holds at least
-// one of the given points — the occupancy part of the paper's grid property
-// 3 (ring 0 is covered by the source at the center; the outermost ring is
-// exempt).
-func (g PolarGrid) InteriorOccupied(polars []geom.Polar) bool {
-	if g.K == 1 {
-		return true // no interior rings
-	}
-	// Count occupancy only for rings 1..K-1; their ids span
-	// [1, 2^K - 1).
-	lo, hi := 1, 1<<uint(g.K)-1
-	seen := make([]bool, hi-lo)
-	need := hi - lo
-	for _, c := range polars {
-		ring := g.RingOf(c.R)
-		if ring == 0 || ring == g.K {
-			continue
-		}
-		id := CellID(ring, g.SegIndexOf(ring, c.Theta))
-		if !seen[id-lo] {
-			seen[id-lo] = true
-			need--
-			if need == 0 {
-				return true
-			}
-		}
-	}
-	return need == 0
-}
-
-// MaxFeasibleK returns the largest k in [1, kMax] for which the grid's
-// interior cells are all occupied by the given points, scanning downward
-// from kMax ("choose the number of rings k as large as possible", §III-A).
-// k = 1 is always feasible.
-func MaxFeasibleK(polars []geom.Polar, scale float64, kMax int) int {
-	if kMax < 1 {
-		kMax = 1
-	}
-	for k := kMax; k > 1; k-- {
-		g := PolarGrid{K: k, Scale: scale}
-		if g.InteriorOccupied(polars) {
-			return k
-		}
-	}
-	return 1
-}
-
-// DefaultKMax returns a search ceiling for MaxFeasibleK: interior occupancy
+// DefaultKMax returns a ceiling for the k searches: interior occupancy
 // needs at least 2^k - 2 points, so k can never exceed log2(n+2); a small
 // slack covers the boundary.
 func DefaultKMax(n int) int {

@@ -238,14 +238,11 @@ func TestDefaultKMax(t *testing.T) {
 func TestAssign(t *testing.T) {
 	g := PolarGrid{K: 3, Scale: 1}
 	polars := []geom.Polar{{R: 0.05, Theta: 1}, {R: 0.9, Theta: 3}}
-	ids := g.Assign(polars)
-	if len(ids) != 2 {
-		t.Fatalf("len = %d", len(ids))
-	}
+	ids := []int{g.CellOf(polars[0]), g.CellOf(polars[1])}
 	if ids[0] != 0 {
 		t.Errorf("center point cell = %d, want 0", ids[0])
 	}
-	ring, _ := RingIdx(int(ids[1]))
+	ring, _ := RingIdx(ids[1])
 	if ring != 3 {
 		t.Errorf("outer point ring = %d, want 3", ring)
 	}

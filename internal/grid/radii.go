@@ -25,20 +25,31 @@ func exp2Powers(d, maxJ int) []float64 {
 	return t
 }
 
-// firstGuess returns a starting ring for the guard loops that classify a
-// radius r with 0 < r < scale in a depth-k grid whose dividing radii grow
-// by 2^(1/d): r/scale = f * 2^e with f in [1/2, 1), so the ring
-// ceil(k + d*log2(r/scale)) lies in [k + d*e - d, k + d*e]. The top of that
-// range, clamped to [0, k], is at most d steps above the answer; the guard
-// loops, not this guess, decide the ring.
-func firstGuess(r, scale float64, k, d int) int {
-	_, e := math.Frexp(r / scale)
-	i := k + d*e
-	if i < 0 {
+// ringOf is the lookup behind RingOf and both ShellOfs: the ring of a
+// depth-k grid holding radius r, where ring i's outer radius is
+// scale * pow[k-i] and consecutive radii grow by 2^(1/d). That is the
+// smallest i with r <= scale * pow[k-i], clamped to [0, k]; NaN lands in
+// ring 0.
+//
+// r/scale = f * 2^e with f in [1/2, 1), so the ring
+// ceil(k + d*log2(r/scale)) lies in [k + d*e - d, k + d*e]. The search
+// starts from the top of that range, clamped to [0, k], at most d steps
+// above the answer; the guard loops compare r with the exact dividing
+// radii, so they, not the guess, decide the ring.
+func ringOf(r, scale float64, k, d int, pow []float64) int {
+	if !(r > 0) {
 		return 0
 	}
-	if i > k {
+	if r >= scale {
 		return k
+	}
+	_, e := math.Frexp(r / scale)
+	i := min(max(k+d*e, 0), k)
+	for i > 0 && r <= scale*pow[k-i+1] {
+		i--
+	}
+	for i < k && r > scale*pow[k-i] {
+		i++
 	}
 	return i
 }

@@ -30,9 +30,6 @@ func NewSphereGrid3(k int, scale float64) (SphereGrid3, error) {
 	return SphereGrid3{K: k, Scale: scale}, nil
 }
 
-// NumRings returns the number of shells, K+1.
-func (g SphereGrid3) NumRings() int { return g.K + 1 }
-
 // NumCells returns the total number of cells, 2^(K+1) - 1.
 func (g SphereGrid3) NumCells() int { return NumCells(g.K) }
 
@@ -42,31 +39,12 @@ func (g SphereGrid3) SphereRadius(i int) float64 {
 	if i < 0 || i > g.K {
 		panic(fmt.Sprintf("grid: sphere index %d out of [0, %d]", i, g.K))
 	}
-	return g.radius(i)
+	return g.Scale * exp2Third[g.K-i]
 }
-
-// radius is SphereRadius without the range check: Scale * 2^((i-K)/3),
-// read from the exact power table.
-func (g SphereGrid3) radius(i int) float64 { return g.Scale * exp2Third[g.K-i] }
 
 // ShellOf returns the shell containing radius r, clamped to [0, K] (NaN
 // lands in shell 0).
-func (g SphereGrid3) ShellOf(r float64) int {
-	if !(r > 0) {
-		return 0
-	}
-	if r >= g.Scale {
-		return g.K
-	}
-	i := firstGuess(r, g.Scale, g.K, 3)
-	for i > 0 && r <= g.radius(i-1) {
-		i--
-	}
-	for i < g.K && r > g.radius(i) {
-		i++
-	}
-	return i
-}
+func (g SphereGrid3) ShellOf(r float64) int { return ringOf(r, g.Scale, g.K, 3, exp2Third) }
 
 // splitAxisTheta reports whether split level l (1-based) splits along theta;
 // levels alternate theta, u, theta, u, ... .
@@ -172,54 +150,4 @@ func (g SphereGrid3) InnerArcSum() float64 {
 // UpperBound evaluates the 3-D analogue of inequality (7) at shell 0.
 func (g SphereGrid3) UpperBound(arcCoeff float64) float64 {
 	return g.Scale + arcCoeff*g.MaxArc(0) + g.InnerArcSum()
-}
-
-// Assign maps every spherical point to its global cell id.
-func (g SphereGrid3) Assign(sphericals []geom.Spherical) []int32 {
-	ids := make([]int32, len(sphericals))
-	for i, c := range sphericals {
-		ids[i] = int32(g.CellOf(c))
-	}
-	return ids
-}
-
-// InteriorOccupied reports whether every cell of shells 1..K-1 holds at
-// least one point.
-func (g SphereGrid3) InteriorOccupied(sphericals []geom.Spherical) bool {
-	if g.K == 1 {
-		return true
-	}
-	lo, hi := 1, 1<<uint(g.K)-1
-	seen := make([]bool, hi-lo)
-	need := hi - lo
-	for _, c := range sphericals {
-		shell := g.ShellOf(c.R)
-		if shell == 0 || shell == g.K {
-			continue
-		}
-		id := CellID(shell, g.SegIndexOf(shell, c.Theta, c.U))
-		if !seen[id-lo] {
-			seen[id-lo] = true
-			need--
-			if need == 0 {
-				return true
-			}
-		}
-	}
-	return need == 0
-}
-
-// MaxFeasibleK3 returns the largest k in [1, kMax] whose sphere grid has all
-// interior cells occupied, scanning downward.
-func MaxFeasibleK3(sphericals []geom.Spherical, scale float64, kMax int) int {
-	if kMax < 1 {
-		kMax = 1
-	}
-	for k := kMax; k > 1; k-- {
-		g := SphereGrid3{K: k, Scale: scale}
-		if g.InteriorOccupied(sphericals) {
-			return k
-		}
-	}
-	return 1
 }

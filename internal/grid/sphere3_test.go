@@ -152,11 +152,11 @@ func TestSphereInteriorOccupiedAndMaxK(t *testing.T) {
 func TestSphereAssign(t *testing.T) {
 	g := SphereGrid3{K: 3, Scale: 1}
 	sph := []geom.Spherical{{R: 0.01, Theta: 1, U: 0}, {R: 0.95, Theta: 5, U: -0.9}}
-	ids := g.Assign(sph)
+	ids := []int{g.CellOf(sph[0]), g.CellOf(sph[1])}
 	if ids[0] != 0 {
 		t.Errorf("center cell = %d", ids[0])
 	}
-	shell, _ := RingIdx(int(ids[1]))
+	shell, _ := RingIdx(ids[1])
 	if shell != 3 {
 		t.Errorf("outer shell = %d", shell)
 	}

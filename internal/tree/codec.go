@@ -98,9 +98,12 @@ func ReadBinary(r io.Reader) (*Tree, error) {
 	if root >= n {
 		return nil, fmt.Errorf("tree: root %d out of range", root)
 	}
-	parents := make([]int32, n)
+	// The header's count is a claim, not a size: the array grows as entries
+	// arrive, so a stream that lies about n fails at its first missing entry
+	// instead of allocating n entries up front.
+	parents := make([]int32, 0, min(n, 1<<16))
 	prev := int64(0)
-	for i := range parents {
+	for i := uint64(0); i < n; i++ {
 		delta, err := binary.ReadVarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("tree: reading parent %d: %w", i, err)
@@ -109,7 +112,7 @@ func ReadBinary(r io.Reader) (*Tree, error) {
 		if prev < int64(NoParent) || prev >= int64(n) {
 			return nil, fmt.Errorf("tree: parent %d out of range at node %d", prev, i)
 		}
-		parents[i] = int32(prev)
+		parents = append(parents, int32(prev))
 	}
 	return FromParents(int(root), parents, 0)
 }

@@ -3,6 +3,7 @@ package tree
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -119,6 +120,23 @@ func TestBinaryRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
 		t.Error("accepted empty stream")
+	}
+}
+
+// TestBinaryHugeHeaderAllocatesLittle feeds a 10-byte stream whose header
+// claims 2^31 nodes (the FuzzCodecRoundTrip seed huge_header): the decoder
+// must reject it without allocating anything near the claimed size.
+func TestBinaryHugeHeaderAllocatesLittle(t *testing.T) {
+	data := []byte("OMT1\x80\x80\x80\x80\x08\x00") // magic, n = 2^31, root 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("accepted a stream with no parent entries")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("rejecting a 10-byte stream allocated %d bytes", got)
 	}
 }
 
