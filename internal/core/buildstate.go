@@ -510,6 +510,7 @@ func (s *BuildState) rebuildIncremental(in instr) (*Result, error) {
 	}
 	endReps()
 	endWire := in.phase("build/wire")
+	in = in.wiring()
 	var scratch []int32
 	for _, c := range cells {
 		scratch = append(scratch[:0], s.members[c]...)
@@ -521,8 +522,9 @@ func (s *BuildState) rebuildIncremental(in instr) (*Result, error) {
 	return s.exportResult(in, res, s.liveSlots())
 }
 
-// exportResult compacts the slot-space parent array into a dense validated
-// tree and runs the pipeline's metrics phase over it.
+// exportResult compacts the slot-space parent array into the dense parent
+// array of the exported tree, then runs the pipeline's metrics phase, which
+// validates and measures it, on the state's single worker.
 func (s *BuildState) exportResult(in instr, res *Result, slots []int32) (*Result, error) {
 	endExp := in.phase("build/export")
 	rank := make([]int32, len(s.present))
@@ -538,14 +540,9 @@ func (s *BuildState) exportResult(in instr, res *Result, slots []int32) (*Result
 		}
 		parents[i+1] = rank[p]
 	}
-	t, err := tree.FromParents(0, parents, s.degCap)
-	if err != nil {
-		return nil, fmt.Errorf("core: incomplete wiring (bug): %w", err)
-	}
-	res.Tree = t
 	endExp()
 
-	measure(in, res, func(i, j int) float64 {
+	err := measure(in, res, parents, 1, func(i, j int) float64 {
 		pi, pj := s.geo.source, s.geo.source
 		if i > 0 {
 			pi = s.geo.pos(slots[i-1])
@@ -555,6 +552,9 @@ func (s *BuildState) exportResult(in instr, res *Result, slots []int32) (*Result
 		}
 		return pi.Dist(pj)
 	}, s.reps, rank, s.k, s.g)
+	if err != nil {
+		return nil, err
+	}
 	s.cert = Certificate{Bound: res.Bound, Radius: res.Radius}
 	return res, nil
 }

@@ -18,6 +18,8 @@ type instr struct {
 	rec *trace.Recorder
 	fl  *flight.Recorder
 	tid uint32
+
+	bisect obs.SpanHandle // per-cell build/wire/bisect, resolved by wiring
 }
 
 // newInstr mints the run's trace id and emits build/run.begin. note names
@@ -49,6 +51,13 @@ func (in instr) phase(name string) func() {
 		in.rec.Emit(in.tid, 0, name+".end", -1, -1, "")
 		sp.End()
 	}
+}
+
+// wiring returns in with the per-cell span resolved, once for one wiring
+// pass instead of once per cell.
+func (in instr) wiring() instr {
+	in.bisect = in.obs.ResolveSpan("build/wire/bisect")
+	return in
 }
 
 // cell emits the per-cell wiring instant. Workers of a parallel build emit

@@ -24,8 +24,8 @@ const unattachedNode int32 = -2
 // by construction — the wiring attaches each node exactly once, from the one
 // cell responsible for it, so concurrent MustAttach calls always target
 // distinct entries. Structural validation (spanning, acyclicity, degree
-// caps) runs once over the finished array: tree.FromParents in build, or
-// at export for BuildState.
+// caps) runs once over the finished array, in the metrics phase's walk
+// (measure), after BuildState's export has compacted its slots.
 type parentSink struct {
 	parents []int32
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
 	"omtree/internal/geom"
+	"omtree/internal/grid"
 	"omtree/internal/invariant"
 	"omtree/internal/rng"
 	"omtree/internal/tree"
@@ -217,6 +219,30 @@ func TestConcurrentParallelBuilds(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestMeasureReportsBrokenWiring: a wiring bug — a node left unattached, a
+// parent past the end, a cycle, a node over the degree cap — surfaces from
+// the metrics phase as an error at any worker count, never as an index panic
+// in the parallel edge-length pass.
+func TestMeasureReportsBrokenWiring(t *testing.T) {
+	pos := []float64{0, 1, 2, 3}
+	dist := func(i, j int) float64 { return pos[j] - pos[i] } // indexes like a build's dist
+	g := grid.PolarGrid{K: 1, Scale: 1}
+	for _, parents := range [][]int32{
+		{tree.NoParent, 0, unattachedNode, 1},
+		{tree.NoParent, 0, 9, 1},
+		{tree.NoParent, 2, 3, 1},
+		{tree.NoParent, 0, 0, 0},
+	} {
+		for _, workers := range []int{1, 2} {
+			res := &Result{MaxOutDegree: 2}
+			err := measure(instr{}, res, append([]int32(nil), parents...), workers, dist, nil, nil, 1, g)
+			if err == nil || !strings.Contains(err.Error(), "incomplete wiring (bug)") {
+				t.Errorf("parents %v, %d workers: err = %v", parents, workers, err)
+			}
+		}
+	}
 }
 
 // FuzzWireRoundTrip drives the whole pipeline from fuzzed parameters: a

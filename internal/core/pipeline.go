@@ -39,8 +39,9 @@ type dimension[P, C any, G boundGrid] struct {
 // build runs Algorithm Polar_Grid's phases in order — convert, grid,
 // bucketing, reps, wire, metrics — for every dimension and worker count: a
 // serial build is the one-worker case of the same bucketing and wiring.
-// Every build wires into a parentSink, and tree.FromParents validates the
-// finished array once (spanning, acyclic, within the degree cap).
+// Every build wires into a parentSink, and the metrics phase validates the
+// finished array once (spanning, acyclic, within the degree cap) in the walk
+// that sums its delays.
 func build[P, C any, G boundGrid](receivers []P, opts []Option, d dimension[P, C, G]) (*Result, error) {
 	o := buildOptions(opts)
 	variant, degCap, err := variantFor(o.maxOutDegree, d.natural)
@@ -90,26 +91,44 @@ func build[P, C any, G boundGrid](receivers []P, opts []Option, d dimension[P, C
 
 	sink := sinkOver(make([]int32, n+1))
 	wireCells(sink, k, groups, reps, d.connector(g, coords, sink), variant, workers, in)
-	if res.Tree, err = tree.FromParents(0, sink.parents, degCap); err != nil {
-		return nil, fmt.Errorf("core: incomplete wiring (bug): %w", err)
+	if err := measure(in, res, sink.parents, workers, d.dist, reps, nil, k, g); err != nil {
+		return nil, err
 	}
-
-	measure(in, res, d.dist, reps, nil, k, g)
 	return res, nil
 }
 
-// measure is the metrics phase every build ends with: from the realized
-// delays, the radius and the core delay over the representatives — node
-// ids, or slots that rank maps to node ids when rank is not nil — next to
-// k and the eq. 7 bound of grid g.
-func measure[G boundGrid](in instr, res *Result, dist tree.DistFunc, reps, rank []int32, k int, g G) {
+// measure is the metrics phase every build ends with. It fills each node's
+// parent-edge length across the worker pool, then one tree walk over the
+// wired parents validates the tree (spanning, acyclic, within the degree
+// cap) and sums those lengths into delays; the tree takes ownership of
+// parents. From the delays come the radius and the core delay over the
+// representatives — node ids, or slots that rank maps to node ids when rank
+// is not nil — next to k and the eq. 7 bound of grid g. dist must be safe
+// to call from several goroutines.
+func measure[G boundGrid](in instr, res *Result, parents []int32, workers int, dist tree.DistFunc, reps, rank []int32, k int, g G) error {
 	endMetrics := in.phase("build/metrics")
-	delays := res.Tree.Delays(dist)
+	defer endMetrics()
+	n := len(parents)
+	delays := make([]float64, n)
+	parRange(workers, n, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			// A parent outside [0, n) is the root's marker or a wiring bug,
+			// which the walk reports.
+			if p := parents[v]; p >= 0 && int(p) < n {
+				delays[v] = dist(int(p), v)
+			}
+		}
+	})
+	t, err := tree.FromParentsDelays(0, parents, res.MaxOutDegree, delays)
+	if err != nil {
+		return fmt.Errorf("core: incomplete wiring (bug): %w", err)
+	}
+	res.Tree = t
 	res.K = k
 	res.Radius = maxOf(delays)
 	res.CoreDelay = coreDelay(delays, reps, rank)
 	res.Bound = g.UpperBound(arcCoeff(res.Variant))
-	endMetrics()
+	return nil
 }
 
 // pickK resolves the grid with search, the analytic k search capped at its

@@ -47,6 +47,7 @@ type cellGroups struct {
 func wireCells(sink *parentSink, k int, g cellGroups, reps []int32, conn connector, variant Variant, workers int, in instr) {
 	endWire := in.phase("build/wire")
 	defer endWire()
+	in = in.wiring()
 	numCells := grid.NumCells(k)
 	if workers == 1 || !in.obs.Enabled() {
 		parCells(workers, numCells, func(_, c int) {
@@ -137,12 +138,13 @@ func wireCellMembers(b bisect.Attacher, k, id int, members []int32, reps []int32
 		}
 	}
 
-	// Per-cell span: dominated by the in-cell Bisection fan-out. Span
-	// mutation is atomic, so concurrent cells share one accumulator safely;
-	// with no registry attached this costs two nil checks per cell. The
-	// matching trace instant goes through the recorder's lock.
+	// Per-cell span: dominated by the in-cell Bisection fan-out. The wiring
+	// pass resolved it once (instr.wiring); span mutation is atomic, so
+	// concurrent cells share one accumulator safely, and with no registry
+	// attached this costs two nil checks per cell. The matching trace
+	// instant goes through the recorder's lock.
 	in.cell(id, repNode)
-	sp := in.obs.Start("build/wire/bisect")
+	sp := in.bisect.Start()
 	switch variant {
 	case VariantNatural:
 		for _, cr := range childReps {

@@ -21,7 +21,8 @@
 // Timing spans are hierarchical by name: "build/wire/bisect" renders
 // indented under "build/wire" under "build". A span accumulates count,
 // total and max duration, so per-cell spans fired thousands of times stay
-// cheap to store and meaningful to read.
+// cheap to store and meaningful to read; ResolveSpan looks such a name up
+// once, so each of those thousands of Starts skips the registry mutex.
 //
 // Counter funcs (RegisterCounterFunc) publish externally-owned totals —
 // e.g. the protocol's SessionStats fields — into the snapshot without
@@ -339,9 +340,23 @@ type Span struct {
 // Start opens a timing span under the given hierarchical name (path
 // segments joined by '/', e.g. "build/bucketing"). End closes it. On a nil
 // or disabled registry the returned span is inert and the clock is not read.
-func (r *Registry) Start(name string) Span {
+func (r *Registry) Start(name string) Span { return r.ResolveSpan(name).Start() }
+
+// SpanHandle is a span name resolved once, for code that opens the same span
+// many times — once per grid cell of a build — without taking the registry
+// mutex and a map lookup per Start. The zero handle is inert.
+type SpanHandle struct {
+	r  *Registry
+	st *spanStat
+}
+
+// ResolveSpan resolves (creating on first use) the named span. On a nil or
+// disabled registry it registers nothing and returns the inert zero handle,
+// which stays inert if the registry is enabled later: resolve once per pass,
+// not once per program.
+func (r *Registry) ResolveSpan(name string) SpanHandle {
 	if r == nil || !r.enabled.Load() {
-		return Span{}
+		return SpanHandle{}
 	}
 	r.mu.Lock()
 	st, ok := r.spans[name]
@@ -350,7 +365,17 @@ func (r *Registry) Start(name string) Span {
 		r.spans[name] = st
 	}
 	r.mu.Unlock()
-	return Span{st: st, start: time.Now()}
+	return SpanHandle{r: r, st: st}
+}
+
+// Start opens a span under the handle's name. It honours the enabled gate on
+// every call: on the zero handle or a disabled registry the span is inert and
+// the clock is not read.
+func (h SpanHandle) Start() Span {
+	if h.st == nil || !h.r.enabled.Load() {
+		return Span{}
+	}
+	return Span{st: h.st, start: time.Now()}
 }
 
 // End records the elapsed time since Start. No-op on an inert span. A span

@@ -172,6 +172,33 @@ func TestSpansAccumulate(t *testing.T) {
 	}
 }
 
+func TestResolvedSpanHandle(t *testing.T) {
+	var nilReg *Registry
+	nilReg.ResolveSpan("s").Start().End() // inert, must not panic
+
+	off := New()
+	off.SetEnabled(false)
+	h := off.ResolveSpan("s")
+	h.Start().End()
+	off.SetEnabled(true)
+	h.Start().End() // resolved while disabled: stays inert
+	if _, ok := off.Snapshot().Span("s"); ok {
+		t.Error("handle resolved on a disabled registry registered its span")
+	}
+
+	r := New()
+	h = r.ResolveSpan("build/wire/bisect")
+	h.Start().End()
+	r.Start("build/wire/bisect").End() // the same accumulator as the handle
+	r.SetEnabled(false)
+	h.Start().End() // the enabled gate holds on every Start
+	r.SetEnabled(true)
+	sp, ok := r.Snapshot().Span("build/wire/bisect")
+	if !ok || sp.Count != 2 {
+		t.Errorf("span = %+v, want count 2", sp)
+	}
+}
+
 func TestCounterFuncsMergeIntoSnapshot(t *testing.T) {
 	r := New()
 	var owned int64 = 41

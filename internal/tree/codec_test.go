@@ -60,6 +60,7 @@ func TestJSONRejectsInvalid(t *testing.T) {
 		`{"root": 0, "parents": [-1, 5]}`, // parent out of range
 		`{"root": 0, "parents": [-1, 2, 1]}`,
 		`{"root": 3, "parents": [-1]}`,
+		`{"root": 4294967296, "parents": [-1]}`, // root wraps to 0 as an int32
 		`not json`,
 	}
 	for _, in := range inputs {

@@ -5,6 +5,15 @@
 // unrepresentable), tree metrics (radius, depth, weighted diameter), and
 // JSON / binary / DOT codecs.
 //
+// One walk over the parent array both proves a tree (one root, parents in
+// range, every node reaching the root, the degree cap) and, given each
+// node's parent-edge length, turns those lengths into delays from the root:
+// Validate, FromParents, FromParentsDelays and Delays all run it, so a
+// build measures its radius in the pass that validates it. Child adjacency
+// is built only on the first call that needs it (Children, BFSOrder,
+// Depths and the metrics over them); call Prepare before sharing a tree
+// across goroutines.
+//
 // Node identifiers are dense integers in [0, N); geometry is intentionally
 // kept out of this package — metrics accept an edge-length callback so that
 // the same tree type serves 2-D, 3-D and d-dimensional builds as well as
@@ -49,9 +58,10 @@ func (t *Tree) Parents() []int32 {
 }
 
 // adjacency builds (once) the CSR representation of children plus a BFS
-// order from the root. Trees are built by one goroutine and then read, so no
-// locking is needed; Metrics callers that share a tree across goroutines
-// should call Prepare first.
+// order from the root, on the first call that needs them; Delays and the
+// constructors never do. Trees are built by one goroutine and then read, so
+// no locking is needed; callers that share a tree across goroutines should
+// call Prepare first.
 func (t *Tree) adjacency() {
 	if t.childStart != nil {
 		return
@@ -142,35 +152,51 @@ func (t *Tree) PathToRoot(i int) []int {
 // every node reaching the root (which rules out cycles). maxOutDegree > 0
 // additionally enforces the degree cap.
 func (t *Tree) Validate(maxOutDegree int) error {
-	n := len(t.parent)
+	return walk(int(t.root), t.parent, maxOutDegree, nil)
+}
+
+// walk is the one pass that proves parent a spanning tree rooted at root —
+// one root, every parent in range, every node reaching the root, and at
+// most maxOutDegree children per node when maxOutDegree > 0 — and, when
+// edge is not nil, rewrites edge[v] from the length of v's parent edge into
+// v's delay from the root. Each node's delay is its parent's delay plus its
+// edge, one addition, so a node's value depends only on its ancestors' and
+// not on the order nodes are visited in. On error edge holds partial sums.
+func walk(root int, parent []int32, maxOutDegree int, edge []float64) error {
+	n := len(parent)
 	if n == 0 {
 		return errors.New("tree: empty tree")
 	}
-	if t.root < 0 || int(t.root) >= n {
-		return fmt.Errorf("tree: root %d out of range [0, %d)", t.root, n)
+	if root < 0 || root >= n {
+		return fmt.Errorf("tree: root %d out of range [0, %d)", root, n)
 	}
-	rootSeen := false
-	for i, p := range t.parent {
+	if edge != nil && len(edge) != n {
+		return fmt.Errorf("tree: %d edge lengths for %d nodes", len(edge), n)
+	}
+	// The root's own entry is checked too, so after this loop it is the one
+	// NoParent entry.
+	for i, p := range parent {
 		switch {
 		case p == NoParent:
-			if int32(i) != t.root {
+			if i != root {
 				return fmt.Errorf("tree: node %d has no parent but is not the root", i)
 			}
-			rootSeen = true
 		case p < 0 || int(p) >= n:
 			return fmt.Errorf("tree: node %d has parent %d out of range", i, p)
-		case int32(i) == t.root:
+		case i == root:
 			return fmt.Errorf("tree: root %d has parent %d", i, p)
 		}
 	}
-	if !rootSeen {
-		return errors.New("tree: no root entry in parent array")
-	}
 	// Reachability: walk up from every node with path compression into a
 	// visited state machine. state: 0 unknown, 1 reaches root, 2 on current
-	// path (cycle detection).
+	// path (cycle detection). The path unwinds from the ancestor known to
+	// reach the root back down, so every parent's delay is final before its
+	// child's is summed.
 	state := make([]int8, n)
-	state[t.root] = 1
+	state[root] = 1
+	if edge != nil {
+		edge[root] = 0
+	}
 	var stack []int32
 	for i := 0; i < n; i++ {
 		v := int32(i)
@@ -178,18 +204,22 @@ func (t *Tree) Validate(maxOutDegree int) error {
 		for state[v] == 0 {
 			state[v] = 2
 			stack = append(stack, v)
-			v = t.parent[v]
+			v = parent[v]
 		}
 		if state[v] == 2 {
 			return fmt.Errorf("tree: cycle through node %d", v)
 		}
-		for _, u := range stack {
+		for j := len(stack) - 1; j >= 0; j-- {
+			u := stack[j]
 			state[u] = 1
+			if edge != nil {
+				edge[u] = edge[parent[u]] + edge[u]
+			}
 		}
 	}
 	if maxOutDegree > 0 {
 		counts := make([]int32, n)
-		for _, p := range t.parent {
+		for _, p := range parent {
 			if p >= 0 {
 				counts[p]++
 			}
@@ -207,14 +237,18 @@ func (t *Tree) Validate(maxOutDegree int) error {
 type DistFunc func(i, j int) float64
 
 // Delays returns, for every node, the total path length from the root
-// (the sender-to-receiver delay of overlay multicast).
+// (the sender-to-receiver delay of overlay multicast): every parent-edge
+// length, then the validating walk over the parent array to sum them. It
+// neither builds nor reads the child adjacency.
 func (t *Tree) Delays(dist DistFunc) []float64 {
-	t.adjacency()
 	delays := make([]float64, t.N())
-	for _, v := range t.bfsOrder {
-		if p := t.parent[v]; p >= 0 {
-			delays[v] = delays[p] + dist(int(p), int(v))
+	for v, p := range t.parent {
+		if p >= 0 {
+			delays[v] = dist(int(p), v)
 		}
+	}
+	if err := walk(int(t.root), t.parent, 0, delays); err != nil {
+		panic(err) // only the empty zero Tree: every constructor validated the rest
 	}
 	return delays
 }
@@ -392,13 +426,23 @@ func (b *Builder) Build() (*Tree, error) {
 }
 
 // FromParents constructs a Tree directly from a parent array (parent[root]
-// must be -1) and validates it. The array is copied.
+// must be -1) and validates it; maxOutDegree > 0 enforces the degree cap.
+// The tree takes ownership of parents instead of copying it: the caller
+// must not modify the array afterwards.
 func FromParents(root int, parents []int32, maxOutDegree int) (*Tree, error) {
-	t := &Tree{root: int32(root), parent: append([]int32(nil), parents...)}
-	if err := t.Validate(maxOutDegree); err != nil {
+	return FromParentsDelays(root, parents, maxOutDegree, nil)
+}
+
+// FromParentsDelays is FromParents that also measures the tree in the same
+// walk. On entry edge[v] holds the length of v's parent edge (the root's
+// entry is ignored); on success it holds v's delay from the root, bit for
+// bit what Delays returns for the same edge lengths. On error edge holds
+// partial sums. A nil edge validates only.
+func FromParentsDelays(root int, parents []int32, maxOutDegree int, edge []float64) (*Tree, error) {
+	if err := walk(root, parents, maxOutDegree, edge); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &Tree{root: int32(root), parent: parents}, nil
 }
 
 // AvgDelay returns the mean sender-to-receiver delay over all nodes except

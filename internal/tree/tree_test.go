@@ -48,6 +48,49 @@ func star(t *testing.T, n int) *Tree {
 
 func unitDist(i, j int) float64 { return 1 }
 
+// oddDist is an edge length whose sums round, so a delay that was summed in
+// another association would differ in its low bits.
+func oddDist(i, j int) float64 { return 1 / float64(3+(7*i+5*j)%13) }
+
+// bfsDelays is the delay oracle the walk replaced: a breadth-first pass over
+// the child lists, each child's delay its parent's plus the edge.
+func bfsDelays(tr *Tree, dist DistFunc) []float64 {
+	delays := make([]float64, tr.N())
+	queue := []int32{int32(tr.Root())}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, c := range tr.Children(int(v)) {
+			delays[c] = delays[v] + dist(int(v), int(c))
+			queue = append(queue, c)
+		}
+	}
+	return delays
+}
+
+// edgeLengths returns every node's parent-edge length, the input of
+// FromParentsDelays; the root's entry is left 0.
+func edgeLengths(parents []int32, dist DistFunc) []float64 {
+	edge := make([]float64, len(parents))
+	for v, p := range parents {
+		if p >= 0 && int(p) < len(parents) {
+			edge[v] = dist(int(p), v)
+		}
+	}
+	return edge
+}
+
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestBuilderBasics(t *testing.T) {
 	b, err := NewBuilder(4, 1, 2)
 	if err != nil {
@@ -258,13 +301,47 @@ func TestValidateRejectsBadTrees(t *testing.T) {
 		{"root has parent", 1, []int32{1, 0}},
 		{"parent out of range", 0, []int32{-1, 7}},
 		{"disconnected marker", 0, []int32{-1, -2}},
+		{"root beyond int32", 1 << 32, []int32{-1}},
+		{"negative root", -1, []int32{-1}},
+		{"empty", 0, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := FromParents(tc.root, tc.parents, 0); err == nil {
 				t.Errorf("FromParents accepted %v", tc.parents)
 			}
+			edge := edgeLengths(tc.parents, unitDist)
+			if _, err := FromParentsDelays(tc.root, tc.parents, 0, edge); err == nil {
+				t.Errorf("FromParentsDelays accepted %v", tc.parents)
+			}
 		})
+	}
+}
+
+func TestFromParentsDelaysEdgeLength(t *testing.T) {
+	parents := []int32{-1, 0, 1}
+	if _, err := FromParentsDelays(0, parents, 0, make([]float64, 2)); err == nil {
+		t.Error("accepted 2 edge lengths for 3 nodes")
+	}
+	// The root's entry is ignored: its delay is 0 whatever it held.
+	edge := []float64{9, 2, 3}
+	if _, err := FromParentsDelays(0, parents, 0, edge); err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{0, 2, 5}; !sameFloats(edge, want) {
+		t.Errorf("delays = %v, want %v", edge, want)
+	}
+}
+
+func TestFromParentsTakesOwnership(t *testing.T) {
+	parents := []int32{-1, 0, 1}
+	tr, err := FromParents(0, parents, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parents[2] = 0 // the tree aliases the array it was handed
+	if tr.Parent(2) != 0 {
+		t.Errorf("FromParents copied its array: parent of 2 = %d", tr.Parent(2))
 	}
 }
 
@@ -294,27 +371,38 @@ func TestBuilderSpentAfterBuild(t *testing.T) {
 
 func TestRandomTreePropertyQuick(t *testing.T) {
 	// Random valid attachment sequences always produce trees that pass
-	// Validate and have consistent depth/delay relations.
+	// Validate and have consistent depth/delay relations. Node ids are a
+	// random relabeling of the attachment order, as in a build, where ids
+	// follow the input: a walk up from one node then climbs through several
+	// ancestors nobody has visited yet.
 	f := func(seed uint64, sizeRaw uint8) bool {
 		n := int(sizeRaw%40) + 2
 		r := rng.New(seed)
-		b, err := NewBuilder(n, 0, 0)
+		id := r.Perm(n)
+		b, err := NewBuilder(n, id[0], 0)
 		if err != nil {
 			return false
 		}
-		attached := []int{0}
 		for i := 1; i < n; i++ {
-			p := attached[r.Intn(len(attached))]
-			if err := b.Attach(i, p); err != nil {
+			if err := b.Attach(id[i], id[r.Intn(i)]); err != nil {
 				return false
 			}
-			attached = append(attached, i)
 		}
 		tr, err := b.Build()
 		if err != nil {
 			return false
 		}
 		if err := tr.Validate(0); err != nil {
+			return false
+		}
+		// Delays and the fused walk both reproduce the breadth-first
+		// oracle bit for bit.
+		want := bfsDelays(tr, oddDist)
+		if !sameFloats(tr.Delays(oddDist), want) {
+			return false
+		}
+		edge := edgeLengths(tr.Parents(), oddDist)
+		if _, err := FromParentsDelays(tr.Root(), tr.Parents(), 0, edge); err != nil || !sameFloats(edge, want) {
 			return false
 		}
 		// With unit distances, delay == depth for every node.
