@@ -1,11 +1,11 @@
 #!/bin/sh
 # ci.sh — the repo's full gate: formatting, vet, the regular test suite,
-# the race-detector run that guards the parallel build pipeline and the
-# shared multi-group substrate, and short fuzz smokes over the codec,
-# tree-validation walk, fault-schedule, partition-schedule, drift-schedule,
-# incremental-rebuild, multi-group, SLO-rule, snapshot round-trip, and grid
-# cell-classifier fuzzers. `ci.sh bench`
-# runs the benchmark regression gate instead.
+# one iteration of every benchmark in the bench set, the race-detector run
+# that guards the parallel build pipeline and the shared multi-group
+# substrate, and short fuzz smokes over the codec, tree-validation walk,
+# fault-schedule, partition-schedule, drift-schedule, incremental-rebuild,
+# multi-group, SLO-rule, snapshot round-trip, and grid cell-classifier
+# fuzzers. `ci.sh bench` runs the benchmark regression gate instead.
 set -eu
 
 cd "$(dirname "$0")"
@@ -71,6 +71,15 @@ check_cover ./internal/protocol 92
 check_cover ./internal/multigroup 90
 check_cover ./internal/snapshot 90
 check_cover ./internal/tree 89
+
+echo "== benchmarks, one iteration each =="
+# The scripts/bench.sh package set plus the root Table I builds, run once
+# each: a benchmark whose set-up breaks or panics fails the gate here.
+# Timings are not judged; `ci.sh bench` is the regression gate.
+go test -run '^$' -bench . -benchtime 1x \
+    ./internal/protocol ./internal/obs/trace ./internal/obs/flight \
+    ./internal/grid ./internal/tree ./internal/multigroup
+go test -run '^$' -bench '^BenchmarkTable1$' -benchtime 1x .
 
 # Golden files (cmd/omt-sim and cmd/omt-experiments CLI output;
 # internal/protocol trace timelines) are compared byte-for-byte by the

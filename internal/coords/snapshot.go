@@ -1,6 +1,7 @@
 package coords
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"omtree/internal/geom"
@@ -31,6 +32,14 @@ func (m *DriftModel) EncodeTo(e *snapshot.Encoder) {
 		e.Float64(n.vel.Y)
 		e.Int(n.estEpoch)
 	}
+}
+
+// EncodedSizeBound returns an upper bound on the bytes EncodeTo writes:
+// fixed-width fields count exactly and every varint counts at its widest,
+// so a checkpoint can size its buffer once.
+func (m *DriftModel) EncodedSizeBound() int {
+	const v, f = binary.MaxVarintLen64, 8
+	return v + 5*f + 2*v + len(m.nodes)*(1+6*f+v)
 }
 
 // DecodeDriftModel reads a model written by EncodeTo.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -98,6 +99,22 @@ func (s *BuildState) EncodeTo(e *snapshot.Encoder, putPt PointEncoder) {
 	}
 	e.Float64(s.cert.Bound)
 	e.Float64(s.cert.Radius)
+}
+
+// EncodedSizeBound returns an upper bound on the bytes EncodeTo writes with
+// the raw position encoding: fixed-width columns count exactly and every
+// varint counts at its widest, so a checkpoint can size its buffer once.
+func (s *BuildState) EncodedSizeBound() int {
+	const v, f, pt = binary.MaxVarintLen64, 8, 16
+	size := 3*v + 2 // options and the two flags after them
+	if !s.shared {
+		size += pt + v + pt*len(s.geo.hosts) + 2*f*(len(s.geo.pts)-1)
+	}
+	size += v + len(s.present) + f + v + 2
+	size += v + snapshot.Int32ListsLen(s.members)
+	size += 4*v + 4*(len(s.cellOf)+len(s.reps)+len(s.parent)+len(s.cnt1))
+	size += 2*v + v + v*len(s.dirty) + 2*f
+	return size
 }
 
 // DecodeBuildState reads a state that owns its geometry, as written by

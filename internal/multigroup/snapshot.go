@@ -53,7 +53,8 @@ func (g *GroupTree) WriteSnapshot(w io.Writer) error {
 // reattaches the group to this substrate, which must be the same host
 // population the snapshot was taken over (checked by count and coordinate
 // checksum). Torn or corrupt input fails with an error wrapping
-// snapshot.ErrCorrupt — never a panic. The restored group's id is the
+// snapshot.ErrCorrupt — never a panic; an intact snapshot of another
+// format version wraps snapshot.ErrVersion. The restored group's id is the
 // recorded one; it is not re-registered with the auto-id counter, so
 // prefer explicit GroupConfig.IDs when mixing restores with NewGroup.
 func (s *Substrate) RestoreGroup(r io.Reader) (*GroupTree, error) {

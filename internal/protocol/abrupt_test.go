@@ -21,7 +21,7 @@ func TestFailAbruptAndDetect(t *testing.T) {
 	// Crash five forwarding members without warning.
 	var crashed []int
 	for id := 1; id < len(o.nodes) && len(crashed) < 5; id++ {
-		if o.nodes[id].alive && len(o.nodes[id].children) > 0 {
+		if o.live[id] && len(o.nodes[id].children) > 0 {
 			crashed = append(crashed, id)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"omtree/internal/coords"
+	"omtree/internal/faultplane"
 	"omtree/internal/geom"
 	"omtree/internal/rng"
 )
@@ -284,5 +285,86 @@ func BenchmarkDriftRepair(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkMaintenanceRound times one maintenance round of a restored
+// 100k-member session under jump drift with local repair at 2% loss — the
+// perfbench session workload's round. "plain" is a round between
+// re-estimation sweeps; "sweep" re-estimates every member and repairs.
+// Each iteration restores its checkpoint and attaches a fresh fault plane
+// outside the timer, so every timed round starts from the same state.
+func BenchmarkMaintenanceRound(b *testing.B) {
+	const n = 100000
+	r := rng.New(9)
+	o, err := New(Config{
+		Source: geom.Point2{}, Scale: 1, K: SuggestK(n), MaxOutDegree: 6,
+		Drift: DriftConfig{ReestimatePeriod: 4, DegradationThreshold: 0.5, FullRebuildCutoff: 1, Policy: RepairLocal},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, _, err := o.Join(r.UniformDisk(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := o.Rebuild(); err != nil {
+		b.Fatal(err)
+	}
+	dm, err := coords.NewDriftModel(coords.DriftConfig{
+		Seed: 9, JumpRate: 0.002, JumpMean: 0.15, InflationPerEpoch: 0.05, Bound: 0.99,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := o.SetDrift(dm); err != nil {
+		b.Fatal(err)
+	}
+	lossy := func(o *Overlay) {
+		plane, err := faultplane.New(faultplane.Scenario{Seed: 9, LossRate: 0.02})
+		if err == nil {
+			err = o.SetTransport(plane, DefaultFaultConfig())
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	checkpoint := func() []byte {
+		var buf bytes.Buffer
+		if err := o.WriteSnapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// The first round after SetDrift is plain; three rounds on, the next
+	// one is the sweep.
+	plain := checkpoint()
+	lossy(o)
+	for i := 0; i < 3; i++ {
+		if _, err := o.MaintenanceRound(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sweep := checkpoint()
+
+	for _, bc := range []struct {
+		name string
+		blob []byte
+	}{{"plain", plain}, {"sweep", sweep}} {
+		b.Run(fmt.Sprintf("%s/%d", bc.name, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				o, err := RestoreBytes(bc.blob)
+				if err != nil {
+					b.Fatal(err)
+				}
+				lossy(o)
+				b.StartTimer()
+				if _, err := o.MaintenanceRound(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -14,7 +14,7 @@ import (
 func randomLiveNode(o *Overlay, r *rng.Rand) int {
 	var live []int
 	for i := 1; i < len(o.nodes); i++ {
-		if o.nodes[i].alive {
+		if o.live[i] {
 			live = append(live, i)
 		}
 	}
@@ -101,7 +101,7 @@ func TestLeaveWithLostGoodbyeBecomesGhost(t *testing.T) {
 	// Pick a member whose goodbye will vanish.
 	var victim int32 = -1
 	for i := 1; i < len(o.nodes); i++ {
-		if o.nodes[i].alive && o.nodes[i].parent >= 0 {
+		if o.live[i] && o.nodes[i].parent >= 0 {
 			victim = int32(i)
 			break
 		}
@@ -117,7 +117,7 @@ func TestLeaveWithLostGoodbyeBecomesGhost(t *testing.T) {
 	if _, err := o.Leave(int(victim)); err != nil {
 		t.Fatalf("lossy leave must not error (the member is gone regardless): %v", err)
 	}
-	if o.nodes[victim].alive {
+	if o.live[victim] {
 		t.Fatal("leaver still alive")
 	}
 	// Nobody heard the goodbye: the state stays wired like a crash.
@@ -193,7 +193,7 @@ func TestFalseConfirmDegradesGracefully(t *testing.T) {
 	if o.Stats.FalseSuspects == 0 || o.Stats.FalseConfirms == 0 {
 		t.Fatalf("victim never falsely confirmed: %+v", o.Stats)
 	}
-	if !o.nodes[victim].alive {
+	if !o.live[victim] {
 		t.Fatal("false confirmation killed a live node")
 	}
 	// The partition heals: one clean round resets suspicion and the
@@ -399,7 +399,7 @@ func runChaos(t *testing.T, seed uint64, loss float64) chaosOutcome {
 	}
 	for i := range o.nodes {
 		out.parents[i] = o.nodes[i].parent
-		out.alive[i] = o.nodes[i].alive
+		out.alive[i] = o.live[i]
 	}
 	return out
 }

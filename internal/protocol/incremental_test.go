@@ -22,7 +22,7 @@ func assertRebuildMatchesScratch(t testing.TB, o *Overlay) OpStats {
 	memberIDs := make([]int32, 0, o.alive-1)
 	receivers := make([]geom.Point2, 0, o.alive-1)
 	for i := 1; i < len(o.nodes); i++ {
-		if o.nodes[i].alive {
+		if o.live[i] {
 			memberIDs = append(memberIDs, int32(i))
 			receivers = append(receivers, o.nodes[i].pos)
 		}

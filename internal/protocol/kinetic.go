@@ -8,6 +8,7 @@ import (
 	"omtree/internal/coords"
 	"omtree/internal/core"
 	"omtree/internal/geom"
+	"omtree/internal/obs"
 )
 
 // RepairPolicy selects how the overlay reacts when coordinate drift
@@ -137,7 +138,7 @@ func (o *Overlay) SetDrift(m *coords.DriftModel) error {
 		return nil
 	}
 	for id := 1; id < len(o.nodes); id++ {
-		if o.nodes[id].alive {
+		if o.live[id] {
 			m.Track(id, o.nodes[id].pos)
 		}
 	}
@@ -170,55 +171,67 @@ func (o *Overlay) driftDist(cand int32, p geom.Point2) float64 {
 	return d
 }
 
-// certRatio returns the certificate ratio — the realized radius over the
-// radius the certificate froze at build time — and whether a certificate
-// is armed at all (one Rebuild must have run). The frozen radius satisfied
-// the eq. 7 bound, so a ratio near 1 means the tree still delivers what
-// was certified while a growing ratio measures drift damage; the bound
-// itself stays available as Certificate().Bound for absolute checks.
-func (o *Overlay) certRatio() (float64, bool) {
-	cert := o.bs.Certificate()
-	if cert.Radius <= 0 {
-		return 0, false
-	}
-	return o.realizedRadius() / cert.Radius, true
-}
-
 // Certificate returns the eq. 7 certificate frozen by the last Rebuild
 // (the zero value before any rebuild ran).
 func (o *Overlay) Certificate() core.Certificate { return o.bs.Certificate() }
 
-// CertificateRatio reports the current certificate ratio — the staleness-
-// weighted realized radius over the radius certified at build time — and
-// whether a certificate is armed (one Rebuild must have run).
-func (o *Overlay) CertificateRatio() (float64, bool) { return o.certRatio() }
+// CertificateRatio reports the current certificate ratio — the realized
+// radius over the radius the certificate froze at build time — and whether
+// a certificate is armed at all (one Rebuild must have run). The frozen
+// radius satisfied the eq. 7 bound, so a ratio near 1 means the tree still
+// delivers what was certified while a growing ratio measures drift damage;
+// the bound itself stays available as Certificate().Bound for absolute
+// checks.
+func (o *Overlay) CertificateRatio() (float64, bool) {
+	if o.bs.Certificate().Radius <= 0 {
+		return 0, false
+	}
+	_, radius := o.liveWalk()
+	return o.ratioOf(radius), true
+}
+
+// ratioOf divides a realized radius by the certified one (0 while no
+// certificate is armed).
+func (o *Overlay) ratioOf(radius float64) float64 {
+	cert := o.bs.Certificate()
+	if cert.Radius <= 0 {
+		return 0
+	}
+	return radius / cert.Radius
+}
 
 // RealizedRadius recomputes the live tree's maximum source-to-member delay
 // from the current coordinate estimates, inflated by staleness weights;
 // compare against Certificate().Bound for an absolute eq. 7 check.
-func (o *Overlay) RealizedRadius() float64 { return o.realizedRadius() }
+func (o *Overlay) RealizedRadius() float64 {
+	_, radius := o.liveWalk()
+	return radius
+}
 
-// realizedRadius recomputes the live tree's maximum source-to-member delay
-// from current coordinate estimates, inflating each hop by the staleness
-// weight of its staler endpoint — an un-refreshed node degrades the
-// certificate conservatively instead of silently satisfying it with
-// out-of-date coordinates.
-func (o *Overlay) realizedRadius() float64 {
+// liveWalk is the one walk over the live tree: a depth-first pass from the
+// source over live children, the set a multicast packet would cover right
+// now. It returns how many live nodes it reached, the source included, and
+// the realized radius: the largest source-to-member delay recomputed from
+// current coordinate estimates, each hop inflated by the staleness weight
+// of its staler endpoint, so an un-refreshed node degrades the certificate
+// conservatively instead of silently satisfying it with out-of-date
+// coordinates.
+func (o *Overlay) liveWalk() (reach int, radius float64) {
 	type item struct {
 		id int32
 		d  float64
 	}
-	var radius float64
 	stack := []item{{0, 0}}
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		reach++
 		sv := 0
 		if o.drift != nil {
 			sv = o.drift.Staleness(int(it.id))
 		}
 		for _, c := range o.nodes[it.id].children {
-			if !o.nodes[c].alive {
+			if !o.live[c] {
 				continue
 			}
 			w := 1.0
@@ -236,15 +249,17 @@ func (o *Overlay) realizedRadius() float64 {
 			stack = append(stack, item{c, d})
 		}
 	}
-	return radius
+	return reach, radius
 }
 
 // driftPhase is MaintenanceRound's kinetic step: advance the drift epoch,
 // run the periodic re-estimation sweep, relocate members whose refreshed
-// coordinates moved, monitor the certificate ratio, and repair per policy.
-func (o *Overlay) driftPhase(ms *MaintenanceStats, st *OpStats) error {
+// coordinates moved, and repair per policy. armed reports whether a
+// certificate was armed when the repair decision ran; the round then
+// reports the certificate ratio from its closing live-tree walk.
+func (o *Overlay) driftPhase(ms *MaintenanceStats, st *OpStats, rebuild obs.SpanHandle) (armed bool, err error) {
 	if o.drift == nil || !o.cfg.Drift.Enabled() {
-		return nil
+		return false, nil
 	}
 	msgsBefore := st.Messages
 	o.drift.Tick()
@@ -254,7 +269,7 @@ func (o *Overlay) driftPhase(ms *MaintenanceStats, st *OpStats) error {
 		o.driftRounds = 0
 		o.Stats.DriftReestimates++
 		for id := 1; id < len(o.nodes); id++ {
-			if !o.nodes[id].alive {
+			if !o.live[id] {
 				continue
 			}
 			// One coordinate-report exchange per member; a member the
@@ -279,39 +294,38 @@ func (o *Overlay) driftPhase(ms *MaintenanceStats, st *OpStats) error {
 			"refreshed="+strconv.Itoa(ms.Reestimated)+" drifted="+strconv.Itoa(ms.Drifted))
 	}
 
-	ratio, armed := o.certRatio()
+	armed = o.bs.Certificate().Radius > 0
 	if !armed && sweep && o.cfg.Drift.Policy != RepairNone {
 		// First sweep with no certificate yet: both repair policies arm it
 		// with the same initial full build, so the policies' message costs
 		// stay comparable from round one.
-		if _, err := o.Rebuild(); err != nil {
-			return err
+		if err := o.repairRebuild(rebuild); err != nil {
+			return false, err
 		}
-		ratio, armed = o.certRatio()
+		armed = o.bs.Certificate().Radius > 0
 	}
-	if armed {
+	// Repairs only fire on sweep rounds: between sweeps the ratio moves on
+	// staleness inflation alone, and rebuilding without refreshed
+	// coordinates would rewire nothing.
+	if armed && sweep {
 		switch o.cfg.Drift.Policy {
 		case RepairFull:
-			if sweep {
-				o.bs.ForceFull()
-				if _, err := o.Rebuild(); err != nil {
-					return err
-				}
-				ms.RepairedFull++
-				o.emit("protocol/drift_repair", -1, -1, "mode=full")
-				ratio, _ = o.certRatio()
+			o.bs.ForceFull()
+			if err := o.repairRebuild(rebuild); err != nil {
+				return false, err
 			}
+			ms.RepairedFull++
+			o.emit("protocol/drift_repair", -1, -1, "mode=full")
 		case RepairLocal:
-			// Repairs only fire on sweep rounds: between sweeps the ratio
-			// moves on staleness inflation alone, and rebuilding without
-			// refreshed coordinates would rewire nothing.
-			if sweep && ratio > o.cfg.Drift.threshold() {
+			// The only decision that needs the ratio before the round's
+			// closing walk: the one extra walk a sweep pays.
+			if ratio, _ := o.CertificateRatio(); ratio > o.cfg.Drift.threshold() {
 				if o.bs.DirtyFraction() > o.cfg.Drift.cutoff() {
 					o.bs.ForceFull()
 				}
 				incBefore := o.Stats.IncrementalRebuilds
-				if _, err := o.Rebuild(); err != nil {
-					return err
+				if err := o.repairRebuild(rebuild); err != nil {
+					return false, err
 				}
 				if o.Stats.IncrementalRebuilds > incBefore {
 					o.Stats.LocalRepairs++
@@ -322,17 +336,20 @@ func (o *Overlay) driftPhase(ms *MaintenanceStats, st *OpStats) error {
 					ms.RepairedFull++
 					o.emit("protocol/drift_repair", -1, -1, "mode=full_fallback")
 				}
-				ratio, _ = o.certRatio()
 			}
-		}
-		ms.CertRatio = ratio
-		if o.reg != nil {
-			o.reg.Gauge("protocol/certificate_ratio").Set(ratio)
-			o.reg.Gauge("protocol/drifted_nodes").Set(float64(o.Stats.DriftedNodes))
 		}
 	}
 	o.Stats.DriftMessages += st.Messages - msgsBefore
-	return nil
+	return armed, nil
+}
+
+// repairRebuild runs one of the drift phase's rebuilds under the round's
+// round/kinetic/rebuild span.
+func (o *Overlay) repairRebuild(h obs.SpanHandle) error {
+	span := h.Start()
+	defer span.End()
+	_, err := o.Rebuild()
+	return err
 }
 
 // relocate applies a member's refreshed coordinates to the overlay's grid

@@ -87,7 +87,7 @@ func TestDriftLocalRepairRestoresCertificate(t *testing.T) {
 	}
 	// The acceptance criterion: repairs keep the realized radius within the
 	// eq. 7 bound the certificate promised.
-	if r, b := o.realizedRadius(), o.bs.Certificate().Bound; r > b*(1+1e-9) {
+	if r, b := o.RealizedRadius(), o.bs.Certificate().Bound; r > b*(1+1e-9) {
 		t.Fatalf("realized radius %v ended above the eq. 7 bound %v", r, b)
 	}
 	if err := o.Audit(); err != nil {
@@ -139,13 +139,13 @@ func TestDriftLocalBeatsFullOnMessages(t *testing.T) {
 		return o
 	}
 	local, full := run(RepairLocal), run(RepairFull)
-	if _, ok := local.certRatio(); !ok {
+	if _, ok := local.CertificateRatio(); !ok {
 		t.Fatal("local certificate unarmed after the workload")
 	}
-	if _, ok := full.certRatio(); !ok {
+	if _, ok := full.CertificateRatio(); !ok {
 		t.Fatal("full certificate unarmed after the workload")
 	}
-	if r, b := local.realizedRadius(), local.bs.Certificate().Bound; r > b*(1+1e-9) {
+	if r, b := local.RealizedRadius(), local.bs.Certificate().Bound; r > b*(1+1e-9) {
 		t.Fatalf("local policy ended above the eq. 7 bound: %v > %v", r, b)
 	}
 	lm := local.Stats.RebuildMessages + local.Stats.DriftMessages

@@ -42,7 +42,7 @@ type PartitionedTransport interface {
 func (o *Overlay) coordinators() []int32 {
 	var cs []int32
 	for id := 1; id < len(o.nodes); id++ {
-		if o.nodes[id].alive && o.nodes[id].isCoord {
+		if o.live[id] && o.nodes[id].isCoord {
 			cs = append(cs, int32(id))
 		}
 	}
@@ -76,8 +76,7 @@ func (o *Overlay) partitionPhase(ms *MaintenanceStats, st *OpStats) error {
 	// round probes the source; islands cut this very round skip the probe
 	// (their failed source check is what just degraded them).
 	for _, c := range o.coordinators() {
-		n := &o.nodes[c]
-		if !n.alive || !n.isCoord {
+		if !o.live[c] || !o.nodes[c].isCoord {
 			continue // merged away while we iterated
 		}
 		if o.exchange(c, 0, st) {
@@ -96,7 +95,7 @@ func (o *Overlay) partitionPhase(ms *MaintenanceStats, st *OpStats) error {
 	// at all before concluding anything.
 	for id := 1; id < len(o.nodes); id++ {
 		n := &o.nodes[id]
-		if !n.alive || n.isCoord || n.pmiss < o.fcfg.ConfirmAfter {
+		if !o.live[id] || n.isCoord || n.pmiss < o.fcfg.ConfirmAfter {
 			continue
 		}
 		if o.exchange(int32(id), 0, st) {
@@ -147,7 +146,7 @@ func (o *Overlay) islandNodes(c int32) []int32 {
 	out := []int32{c}
 	for head := 0; head < len(out); head++ {
 		for _, ch := range o.nodes[out[head]].children {
-			if o.nodes[ch].alive {
+			if o.live[ch] {
 				out = append(out, ch)
 			}
 		}
@@ -288,7 +287,7 @@ func (o *Overlay) reconcileIsland(c int32, st *OpStats) (bool, error) {
 	// round): climb toward the source like an adoption would, then descend
 	// for a slot. The island is detached from the root tree, so neither
 	// walk can re-enter it.
-	for anchor > 0 && (!o.nodes[anchor].alive || o.residual(anchor) == 0) {
+	for anchor > 0 && (!o.live[anchor] || o.residual(anchor) == 0) {
 		st.Messages++
 		anchor = o.nodes[anchor].parent
 	}
@@ -326,7 +325,7 @@ func (o *Overlay) reconcileIsland(c int32, st *OpStats) (bool, error) {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, ch := range o.nodes[v].children {
-			if !o.nodes[ch].alive {
+			if !o.live[ch] {
 				ghosts = append(ghosts, ch)
 			}
 			stack = append(stack, ch)
@@ -353,7 +352,7 @@ func (o *Overlay) dedupMembers() {
 	for cell := range o.members {
 		ms := o.members[cell][:0]
 		for _, m := range o.members[cell] {
-			if !o.nodes[m].alive || seen[m] {
+			if !o.live[m] || seen[m] {
 				continue
 			}
 			seen[m] = true
@@ -386,7 +385,7 @@ func (o *Overlay) AuditDegraded() error {
 	newID := make([]int32, len(o.nodes))
 	oldID := make([]int32, 0, o.alive)
 	for i := range o.nodes {
-		if o.nodes[i].alive {
+		if o.live[i] {
 			newID[i] = int32(len(oldID))
 			oldID = append(oldID, int32(i))
 		} else {
@@ -397,7 +396,7 @@ func (o *Overlay) AuditDegraded() error {
 	var roots []int32
 	for j, old := range oldID {
 		p := o.nodes[old].parent
-		if old == 0 || p < 0 || !o.nodes[p].alive {
+		if old == 0 || p < 0 || !o.live[p] {
 			fparents[j] = tree.NoParent
 			roots = append(roots, int32(j))
 		} else {

@@ -153,7 +153,7 @@ func runPartitionChaos(t *testing.T, seed uint64, sides int) partitionOutcome {
 	out.alive = make([]bool, len(o.nodes))
 	for i := range o.nodes {
 		out.parents[i] = o.nodes[i].parent
-		out.alive[i] = o.nodes[i].alive
+		out.alive[i] = o.live[i]
 	}
 	out.stats = o.Stats
 	out.plane = plane.Stats
@@ -569,7 +569,7 @@ func TestCrashDuringAdoption(t *testing.T) {
 	if !tr.fired {
 		t.Fatal("the adoption handshake never hit the victim")
 	}
-	if o.nodes[anchor].alive {
+	if o.live[anchor] {
 		t.Fatal("victim survived its scripted crash")
 	}
 	rounds, err := o.Converge(2*cfg.ConfirmAfter + 8)

@@ -151,7 +151,6 @@ type node struct {
 	parent   int32 // -1 for source, -2 when dead
 	children []int32
 	delay    float64 // measured source-to-node delay (nodes observe this)
-	alive    bool
 	isRep    bool
 	// susp counts consecutive heartbeat rounds in which every monitor of
 	// this node observed silence (the failure detector's state: 0 alive,
@@ -177,13 +176,19 @@ type Overlay struct {
 	cfg   Config
 	g     grid.PolarGrid
 	nodes []node
+	// live[id] reports whether node id is alive; it is the only copy of
+	// liveness and always as long as nodes. It lives apart from node
+	// because the round's hottest loops (heartbeat probes, the live-tree
+	// walk) test it at random ids, and one byte per node stays in cache
+	// where a whole node struct does not.
+	live []bool
 	// members lists alive node ids per cell (the source is not a member of
 	// cell 0; it anchors it).
 	members [][]int32
 	// reps[cell] is the representative node (-1 none). reps[0] stays -1:
 	// the source anchors ring 0.
 	reps  []int32
-	alive int
+	alive int // live members, the source included: the true entries of live
 
 	// transport carries control messages when set; nil is the reliable
 	// default (every message delivered, exactly once, instantly).
@@ -372,8 +377,8 @@ func New(cfg Config) (*Overlay, error) {
 		polar:  geom.Polar{},
 		cell:   0,
 		parent: parentNone,
-		alive:  true,
 	})
+	o.live = append(o.live, true)
 	o.alive = 1
 	return o, nil
 }
@@ -507,6 +512,7 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 		}
 	}()
 	o.nodes = append(o.nodes, node{pos: p, polar: polar, cell: cell, parent: parentDead})
+	o.live = append(o.live, false)
 
 	// Route along the representative core: JOIN to the source, then one
 	// hop per ring toward the target cell.
@@ -515,7 +521,7 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 		// plain loss. A degraded-mode island may still be able to serve
 		// this join locally.
 		if parent := o.degradedAttach(id, &st); parent >= 0 {
-			o.nodes[id].alive = true
+			o.live[id] = true
 			o.members[cell] = append(o.members[cell], id)
 			o.alive++
 			o.Stats.Joins++
@@ -525,7 +531,7 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 			joined = true
 			return int(id), st, nil
 		}
-		o.nodes = o.nodes[:id] // roll back
+		o.dropJoiner(id)
 		o.Stats.JoinMessages += st.Messages
 		return 0, st, fmt.Errorf("protocol: join could not reach the source")
 	}
@@ -552,7 +558,7 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 			// until a maintenance round elects one.
 			parent := o.descendParent(p, o.residual, &st)
 			if parent < 0 || !o.exchange(id, parent, &st) {
-				o.nodes = o.nodes[:id] // roll back
+				o.dropJoiner(id)
 				o.Stats.JoinMessages += st.Messages
 				return 0, st, fmt.Errorf("protocol: join could not reach a parent")
 			}
@@ -580,7 +586,7 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 			// from the source toward the joiner.
 			parent = o.descendParent(p, o.residual, &st)
 			if parent < 0 {
-				o.nodes = o.nodes[:id] // roll back
+				o.dropJoiner(id)
 				return 0, st, fmt.Errorf("protocol: overlay out of capacity")
 			}
 		}
@@ -598,7 +604,7 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 				}
 			}
 			if !ok {
-				o.nodes = o.nodes[:id] // roll back
+				o.dropJoiner(id)
 				o.Stats.JoinMessages += st.Messages
 				return 0, st, fmt.Errorf("protocol: join could not reach a parent")
 			}
@@ -606,7 +612,7 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 		}
 	}
 
-	o.nodes[id].alive = true
+	o.live[id] = true
 	o.members[cell] = append(o.members[cell], id)
 	o.alive++
 	o.Stats.Joins++
@@ -614,6 +620,13 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 	o.trackDrift(id, p)
 	joined = true
 	return int(id), st, nil
+}
+
+// dropJoiner rolls back a refused join: the joiner's slot, always the
+// last, leaves the node table and the liveness column together.
+func (o *Overlay) dropJoiner(id int32) {
+	o.nodes = o.nodes[:id]
+	o.live = o.live[:id]
 }
 
 // coreRoute forwards the JOIN along the representative chain from the
@@ -625,7 +638,7 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 func (o *Overlay) coreRoute(ring, idx int, joiner int32, st *OpStats) (hops int, ok bool) {
 	ok = true
 	for r, i := ring, idx; r >= 1; r-- {
-		if rep := o.reps[grid.CellID(r, i)]; rep >= 0 && o.nodes[rep].alive {
+		if rep := o.reps[grid.CellID(r, i)]; rep >= 0 && o.live[rep] {
 			hops++
 			if !o.exchange(joiner, rep, st) {
 				ok = false
@@ -643,7 +656,7 @@ func (o *Overlay) coreRoute(ring, idx int, joiner int32, st *OpStats) (hops int,
 func (o *Overlay) ancestorAnchor(ring, idx int, pos geom.Point2, st *OpStats) int32 {
 	i := grid.ParentCell(idx)
 	for r := ring - 1; r >= 1; r-- {
-		if rep := o.reps[grid.CellID(r, i)]; rep >= 0 && o.nodes[rep].alive {
+		if rep := o.reps[grid.CellID(r, i)]; rep >= 0 && o.live[rep] {
 			if o.residualAsCoreParent(rep) > 0 {
 				return rep
 			}
@@ -718,13 +731,13 @@ func (o *Overlay) descendParent(p geom.Point2, room func(int32) int, st *OpStats
 		// raw proximity: a near node at the end of a long chain is a worse
 		// parent than a slightly farther low-delay one. Distances are
 		// staleness-weighted when a drift model is attached.
-		if score := o.nodes[v].delay + vd; o.nodes[v].alive && room(v) > 0 && score < lastScore {
+		if score := o.nodes[v].delay + vd; o.live[v] && room(v) > 0 && score < lastScore {
 			lastWithRoom, lastScore = v, score
 		}
 		best := int32(-1)
 		bestD := math.Inf(1)
 		for _, c := range o.nodes[v].children {
-			if !o.nodes[c].alive {
+			if !o.live[c] {
 				continue // never descend into a dead subtree
 			}
 			if d := o.driftDist(c, p); d < bestD {
@@ -755,7 +768,7 @@ func (o *Overlay) scanParent(room func(int32) int, st *OpStats) int32 {
 			return v
 		}
 		for _, c := range o.nodes[v].children {
-			if o.nodes[c].alive {
+			if o.live[c] {
 				queue = append(queue, c)
 			}
 		}
@@ -790,7 +803,7 @@ func (o *Overlay) Leave(id int) (OpStats, error) {
 		return st, fmt.Errorf("protocol: no such node %d", id)
 	}
 	n := &o.nodes[id]
-	if !n.alive {
+	if !o.live[id] {
 		return st, fmt.Errorf("protocol: node %d already left", id)
 	}
 
@@ -800,7 +813,7 @@ func (o *Overlay) Leave(id int) (OpStats, error) {
 
 	// The leaver stops forwarding now, whatever the network does to its
 	// goodbye.
-	n.alive = false
+	o.live[id] = false
 	o.alive--
 	o.Stats.Leaves++
 	o.forgetDrift(int32(id))
@@ -853,7 +866,7 @@ func (o *Overlay) Snapshot() (*tree.Tree, []geom.Point2, []int, error) {
 	newID := make([]int, len(o.nodes))
 	oldID := make([]int, 0, o.alive)
 	for i := range o.nodes {
-		if o.nodes[i].alive {
+		if o.live[i] {
 			newID[i] = len(oldID)
 			oldID = append(oldID, i)
 		} else {
@@ -870,7 +883,7 @@ func (o *Overlay) Snapshot() (*tree.Tree, []geom.Point2, []int, error) {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, c := range o.nodes[v].children {
-			if !o.nodes[c].alive {
+			if !o.live[c] {
 				continue // an unrepaired ghost; its subtree is dark
 			}
 			b.MustAttach(newID[c], newID[v])
@@ -901,7 +914,7 @@ func (o *Overlay) Radius() (float64, error) {
 func (o *Overlay) MaxOutDegreeUsed() int {
 	m := 0
 	for i := range o.nodes {
-		if o.nodes[i].alive && len(o.nodes[i].children) > m {
+		if o.live[i] && len(o.nodes[i].children) > m {
 			m = len(o.nodes[i].children)
 		}
 	}
@@ -927,7 +940,7 @@ func (o *Overlay) Optimize() (OptimizeStats, error) {
 		for idx := 0; idx < grid.CellsInRing(ring); idx++ {
 			cell := grid.CellID(ring, idx)
 			rep := o.reps[cell]
-			if rep < 0 || !o.nodes[rep].alive {
+			if rep < 0 || !o.live[rep] {
 				continue
 			}
 			target := o.properAnchor(ring, idx, rep, &st.Op)
@@ -956,7 +969,7 @@ func (o *Overlay) Optimize() (OptimizeStats, error) {
 	// Pass 2: member re-homing within cells.
 	for cell := range o.members {
 		for _, m := range o.members[cell] {
-			if o.nodes[m].isRep || !o.nodes[m].alive {
+			if o.nodes[m].isRep || !o.live[m] {
 				continue
 			}
 			cur := o.nodes[m].parent
@@ -999,7 +1012,7 @@ func (o *Overlay) Optimize() (OptimizeStats, error) {
 	order := []int32{0}
 	for head := 0; head < len(order); head++ {
 		for _, c := range o.nodes[order[head]].children {
-			if o.nodes[c].alive {
+			if o.live[c] {
 				order = append(order, c)
 			}
 		}
@@ -1115,7 +1128,7 @@ func (o *Overlay) Rebuild() (OpStats, error) {
 	// this is free of messages.
 	for i := 1; i < len(o.nodes); i++ {
 		n := &o.nodes[i]
-		if n.alive {
+		if o.live[i] {
 			continue
 		}
 		n.parent = parentDead
@@ -1128,7 +1141,7 @@ func (o *Overlay) Rebuild() (OpStats, error) {
 	for cell := range o.members {
 		ms := o.members[cell][:0]
 		for _, m := range o.members[cell] {
-			if o.nodes[m].alive {
+			if o.live[m] {
 				ms = append(ms, m)
 			}
 		}
@@ -1145,7 +1158,7 @@ func (o *Overlay) Rebuild() (OpStats, error) {
 	o.bs.SetFlight(o.flight)
 	memberIDs := make([]int32, 0, o.alive-1)
 	for i := 1; i < len(o.nodes); i++ {
-		alive := o.nodes[i].alive
+		alive := o.live[i]
 		if alive {
 			memberIDs = append(memberIDs, int32(i))
 		}
@@ -1239,11 +1252,10 @@ func (o *Overlay) FailAbrupt(id int) error {
 	if id <= 0 || id >= len(o.nodes) {
 		return fmt.Errorf("protocol: no such node %d", id)
 	}
-	n := &o.nodes[id]
-	if !n.alive {
+	if !o.live[id] {
 		return fmt.Errorf("protocol: node %d already gone", id)
 	}
-	n.alive = false
+	o.live[id] = false
 	o.alive--
 	o.Stats.AbruptFailures++
 	o.forgetDrift(int32(id))
@@ -1265,12 +1277,12 @@ func (o *Overlay) DetectAndRepair() (OpStats, error) {
 	defer func() { endOp("") }()
 	for id := 1; id < len(o.nodes); id++ {
 		n := &o.nodes[id]
-		if n.alive || n.parent == parentDead && len(n.children) == 0 {
+		if o.live[id] || n.parent == parentDead && len(n.children) == 0 {
 			continue
 		}
 		// Heartbeat detection: every live child pings and times out.
 		for _, c := range n.children {
-			if o.nodes[c].alive {
+			if o.live[c] {
 				st.Messages++
 			}
 		}
@@ -1290,7 +1302,7 @@ func (o *Overlay) Ghosts() int {
 	inMembers := make(map[int32]bool)
 	for cell := range o.members {
 		for _, m := range o.members[cell] {
-			if !o.nodes[m].alive {
+			if !o.live[m] {
 				inMembers[m] = true
 			}
 		}
@@ -1298,7 +1310,7 @@ func (o *Overlay) Ghosts() int {
 	ghosts := 0
 	for id := 1; id < len(o.nodes); id++ {
 		n := &o.nodes[id]
-		if n.alive {
+		if o.live[id] {
 			continue
 		}
 		if n.parent != parentDead || len(n.children) > 0 || inMembers[int32(id)] {

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -244,9 +245,7 @@ func (o *Overlay) encodeTo(e *snapshot.Encoder, putPt core.PointEncoder) {
 	for i := range o.nodes {
 		e.Float64(o.nodes[i].delay)
 	}
-	for i := range o.nodes {
-		e.Bool(o.nodes[i].alive)
-	}
+	e.Bools(o.live)
 	for i := range o.nodes {
 		e.Bool(o.nodes[i].isRep)
 	}
@@ -288,6 +287,40 @@ func (o *Overlay) encodeTo(e *snapshot.Encoder, putPt core.PointEncoder) {
 	for _, f := range statsFields(&o.Stats) {
 		e.Int(*f)
 	}
+}
+
+// encodedSizeBound returns an upper bound on the payload encodeTo writes
+// with raw positions: fixed-width columns count exactly and every varint
+// counts at its widest, binary.MaxVarintLen64. A checkpoint allocates its
+// one buffer from it.
+func (o *Overlay) encodedSizeBound() int {
+	const v, f, pt = binary.MaxVarintLen64, 8, 16
+	const faults = 3*v + 4*f // encodeFaultConfig
+	const admission = f + 2*v
+	// Config, operative fault tuning and operative admission.
+	size := pt + f + 2*v + faults + admission + (2*v + 2*f) + (3*v + len(o.cfg.Snapshot.Path)) + faults + admission
+	// Per-node columns: position, polar, cell, parent, child count, delay
+	// and three flags; then the flattened children and the two sparse
+	// detector counters, one (id, value) pair per nonzero entry.
+	size += v + len(o.nodes)*(pt+2*f+3*4+f+3) + 2*v
+	for i := range o.nodes {
+		n := &o.nodes[i]
+		size += 4 * len(n.children)
+		if n.susp != 0 {
+			size += 2 * v
+		}
+		if n.pmiss != 0 {
+			size += 2 * v
+		}
+	}
+	// Membership, representatives, partition sides, admission queue.
+	size += v + snapshot.Int32ListsLen(o.members) + v + 4*len(o.reps) + v
+	size += f + v + pt*len(o.pending)
+	size += o.bs.EncodedSizeBound() + 1 + v
+	if o.drift != nil {
+		size += o.drift.EncodedSizeBound()
+	}
+	return size + v*len(statsFields(&o.Stats))
 }
 
 // decodeOverlay reads a session written by encodeTo and validates every
@@ -355,7 +388,7 @@ func decodeOverlay(d *snapshot.Decoder, getPt core.PointDecoder) (*Overlay, erro
 	d.Fixed32sInto(parents)
 	children := d.Int32Lists(nnodes)
 	delays := d.Float64s(nnodes)
-	aliveCol := d.Bools(nnodes)
+	live := d.Bools(nnodes)
 	isRepCol := d.Bools(nnodes)
 	decodeSparseInts(d, nnodes, func(i, v int) { nodes[i].susp = v })
 	decodeSparseInts(d, nnodes, func(i, v int) { nodes[i].pmiss = v })
@@ -368,7 +401,6 @@ func decodeOverlay(d *snapshot.Decoder, getPt core.PointDecoder) (*Overlay, erro
 			n.parent = parents[i]
 			n.children = children[i]
 			n.delay = delays[i]
-			n.alive = aliveCol[i]
 			n.isRep = isRepCol[i]
 			n.isCoord = isCoordCol[i]
 		}
@@ -426,7 +458,10 @@ func decodeOverlay(d *snapshot.Decoder, getPt core.PointDecoder) (*Overlay, erro
 	if nnodes < 1 {
 		return corrupt("no source node")
 	}
-	if nodes[0].parent != parentNone || !nodes[0].alive {
+	if len(live) != nnodes {
+		return corrupt("liveness column of %d entries for %d nodes", len(live), nnodes)
+	}
+	if nodes[0].parent != parentNone || !live[0] {
 		return corrupt("source node not rooted and alive")
 	}
 	if ncells != g.NumCells() || len(reps) != g.NumCells() {
@@ -436,7 +471,7 @@ func decodeOverlay(d *snapshot.Decoder, getPt core.PointDecoder) (*Overlay, erro
 	alive := 0
 	for i := range nodes {
 		n := &nodes[i]
-		if n.alive {
+		if live[i] {
 			alive++
 		}
 		if n.cell < 0 || int(n.cell) >= ncells {
@@ -477,6 +512,7 @@ func decodeOverlay(d *snapshot.Decoder, getPt core.PointDecoder) (*Overlay, erro
 		cfg:         cfg,
 		g:           g,
 		nodes:       nodes,
+		live:        live,
 		members:     members,
 		reps:        reps,
 		alive:       alive,
@@ -499,6 +535,19 @@ func decodeOverlay(d *snapshot.Decoder, getPt core.PointDecoder) (*Overlay, erro
 	return o, nil
 }
 
+// checkpoint crosses the "snapshot/encode" kill point, then encodes the
+// session into one sealed overlay envelope: the payload is written in
+// place into a buffer allocated once from encodedSizeBound, and sealed
+// there. WriteSnapshot and SnapshotToFile both write what it returns.
+func (o *Overlay) checkpoint() ([]byte, error) {
+	if err := o.killpoint("snapshot/encode"); err != nil {
+		return nil, err
+	}
+	env := snapshot.NewEnvelope(o.encodedSizeBound())
+	o.encodeTo(&env.Encoder, nil)
+	return env.Seal(snapshot.KindOverlay), nil
+}
+
 // WriteSnapshot serializes the session into w as one sealed envelope.
 // Encoding is deterministic: the same state always produces the same
 // bytes. The envelope is written in two halves around the
@@ -507,12 +556,10 @@ func decodeOverlay(d *snapshot.Decoder, getPt core.PointDecoder) (*Overlay, erro
 // recovery suite degrades from. Counted in Stats.SnapshotWrites only
 // after the write completes.
 func (o *Overlay) WriteSnapshot(w io.Writer) error {
-	if err := o.killpoint("snapshot/encode"); err != nil {
+	blob, err := o.checkpoint()
+	if err != nil {
 		return err
 	}
-	var e snapshot.Encoder
-	o.encodeTo(&e, nil)
-	blob := snapshot.Seal(snapshot.KindOverlay, e.Bytes())
 	half := len(blob) / 2
 	if _, err := w.Write(blob[:half]); err != nil {
 		return err
@@ -535,12 +582,10 @@ func (o *Overlay) WriteSnapshot(w io.Writer) error {
 // on disk without the atomic discipline — so the recovery suite can prove
 // the checksum catches it.
 func (o *Overlay) SnapshotToFile(path string, keep int) error {
-	if err := o.killpoint("snapshot/encode"); err != nil {
+	blob, err := o.checkpoint()
+	if err != nil {
 		return err
 	}
-	var e snapshot.Encoder
-	o.encodeTo(&e, nil)
-	blob := snapshot.Seal(snapshot.KindOverlay, e.Bytes())
 	if err := snapshot.Rotate(path, keep); err != nil {
 		return err
 	}
@@ -603,7 +648,8 @@ func readAll(r io.Reader) ([]byte, error) {
 // reconstructs the session: a byte-identical re-encoder of the recorded
 // state, resuming MaintenanceRound at the recorded round. Torn or corrupt
 // input fails with an error wrapping snapshot.ErrCorrupt — never a panic —
-// so a coordinator can degrade to a cold rebuild from member reports.
+// so a coordinator can degrade to a cold rebuild from member reports; an
+// intact snapshot of another format version wraps snapshot.ErrVersion.
 //
 // The restored session has no transport, registry, recorder, or kill plan
 // attached; reattach them (SetTransport, Observe, Trace, SetFlight,
@@ -805,7 +851,7 @@ func (o *Overlay) Restart(id int) (OpStats, error) {
 		return st, fmt.Errorf("protocol: no such node %d", id)
 	}
 	n := &o.nodes[id]
-	if n.alive {
+	if o.live[id] {
 		return st, fmt.Errorf("protocol: node %d is already alive", id)
 	}
 	endOp := o.beginOp("protocol/restart", int32(id), "")
@@ -859,7 +905,7 @@ func (o *Overlay) Restart(id int) (OpStats, error) {
 // finishRestart marks the restarted node live again and books the rejoin.
 func (o *Overlay) finishRestart(id int32, st *OpStats) {
 	n := &o.nodes[id]
-	n.alive = true
+	o.live[id] = true
 	o.members[n.cell] = append(o.members[n.cell], id)
 	o.alive++
 	o.refreshDelays(id) // surviving orphans rode back in under the node

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"omtree/internal/coords"
@@ -419,7 +420,7 @@ func TestRestartRejoinAccounting(t *testing.T) {
 	// Pick a mid-tree victim with children so cleanup has real work.
 	victim := -1
 	for i := 1; i < len(o.nodes); i++ {
-		if o.nodes[i].alive && len(o.nodes[i].children) > 0 && o.nodes[i].parent >= 0 {
+		if o.live[i] && len(o.nodes[i].children) > 0 && o.nodes[i].parent >= 0 {
 			victim = i
 			break
 		}
@@ -435,8 +436,8 @@ func TestRestartRejoinAccounting(t *testing.T) {
 	if _, err := o.Restart(victim); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if !o.nodes[victim].alive || o.N() != n {
-		t.Fatalf("restart did not revive: alive=%v N=%d want %d", o.nodes[victim].alive, o.N(), n)
+	if !o.live[victim] || o.N() != n {
+		t.Fatalf("restart did not revive: alive=%v N=%d want %d", o.live[victim], o.N(), n)
 	}
 	if err := o.Audit(); err != nil {
 		t.Fatalf("audit after restart: %v", err)
@@ -454,7 +455,7 @@ func TestRestartRejoinAccounting(t *testing.T) {
 	// and the ghost's stale wiring is cleaned, not duplicated.
 	ghost := -1
 	for i := 1; i < len(o.nodes); i++ {
-		if o.nodes[i].alive && o.nodes[i].parent >= 0 && i != victim {
+		if o.live[i] && o.nodes[i].parent >= 0 && i != victim {
 			ghost = i
 			break
 		}
@@ -675,5 +676,56 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if !bytes.Equal(reencode(o), data) {
 			t.Fatal("decode/encode round trip not byte-identical")
 		}
+		// The checkpoint buffer is sized from this bound; it is only a
+		// hint, but one below the payload would cost every write a regrow.
+		_, payload, _ := snapshot.Open(data)
+		if bound := o.encodedSizeBound(); bound < len(payload) {
+			t.Fatalf("size bound %d below the %d-byte payload", bound, len(payload))
+		}
 	})
+}
+
+// byteCounter is an io.Writer that keeps only the number of bytes written.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
+}
+
+// TestCheckpointAllocation: one WriteSnapshot of a 20k-member drifting,
+// lossy session allocates at most 1.5x the blob it writes. The payload is
+// encoded in place into one buffer sized from encodedSizeBound and sealed
+// there; growing it by appends and copying it into a second buffer to seal
+// allocated several times the blob.
+func TestCheckpointAllocation(t *testing.T) {
+	o := driftSession(t, 20000, 23,
+		DriftConfig{ReestimatePeriod: 2, DegradationThreshold: 1.05, Policy: RepairLocal},
+		coords.DriftConfig{Seed: 23, JumpRate: 0.01, JumpMean: 0.15, InflationPerEpoch: 0.05, Bound: 0.99})
+	plane, err := faultplane.New(faultplane.Scenario{Seed: 23, LossRate: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.SetTransport(plane, DefaultFaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ { // populate detector counters and drift state
+		if _, err := o.MaintenanceRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var blob byteCounter
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err = o.WriteSnapshot(&blob)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("blob %d B, allocated %d B (%.2fx), size bound %d B", blob, alloc, float64(alloc)/float64(blob), o.encodedSizeBound())
+	if float64(alloc) > 1.5*float64(blob) {
+		t.Fatalf("WriteSnapshot allocated %d B for a %d B blob (%.2fx > 1.5x)", alloc, blob, float64(alloc)/float64(blob))
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"omtree/internal/geom"
 	"omtree/internal/grid"
 	"omtree/internal/invariant"
+	"omtree/internal/obs"
 	"omtree/internal/obs/trace"
 )
 
@@ -217,7 +218,7 @@ func (o *Overlay) exchangeN(from, to int32, maxAttempts int, st *OpStats) bool {
 
 // nodeAlive reports whether id is a live endpoint (the source always is).
 func (o *Overlay) nodeAlive(id int32) bool {
-	return id == 0 || (id > 0 && int(id) < len(o.nodes) && o.nodes[id].alive)
+	return id == 0 || (id > 0 && int(id) < len(o.nodes) && o.live[id])
 }
 
 // crash kills a node mid-operation — fault injection, not a graceful
@@ -227,11 +228,10 @@ func (o *Overlay) crash(id int32) {
 	if id <= 0 || int(id) >= len(o.nodes) {
 		return
 	}
-	n := &o.nodes[id]
-	if !n.alive {
+	if !o.live[id] {
 		return
 	}
-	n.alive = false
+	o.live[id] = false
 	o.alive--
 	o.Stats.InjectedCrashes++
 	o.forgetDrift(id)
@@ -290,6 +290,9 @@ func (o *Overlay) MaintenanceRound() (MaintenanceStats, error) {
 	o.Stats.MaintenanceRounds++
 	endOp := o.beginOp("protocol/maintenance", -1, "")
 	defer func() { endOp("confirmed=" + strconv.Itoa(ms.NewlyConfirmed)) }()
+	sp := resolveRoundSpans(o.reg)
+	led := roundLedger{total: sp.total.Start(), phase: sp.detector.Start()}
+	defer led.end()
 
 	// Phase 0: advance the transport's virtual round clock (scheduled
 	// partition events fire here), note split/heal transitions on the
@@ -318,7 +321,7 @@ func (o *Overlay) MaintenanceRound() (MaintenanceStats, error) {
 		if a == b || a < 0 || b < 0 {
 			return false
 		}
-		an, bn := o.nodes[a].alive, o.nodes[b].alive
+		an, bn := o.live[a], o.live[b]
 		if !an && !bn {
 			return false // no live endpoint left to observe this link
 		}
@@ -347,7 +350,7 @@ func (o *Overlay) MaintenanceRound() (MaintenanceStats, error) {
 			// silence counter that drives partition detection.
 			if probe(int32(id), p) {
 				o.nodes[id].pmiss = 0
-			} else if o.nodes[id].alive {
+			} else if o.live[id] {
 				o.nodes[id].pmiss++
 			}
 		}
@@ -375,7 +378,7 @@ func (o *Overlay) MaintenanceRound() (MaintenanceStats, error) {
 			if n.susp == o.fcfg.SuspectAfter {
 				ms.NewlySuspected++
 				o.emit("protocol/suspect", int32(id), -1, "")
-				if n.alive {
+				if o.live[id] {
 					o.Stats.FalseSuspects++
 				}
 			}
@@ -394,7 +397,7 @@ func (o *Overlay) MaintenanceRound() (MaintenanceStats, error) {
 		if n.susp < o.fcfg.ConfirmAfter {
 			continue
 		}
-		if n.alive {
+		if o.live[id] {
 			if n.isCoord {
 				continue // a known island root; the partition phase owns it
 			}
@@ -413,6 +416,7 @@ func (o *Overlay) MaintenanceRound() (MaintenanceStats, error) {
 		}
 	}
 
+	led.next(sp.partition)
 	// Phase 3b: partition handling — heal detection and reconciliation
 	// for existing islands, degraded-mode cutover for subtrees that lost
 	// the root side, island merging. A returned error is a scheduled kill
@@ -421,6 +425,7 @@ func (o *Overlay) MaintenanceRound() (MaintenanceStats, error) {
 		return ms, err
 	}
 
+	led.next(sp.elect)
 	// Phase 4: elect representatives for cells that lost theirs (a failed
 	// election, or a joiner that could not reach its anchor).
 	for cell := 1; cell < len(o.members); cell++ {
@@ -432,21 +437,37 @@ func (o *Overlay) MaintenanceRound() (MaintenanceStats, error) {
 		}
 	}
 
+	led.next(sp.kinetic)
 	// Phase 4b: kinetic drift — epoch tick, periodic coordinate
-	// re-estimation, certificate monitoring, and policy-driven repair
-	// (no-op without an attached drift model).
-	if err := o.driftPhase(&ms, st); err != nil {
+	// re-estimation and policy-driven repair (no-op without an attached
+	// drift model).
+	armed, err := o.driftPhase(&ms, st, sp.rebuild)
+	if err != nil {
 		return ms, err
 	}
 
-	// Phase 5: degradation accounting — live members still dark.
-	ms.Orphaned = o.alive - o.reachableAlive()
+	led.next(sp.walk)
+	// Phase 5: the round's one walk over the live tree. It counts the live
+	// members still dark and, while the drift loop holds an armed
+	// certificate, measures the certificate ratio. Nothing moves the tree
+	// after the drift phase, so this is the tree its repair left.
+	reach, radius := o.liveWalk()
+	ms.Orphaned = o.alive - reach
+	if armed {
+		ms.CertRatio = o.ratioOf(radius)
+		if o.reg != nil {
+			o.reg.Gauge("protocol/certificate_ratio").Set(ms.CertRatio)
+			o.reg.Gauge("protocol/drifted_nodes").Set(float64(o.Stats.DriftedNodes))
+		}
+	}
 	o.Stats.OrphanNodeRounds += ms.Orphaned
 	o.Stats.MaintenanceMessages += st.Messages
 	if o.reg != nil {
 		o.reg.Gauge("protocol/islands").Set(float64(ms.Islands))
 		o.reg.Gauge("protocol/pending_joins").Set(float64(len(o.pending)))
 	}
+
+	led.next(sp.flight)
 	// Phase 6: flight sampling — the round clock ticks once per sweep, after
 	// every gauge above reflects this round, so the sample sees a consistent
 	// end-of-round view. Sessions inside a GroupSet sample through the set's
@@ -454,12 +475,54 @@ func (o *Overlay) MaintenanceRound() (MaintenanceStats, error) {
 	if !o.flightShared {
 		o.flight.Tick()
 	}
+
+	led.next(sp.snapshot)
 	// Phase 7: scheduled snapshots — the round is complete, so the encoded
 	// state is exactly the end-of-round checkpoint a restore resumes from.
 	if err := o.maybeAutoSnapshot(); err != nil {
 		return ms, err
 	}
 	return ms, nil
+}
+
+// roundSpans are the handles of a maintenance round's ledger: the
+// protocol/maintenance span, the top-level round/* spans that tile it
+// phase by phase, and round/kinetic/rebuild nested under the kinetic
+// phase around repair rebuilds. MaintenanceRound resolves them once per
+// round; on a nil or disabled registry every handle is inert.
+type roundSpans struct {
+	total, detector, partition, elect, kinetic, rebuild, walk, flight, snapshot obs.SpanHandle
+}
+
+func resolveRoundSpans(reg *obs.Registry) roundSpans {
+	return roundSpans{
+		total:     reg.ResolveSpan("protocol/maintenance"),
+		detector:  reg.ResolveSpan("round/detector"),
+		partition: reg.ResolveSpan("round/partition"),
+		elect:     reg.ResolveSpan("round/elect"),
+		kinetic:   reg.ResolveSpan("round/kinetic"),
+		rebuild:   reg.ResolveSpan("round/kinetic/rebuild"),
+		walk:      reg.ResolveSpan("round/walk"),
+		flight:    reg.ResolveSpan("round/flight"),
+		snapshot:  reg.ResolveSpan("round/snapshot"),
+	}
+}
+
+// roundLedger times one round: the running total span and the current
+// phase's span, which next closes as it opens the following phase, so the
+// phases tile the total without overlap.
+type roundLedger struct {
+	total, phase obs.Span
+}
+
+func (l *roundLedger) next(h obs.SpanHandle) {
+	l.phase.End()
+	l.phase = h.Start()
+}
+
+func (l *roundLedger) end() {
+	l.phase.End()
+	l.total.End()
 }
 
 // Converge runs maintenance rounds until the overlay passes the full audit
@@ -512,7 +575,7 @@ func (o *Overlay) repairDead(id int32, st *OpStats) bool {
 	// with room; an orphan whose handshake fails stays put for next round.
 	var kept []int32
 	for _, c := range n.children {
-		if !o.nodes[c].alive {
+		if !o.live[c] {
 			// A dead child becomes a floating root of its own cleanup; its
 			// live descendants' probes keep its confirmation advancing.
 			o.nodes[c].parent = parentNone
@@ -541,7 +604,7 @@ func (o *Overlay) repairDead(id int32, st *OpStats) bool {
 // failed — the orphan stays where it is and retries next round.
 func (o *Overlay) adoptOrphan(c, anchor int32, st *OpStats) bool {
 	target := anchor
-	for target > 0 && (!o.nodes[target].alive || o.residual(target) == 0) {
+	for target > 0 && (!o.live[target] || o.residual(target) == 0) {
 		st.Messages++
 		target = o.nodes[target].parent
 	}
@@ -571,7 +634,7 @@ func (o *Overlay) adoptOrphan(c, anchor int32, st *OpStats) bool {
 // fails it stays put, returns false, and the next round retries. The tree
 // is never corrupted either way.
 func (o *Overlay) rejoinEvicted(id int32, st *OpStats) bool {
-	if p := o.nodes[id].parent; p >= 0 && o.nodes[p].alive && o.exchange(id, p, st) {
+	if p := o.nodes[id].parent; p >= 0 && o.live[p] && o.exchange(id, p, st) {
 		return true // re-admitted in place
 	}
 	cand := o.descendParent(o.nodes[id].pos, o.residual, st)
@@ -598,7 +661,7 @@ func (o *Overlay) electRep(cell int32, st *OpStats) bool {
 	center := geom.Polar{R: seg.RMin, Theta: seg.MidTheta()}
 	best, bestD := int32(-1), math.Inf(1)
 	for _, m := range o.members[cell] {
-		if !o.nodes[m].alive {
+		if !o.live[m] {
 			continue
 		}
 		if convener < 0 {
@@ -636,29 +699,11 @@ func (o *Overlay) removeMember(cell, id int32) {
 // cellHasLiveMember reports whether any member of the cell is alive.
 func (o *Overlay) cellHasLiveMember(cell int32) bool {
 	for _, m := range o.members[cell] {
-		if o.nodes[m].alive {
+		if o.live[m] {
 			return true
 		}
 	}
 	return false
-}
-
-// reachableAlive counts live nodes reachable from the source over live
-// links — the set a multicast packet would cover right now.
-func (o *Overlay) reachableAlive() int {
-	reach := 0
-	stack := []int32{0}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		reach++
-		for _, c := range o.nodes[v].children {
-			if o.nodes[c].alive {
-				stack = append(stack, c)
-			}
-		}
-	}
-	return reach
 }
 
 // CoverageRatio returns the fraction of live members (including the
@@ -669,7 +714,8 @@ func (o *Overlay) CoverageRatio() float64 {
 	if o.alive == 0 {
 		return 0
 	}
-	return float64(o.reachableAlive()) / float64(o.alive)
+	reach, _ := o.liveWalk()
+	return float64(reach) / float64(o.alive)
 }
 
 // Audit independently re-verifies the whole overlay. First the wired

@@ -9,13 +9,16 @@
 //     deterministic — the same logical state always produces the same
 //     bytes — and decoding is bounds-checked so arbitrary corrupt input
 //     returns an error instead of panicking or over-allocating.
-//   - Seal/Open: the file envelope. A 14-byte header (magic "OMTS",
-//     format version, payload kind, payload length) followed by the
-//     payload and a CRC32-C (Castagnoli) checksum over header+payload —
+//   - Envelope/Seal/Open: the file envelope. A 14-byte header (magic
+//     "OMTS", format version, payload kind, payload length) followed by
+//     the payload and a CRC32-C (Castagnoli) checksum over header+payload —
 //     hardware-accelerated on amd64/arm64, so verifying a 100k-node
-//     snapshot costs well under a millisecond. Open verifies all of it
-//     and wraps every failure in ErrCorrupt so callers can degrade to a
-//     cold rebuild-from-member-reports.
+//     snapshot costs well under a millisecond. An Envelope encodes the
+//     payload straight into that frame and seals it in place. Open
+//     verifies all of it and wraps every framing or checksum failure in
+//     ErrCorrupt, so callers can degrade to a cold rebuild from member
+//     reports; an intact envelope of another format version is
+//     ErrVersion instead.
 //   - WriteFileAtomic/Rotate (file.go): crash-safe on-disk placement.
 //
 // Payload layouts live next to the state they serialize (core.BuildState,
@@ -39,7 +42,7 @@ const (
 )
 
 // Version is the current snapshot format version. Open rejects files
-// written by a newer format rather than misreading them.
+// written by another format (ErrVersion) rather than misreading them.
 const Version = 1
 
 const magic = "OMTS"
@@ -47,36 +50,65 @@ const magic = "OMTS"
 // headerLen = magic(4) + version(1) + kind(1) + payloadLen(8).
 const headerLen = 14
 
-// ErrCorrupt is the sentinel wrapped by every Open failure: bad magic,
-// unknown version, truncated file, length mismatch, or checksum mismatch.
-// Callers test with errors.Is and fall back to a cold rebuild.
+// ErrCorrupt is the sentinel wrapped by every Open failure of framing or
+// integrity: bad magic, truncated file, length mismatch, or checksum
+// mismatch. Callers test with errors.Is and fall back to a cold rebuild.
 var ErrCorrupt = errors.New("snapshot: corrupt or truncated")
+
+// ErrVersion is wrapped by Open when an intact envelope — framing and
+// checksum verified — was written by another format version, such as a
+// newer build's. It does not wrap ErrCorrupt: the file is whole, this
+// build just cannot read it.
+var ErrVersion = errors.New("snapshot: unsupported format version")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Seal wraps payload in the envelope: header, payload, CRC32-C trailer.
-func Seal(kind byte, payload []byte) []byte {
-	out := make([]byte, 0, headerLen+len(payload)+4)
-	out = append(out, magic...)
-	out = append(out, Version, kind)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	sum := crc32.Checksum(out, crcTable)
-	out = binary.LittleEndian.AppendUint32(out, sum)
-	return out
+// Envelope is an Encoder that writes its payload straight into a sealed
+// envelope: the header bytes are reserved at the front of its buffer, and
+// Seal fills them in and appends the checksum in place, so the payload is
+// never copied into a second buffer.
+type Envelope struct {
+	Encoder
 }
 
-// Open verifies the envelope and returns the payload kind and bytes.
-// Every failure wraps ErrCorrupt. The returned payload aliases data.
+// NewEnvelope returns an Envelope whose buffer is allocated once, with room
+// for sizeHint payload bytes plus the header and checksum. The hint only
+// sizes the buffer: a payload that outgrows it costs a regrow, one that
+// falls short of it costs the slack, and neither changes a byte.
+func NewEnvelope(sizeHint int) *Envelope {
+	return &Envelope{Encoder{buf: make([]byte, headerLen, headerLen+sizeHint+4)}}
+}
+
+// Seal fills in the header for a payload of the given kind, appends the
+// CRC32-C trailer and returns the sealed envelope, which aliases the
+// Envelope's buffer. Write nothing more to the Envelope afterwards.
+func (e *Envelope) Seal(kind byte) []byte {
+	b := e.buf
+	copy(b, magic)
+	b[4], b[5] = Version, kind
+	binary.LittleEndian.PutUint64(b[6:headerLen], uint64(len(b)-headerLen))
+	e.buf = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+	return e.buf
+}
+
+// Seal wraps an already encoded payload in the envelope: header, payload,
+// CRC32-C trailer.
+func Seal(kind byte, payload []byte) []byte {
+	e := NewEnvelope(len(payload))
+	e.Raw(payload)
+	return e.Seal(kind)
+}
+
+// Open verifies the envelope and returns the payload kind and bytes. A
+// framing or checksum failure wraps ErrCorrupt; an intact envelope of
+// another format version wraps ErrVersion. The returned payload aliases
+// data.
 func Open(data []byte) (kind byte, payload []byte, err error) {
 	if len(data) < headerLen+4 {
 		return 0, nil, fmt.Errorf("%w: %d bytes is shorter than the minimal envelope", ErrCorrupt, len(data))
 	}
 	if string(data[:4]) != magic {
 		return 0, nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:4])
-	}
-	if data[4] != Version {
-		return 0, nil, fmt.Errorf("%w: format version %d (this build reads %d)", ErrCorrupt, data[4], Version)
 	}
 	kind = data[5]
 	n := binary.LittleEndian.Uint64(data[6:14])
@@ -87,6 +119,11 @@ func Open(data []byte) (kind byte, payload []byte, err error) {
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.Checksum(body, crcTable); got != want {
 		return 0, nil, fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrCorrupt, want, got)
+	}
+	// Only an envelope that arrived whole can be told apart from a torn
+	// one, so the version is judged last.
+	if data[4] != Version {
+		return 0, nil, fmt.Errorf("%w: envelope written by format version %d; this build reads version %d", ErrVersion, data[4], Version)
 	}
 	return kind, data[headerLen : len(data)-4], nil
 }
@@ -173,6 +210,16 @@ func (e *Encoder) Int32Lists(lists [][]int32) {
 			e.Fixed32(v)
 		}
 	}
+}
+
+// Int32ListsLen returns the exact number of bytes Int32Lists writes for
+// lists, for payload sections that bound their encoded size up front.
+func Int32ListsLen(lists [][]int32) int {
+	n := 4 * len(lists)
+	for _, l := range lists {
+		n += 4 * len(l)
+	}
+	return n
 }
 
 // Float64s appends every element as a fixed 8-byte word, with no length

@@ -474,6 +474,9 @@ var (
 	// or semantic validation (errors.Is-matchable through every restore
 	// path; torn writes land here, never in a panic).
 	ErrSnapshotCorrupt = snapshot.ErrCorrupt
+	// ErrSnapshotVersion reports an intact snapshot written by another
+	// format version (a newer build's, say), as opposed to a torn one.
+	ErrSnapshotVersion = snapshot.ErrVersion
 )
 
 // Fault-injection types (see internal/faultplane): a deterministic
