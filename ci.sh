@@ -4,8 +4,8 @@
 # that guards the parallel build pipeline and the shared multi-group
 # substrate, and short fuzz smokes over the codec, tree-validation walk,
 # fault-schedule, partition-schedule, drift-schedule, incremental-rebuild,
-# multi-group, SLO-rule, snapshot round-trip, and grid cell-classifier
-# fuzzers. `ci.sh bench` runs the benchmark regression gate instead.
+# multi-group, SLO-rule, snapshot round-trip (overlay and shared-state
+# group), and grid cell-classifier fuzzers. `ci.sh bench` runs the benchmark regression gate instead.
 set -eu
 
 cd "$(dirname "$0")"
@@ -100,6 +100,7 @@ go test -run='^$' -fuzz='^FuzzPartitionSchedule$' -fuzztime=10s ./internal/proto
 go test -run='^$' -fuzz='^FuzzDriftSchedule$' -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz='^FuzzIncrementalRebuild$' -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz='^FuzzMultiGroup$' -fuzztime=10s ./internal/multigroup
+go test -run='^$' -fuzz='^FuzzGroupSnapshotRoundTrip$' -fuzztime=10s ./internal/multigroup
 go test -run='^$' -fuzz='^FuzzSLORules$' -fuzztime=10s ./internal/obs/flight
 go test -run='^$' -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz='^FuzzCellOf$' -fuzztime=10s ./internal/grid

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
+	"omtree/internal/bisect"
 	"omtree/internal/geom"
 	"omtree/internal/grid"
 	"omtree/internal/obs"
@@ -14,10 +16,10 @@ import (
 )
 
 // BuildState is the incremental counterpart of Build2: it retains the grid
-// geometry, the per-cell membership lists, the cell assignments and the
-// parent array of the last build, so that a rebuild after churn only has to
-// re-run representative selection and wiring for the cells whose membership
-// changed (plus their ancestor chain, whose core edges may move). The
+// geometry, the per-cell membership lists and the parent array of the last
+// build, so that a rebuild after churn only has to re-run representative
+// selection and wiring for the cells whose membership changed (plus their
+// ancestor chain, whose core edges may move). The
 // result is always byte-identical to a from-scratch Build2 over the current
 // membership — the differential and fuzz suites enforce this — because all
 // wiring decisions are functions of per-cell membership and geometry only:
@@ -35,10 +37,16 @@ import (
 // a SlotGeometry. NewBuildState owns its geometry and grows it per Add;
 // NewBuildStateShared borrows one read-only — the multi-group substrate
 // builds one per source and lends it to every group rooted there — and the
-// state then only ever writes its private membership arrays. All remaining
+// state then only ever writes its private membership. All remaining
 // per-group cell state is copy-on-write with respect to the retained build:
 // rebuilds copy a cell's member list into scratch before the wiring
 // permutes it, and only dirty cells' retained state is touched at all.
+//
+// What the state holds is sized by its members, not by its slot universe
+// (DESIGN.md §2g): membership is one bit per slot with a rank index, and the
+// last build's parents sit in a dense array in that build's node order. A
+// member's cell is never stored; Remove re-derives it from the position,
+// which cannot change while the slot is live.
 //
 // The incremental path falls back to a full rebuild whenever the cheap
 // exactness conditions fail:
@@ -60,8 +68,8 @@ type BuildState struct {
 	geo    *SlotGeometry // slot positions + polars; read-only when shared
 	shared bool          // borrowed geometry: Add/Move are forbidden, AddSlot is the entry
 
-	present []bool // slot -> currently a member
-	n       int    // live receiver slots
+	live slotSet // slot -> currently a member; slot 0 (the source) always
+	n    int     // live receiver slots
 
 	scale float64
 	k     int
@@ -69,9 +77,14 @@ type BuildState struct {
 	g1    grid.PolarGrid // depth k+1, for growth detection
 
 	members [][]int32 // cell -> live slots, ascending
-	cellOf  []int32   // slot -> cell
 	reps    []int32   // cell -> representative slot, -1 if empty (reps[0] = -1)
-	parent  []int32   // slot -> parent slot; the wiring sink's array
+
+	// The last build's wiring in its node order: node i >= 1 is slot
+	// wired[i-1] (ascending), and parent[i] is that node's parent as a slot
+	// (parent[0] = tree.NoParent). Parents stay slots so that an incremental
+	// rebuild carries retained entries over to new node ids unchanged.
+	wired  []int32
+	parent []int32
 
 	cnt1   []int32 // depth-k+1 interior cell populations
 	emptyK int     // empty interior cells at depth k
@@ -84,6 +97,11 @@ type BuildState struct {
 	cert Certificate // eq. 7 certificate of the last completed rebuild
 
 	last *Result // cache: valid until the next Add/Remove/Move
+
+	// legacy holds the cell and parent columns of a decoded checkpoint that
+	// the layout above does not reproduce; EncodeTo writes them verbatim
+	// until the first mutation drops them (see decodeBuildState).
+	legacy *legacyColumns
 }
 
 // NewBuildState returns an empty incremental build around the given source.
@@ -99,9 +117,7 @@ func NewBuildState(source geom.Point2, opts ...Option) (*BuildState, error) {
 		return nil, err
 	}
 	s.geo = &SlotGeometry{source: source, pts: []geom.Polar{{}}}
-	s.present = []bool{true}
-	s.cellOf = []int32{0}
-	s.parent = []int32{tree.NoParent}
+	s.live = newSlotSet(1)
 	return s, nil
 }
 
@@ -109,7 +125,8 @@ func NewBuildState(source geom.Point2, opts ...Option) (*BuildState, error) {
 // which must stay immutable for the state's lifetime. Membership changes go
 // through AddSlot/Remove; Add and Move (which would write positions) panic.
 // Any number of states — one per multicast group — may borrow one geometry
-// concurrently, each paying only for its private membership arrays.
+// concurrently, each paying for one membership bit per slot and otherwise
+// only for its members.
 func NewBuildStateShared(geo *SlotGeometry, opts ...Option) (*BuildState, error) {
 	if geo == nil {
 		return nil, fmt.Errorf("core: NewBuildStateShared needs a geometry")
@@ -119,16 +136,7 @@ func NewBuildStateShared(geo *SlotGeometry, opts ...Option) (*BuildState, error)
 		return nil, err
 	}
 	s.geo, s.shared = geo, true
-	slots := geo.Slots()
-	s.present = make([]bool, slots)
-	s.present[0] = true
-	s.cellOf = make([]int32, slots)
-	s.parent = make([]int32, slots)
-	for i := 1; i < slots; i++ {
-		s.cellOf[i] = -1
-		s.parent[i] = unattachedNode
-	}
-	s.parent[0] = tree.NoParent
+	s.live = newSlotSet(geo.Slots())
 	return s, nil
 }
 
@@ -152,7 +160,7 @@ func (s *BuildState) N() int { return s.n }
 
 // Present reports whether slot is currently a live member.
 func (s *BuildState) Present(slot int) bool {
-	return slot > 0 && slot < len(s.present) && s.present[slot]
+	return slot > 0 && s.live.has(slot)
 }
 
 // SetInstruments (re)attaches the metrics registry and trace recorder used
@@ -169,20 +177,23 @@ func (s *BuildState) SetFlight(fr *flight.Recorder) {
 	s.o.flight = fr
 }
 
-// MemoryBytes estimates the state's private resident size (membership,
-// cell, and parent arrays; the geometry is counted separately, since shared
-// geometries amortize across states).
+// MemoryBytes estimates the state's private resident size: the membership
+// bitset and its rank index, the member lists, the per-cell arrays and the
+// last build's node order and parents. The geometry is counted separately,
+// since shared geometries amortize across states.
 func (s *BuildState) MemoryBytes() int64 {
-	n := int64(len(s.present)) + 4*int64(len(s.cellOf)+len(s.parent)+len(s.reps)+len(s.cnt1))
+	n := s.live.memoryBytes() + 4*int64(cap(s.wired)+cap(s.parent)+len(s.reps)+len(s.cnt1))
 	for _, m := range s.members {
 		n += 4 * int64(cap(m))
+	}
+	if s.legacy != nil {
+		n += 4 * int64(len(s.legacy.cellOf)+len(s.legacy.parent))
 	}
 	return n
 }
 
-// ensureSlot grows the slot-indexed arrays to cover slot. Only an owning
-// state may grow its geometry; a shared state's slots are fixed at
-// construction.
+// ensureSlot grows the membership and an owned geometry to cover slot; a
+// shared state's slots are fixed at construction.
 func (s *BuildState) ensureSlot(slot int) {
 	if s.shared {
 		if slot >= s.geo.Slots() {
@@ -190,13 +201,11 @@ func (s *BuildState) ensureSlot(slot int) {
 		}
 		return
 	}
-	for len(s.present) <= slot {
+	for len(s.geo.pts) <= slot {
 		s.geo.hosts = append(s.geo.hosts, geom.Point2{})
 		s.geo.pts = append(s.geo.pts, geom.Polar{})
-		s.present = append(s.present, false)
-		s.cellOf = append(s.cellOf, -1)
-		s.parent = append(s.parent, unattachedNode)
 	}
+	s.live.grow(len(s.geo.pts))
 }
 
 // Add registers a new member at the given slot with an explicit position.
@@ -210,7 +219,7 @@ func (s *BuildState) Add(slot int, p geom.Point2) {
 		panic(fmt.Sprintf("core: BuildState.Add slot %d out of range", slot))
 	}
 	s.ensureSlot(slot)
-	if s.present[slot] {
+	if s.live.has(slot) {
 		panic(fmt.Sprintf("core: BuildState.Add slot %d already present", slot))
 	}
 	s.geo.hosts[slot-1] = p
@@ -226,22 +235,22 @@ func (s *BuildState) AddSlot(slot int) {
 		panic(fmt.Sprintf("core: BuildState.AddSlot slot %d outside the geometry's %d slots", slot, s.geo.Slots()))
 	}
 	s.ensureSlot(slot)
-	if s.present[slot] {
+	if s.live.has(slot) {
 		panic(fmt.Sprintf("core: BuildState.AddSlot slot %d already present", slot))
 	}
 	s.addLive(slot)
 }
 
 // addLive makes a slot (whose geometry is in place) live, maintaining the
-// incremental bookkeeping.
+// incremental bookkeeping. Before the first build that is one bit.
 func (s *BuildState) addLive(slot int) {
-	c := s.geo.pts[slot]
-	s.present[slot] = true
+	s.live.add(slot)
 	s.n++
-	s.last = nil
+	s.last, s.legacy = nil, nil
 	if !s.built || s.needFull {
 		return
 	}
+	c := s.geo.pts[slot]
 	if !(c.R <= s.scale) {
 		// The grid scale is the outermost radius: it just grew, which moves
 		// every dividing circle (or the radius is NaN, which the full
@@ -251,7 +260,6 @@ func (s *BuildState) addLive(slot int) {
 	}
 	cell := s.g.CellOf(c)
 	s.members[cell] = insertSorted(s.members[cell], int32(slot))
-	s.cellOf[slot] = int32(cell)
 	if ring, _ := grid.RingIdx(cell); ring > 0 && ring < s.k && len(s.members[cell]) == 1 {
 		s.emptyK--
 	}
@@ -267,12 +275,12 @@ func (s *BuildState) addLive(slot int) {
 
 // Remove unregisters the member at the given slot.
 func (s *BuildState) Remove(slot int) {
-	if slot <= 0 || slot >= len(s.present) || !s.present[slot] {
+	if !s.Present(slot) {
 		panic(fmt.Sprintf("core: BuildState.Remove slot %d not present", slot))
 	}
-	s.present[slot] = false
+	s.live.remove(slot)
 	s.n--
-	s.last = nil
+	s.last, s.legacy = nil, nil
 	if !s.built || s.needFull {
 		return
 	}
@@ -283,9 +291,17 @@ func (s *BuildState) Remove(slot int) {
 		s.needFull = true
 		return
 	}
-	cell := int(s.cellOf[slot])
-	s.members[cell] = removeSorted(s.members[cell], int32(slot))
-	s.cellOf[slot] = -1
+	// A live slot's position never changes (Move is Remove then Add), so
+	// the cell it was filed under is the one its position classifies to.
+	// Only a tampered checkpoint files it elsewhere; the full rebuild that
+	// then runs refiles every member.
+	cell := s.g.CellOf(c)
+	list, ok := removeSorted(s.members[cell], int32(slot))
+	if !ok {
+		s.needFull = true
+		return
+	}
+	s.members[cell] = list
 	if ring, _ := grid.RingIdx(cell); ring > 0 && ring < s.k && len(s.members[cell]) == 0 {
 		s.emptyK++
 	}
@@ -326,6 +342,7 @@ func (s *BuildState) Rebuild() (*Result, bool, error) {
 	if s.last != nil {
 		return s.last, false, nil
 	}
+	s.legacy = nil
 	s.o.obs.Gauge("build/workers").Set(1)
 	in := newInstr(s.o, 2, s.n)
 	defer in.finish()
@@ -350,24 +367,12 @@ func (s *BuildState) Rebuild() (*Result, bool, error) {
 	return res, full, nil
 }
 
-// liveSlots returns the live slots in ascending order — the slot -> dense-id
-// mapping of the exported tree.
-func (s *BuildState) liveSlots() []int32 {
-	slots := make([]int32, 0, s.n)
-	for sl := 1; sl < len(s.present); sl++ {
-		if s.present[sl] {
-			slots = append(slots, int32(sl))
-		}
-	}
-	return slots
-}
-
 // rebuildFull reconstructs everything from the slot membership with the
 // pipeline's stages — grid choice, classifier, bucketing and election,
 // wiring — keeping only the slot bookkeeping of its own.
 func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	endConv := in.phase("build/convert")
-	slots := s.liveSlots()
+	slots := s.live.reindex(s.n)
 	pts := s.geo.pts
 	var scale float64
 	for _, sl := range slots {
@@ -419,7 +424,6 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	for c := range s.members {
 		for _, sl := range groups.order[groups.start[c]:groups.start[c+1]] {
 			s.members[c] = append(s.members[c], sl)
-			s.cellOf[sl] = int32(c)
 		}
 	}
 	s.cnt1 = make([]int32, grid.NumCells(k+1))
@@ -438,7 +442,12 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	}
 	endBucket()
 
-	sink := sinkOver(s.parent)
+	// A fresh wiring, in the previous build's buffer when it fits.
+	if cap(s.parent) < len(slots)+1 {
+		s.parent = make([]int32, len(slots)+1)
+	}
+	s.parent, s.wired = unwired(s.parent[:len(slots)+1]), slots
+	sink := &slotSink{live: &s.live, parents: s.parent}
 	endReps := in.phase("build/reps")
 	s.reps = electReps(tallies)
 	endReps()
@@ -447,7 +456,7 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	wireCells(sink, k, groups, s.reps, newConn2(g, pts, sink), s.variant, 1, in)
 	s.built, s.needFull = true, false
 	clear(s.dirty)
-	return s.exportResult(in, res, slots)
+	return s.exportResult(in, res)
 }
 
 // rebuildIncremental re-runs representative selection and wiring for the
@@ -455,6 +464,7 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 // left exactly as the previous build wired them.
 func (s *BuildState) rebuildIncremental(in instr) (*Result, error) {
 	endMark := in.phase("build/dirty")
+	s.carryOver(s.live.reindex(s.n))
 	// Close the dirty set over cell ancestors: a membership change in a cell
 	// can move its representative, which its parent cell attaches; the
 	// parent's rewiring can move the parent's relay choice, and so on up to
@@ -481,7 +491,7 @@ func (s *BuildState) rebuildIncremental(in instr) (*Result, error) {
 	// cells (attached by the affected parent, wired inside the clean child).
 	for _, c := range cells {
 		for _, sl := range s.members[c] {
-			s.parent[sl] = unattachedNode
+			s.parent[s.live.rank(int(sl))] = unattachedNode
 		}
 		ring, idx := grid.RingIdx(c)
 		if ring < s.k {
@@ -491,16 +501,15 @@ func (s *BuildState) rebuildIncremental(in instr) (*Result, error) {
 					continue
 				}
 				if r := s.reps[ch]; r >= 0 {
-					s.parent[r] = unattachedNode
+					s.parent[s.live.rank(int(r))] = unattachedNode
 				}
 			}
 		}
 	}
-	s.parent[0] = tree.NoParent
 	endMark()
 	in.obs.Gauge("build/dirty_cells").Set(float64(len(cells)))
 
-	sink := &parentSink{parents: s.parent}
+	sink := &slotSink{live: &s.live, parents: s.parent}
 	conn := newConn2(s.g, s.geo.pts, sink)
 	endReps := in.phase("build/reps")
 	for _, c := range cells {
@@ -519,26 +528,84 @@ func (s *BuildState) rebuildIncremental(in instr) (*Result, error) {
 	endWire()
 	clear(s.dirty)
 	res := &Result{Dim: 2, Variant: s.variant, MaxOutDegree: s.degCap, Scale: s.scale}
-	return s.exportResult(in, res, s.liveSlots())
+	return s.exportResult(in, res)
 }
 
-// exportResult compacts the slot-space parent array into the dense parent
-// array of the exported tree, then runs the pipeline's metrics phase, which
-// validates and measures it, on the state's single worker.
-func (s *BuildState) exportResult(in instr, res *Result, slots []int32) (*Result, error) {
-	endExp := in.phase("build/export")
-	rank := make([]int32, len(s.present))
-	for i, sl := range slots {
-		rank[sl] = int32(i + 1)
+// carryOver moves the last build's parent entries to the node ids of slots,
+// the live slots in ascending order, and makes slots the new node order: a
+// slot still live keeps its entry under its new id, a slot that joined
+// since starts unattached, and the entries of slots that left are dropped.
+// It works in place in two passes, the first moving entries only down (it
+// compacts away the departed) and the second only up (it spreads the kept
+// entries out to their new ids, top first).
+func (s *BuildState) carryOver(slots []int32) {
+	kept := s.wired[:0]
+	for i, sl := range s.wired {
+		if s.live.has(int(sl)) {
+			s.parent[len(kept)+1] = s.parent[i+1]
+			kept = append(kept, sl)
+		}
 	}
+	if n := len(slots) + 1; cap(s.parent) < n {
+		s.parent = append(make([]int32, 0, n), s.parent[:len(kept)+1]...)
+	}
+	s.parent = s.parent[:len(slots)+1]
+	i := len(kept)
+	for j := len(slots); j >= 1; j-- {
+		if i > 0 && kept[i-1] == slots[j-1] {
+			s.parent[j] = s.parent[i]
+			i--
+		} else {
+			s.parent[j] = unattachedNode
+		}
+	}
+	s.wired = slots
+}
+
+// slotSink is the wiring sink of a BuildState. Wiring runs in slot space;
+// the sink files each child under its node id, its rank among the live
+// slots, and records the parent as a slot. Like parentSink it catches a
+// node attached twice.
+type slotSink struct {
+	live    *slotSet
+	parents []int32 // node id -> parent slot
+}
+
+var _ bisect.Attacher = (*slotSink)(nil)
+
+func (s *slotSink) MustAttach(child, parent int) {
+	i := s.live.rank(child)
+	if s.parents[i] != unattachedNode {
+		panic(fmt.Sprintf("core: slot %d attached twice (wiring bug)", child))
+	}
+	s.parents[i] = int32(parent)
+}
+
+// exportResult maps the wired parent slots to node ids — a live slot's node
+// id is its rank — for the exported tree, then runs the pipeline's metrics
+// phase, which validates and measures it, on the state's single worker.
+// Nothing it allocates is sized by the slot universe.
+func (s *BuildState) exportResult(in instr, res *Result) (*Result, error) {
+	endExp := in.phase("build/export")
+	slots := s.wired
 	parents := make([]int32, len(slots)+1)
 	parents[0] = tree.NoParent
 	for i, sl := range slots {
-		p := s.parent[sl]
+		p := s.parent[i+1]
 		if p < 0 {
 			return nil, fmt.Errorf("core: incomplete wiring (bug): slot %d unattached", sl)
 		}
-		parents[i+1] = rank[p]
+		if !s.live.has(int(p)) {
+			return nil, fmt.Errorf("core: incomplete wiring (bug): slot %d attached to departed slot %d", sl, p)
+		}
+		parents[i+1] = s.live.rank(int(p))
+	}
+	reps := make([]int32, len(s.reps))
+	for c, r := range s.reps {
+		reps[c] = -1
+		if r >= 0 {
+			reps[c] = s.live.rank(int(r))
+		}
 	}
 	endExp()
 
@@ -551,7 +618,7 @@ func (s *BuildState) exportResult(in instr, res *Result, slots []int32) (*Result
 			pj = s.geo.pos(slots[j-1])
 		}
 		return pi.Dist(pj)
-	}, s.reps, rank, s.k, s.g)
+	}, reps, s.k, s.g)
 	if err != nil {
 		return nil, err
 	}
@@ -584,7 +651,12 @@ func insertSorted(a []int32, v int32) []int32 {
 	return a
 }
 
-func removeSorted(a []int32, v int32) []int32 {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	return append(a[:i], a[i+1:]...)
+// removeSorted removes v from the ascending list a, reporting whether a
+// held it.
+func removeSorted(a []int32, v int32) ([]int32, bool) {
+	i, ok := slices.BinarySearch(a, v)
+	if !ok {
+		return a, false
+	}
+	return append(a[:i], a[i+1:]...), true
 }

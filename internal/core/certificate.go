@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"omtree/internal/geom"
 )
@@ -31,7 +32,7 @@ func (s *BuildState) Certificate() Certificate { return s.cert }
 // dirty-cell marking) is exactly the one the churn paths already enforce.
 // Moving to the identical position is a no-op and keeps the result cache.
 func (s *BuildState) Move(slot int, p geom.Point2) {
-	if slot <= 0 || slot >= len(s.present) || !s.present[slot] {
+	if !s.Present(slot) {
 		panic(fmt.Sprintf("core: BuildState.Move slot %d not present", slot))
 	}
 	if s.geo.pos(int32(slot)) == p {
@@ -62,7 +63,7 @@ func (s *BuildState) DirtyFraction() float64 {
 // message cost) on demand.
 func (s *BuildState) ForceFull() {
 	s.needFull = true
-	s.last = nil
+	s.last, s.legacy = nil, nil
 }
 
 // RealizedRadius recomputes the maximum source-to-member delay of the last
@@ -70,46 +71,66 @@ func (s *BuildState) ForceFull() {
 // without rewiring, so after coordinate drift this is the delay the
 // certified tree actually achieves — compare against Certificate().Bound.
 // Slots added since the last rebuild are not wired yet and are skipped;
-// slots whose ancestor chain left the membership contribute nothing (the
-// overlay layer tracks its own live tree for that case). Returns 0 before
-// the first build.
+// a member whose ancestor chain reaches a slot that left contributes
+// nothing, and neither does the departed slot (the overlay layer tracks its
+// own live tree for that case). Returns 0 before the first build.
 func (s *BuildState) RealizedRadius() float64 {
 	if !s.built {
 		return 0
 	}
+	// Delays by node id of the last build; a parent slot maps back to its
+	// node id by binary search over the build's ascending node order.
 	const unknown = -1.0
-	delay := make([]float64, len(s.present))
+	m := len(s.wired)
+	delay := make([]float64, m+1)
 	for i := range delay {
 		delay[i] = unknown
 	}
 	delay[0] = 0
+	nodeOf := func(slot int32) int {
+		if slot == 0 {
+			return 0
+		}
+		i, ok := slices.BinarySearch(s.wired, slot)
+		if !ok {
+			return -1
+		}
+		return i + 1
+	}
+	slotOf := func(node int) int32 {
+		if node == 0 {
+			return 0
+		}
+		return s.wired[node-1]
+	}
 	var radius float64
-	var chain []int32
-	for sl := 1; sl < len(s.present); sl++ {
-		if !s.present[sl] || delay[sl] != unknown {
+	var chain []int
+	for i := 1; i <= m; i++ {
+		if delay[i] != unknown || !s.live.has(int(s.wired[i-1])) {
 			continue
 		}
-		// Walk up to a node with a known delay, then unwind.
+		// Walk up through live parents to a node with a known delay, then
+		// unwind. A chain longer than the tree is a cycle: no delay.
 		chain = chain[:0]
-		v := int32(sl)
-		for delay[v] == unknown {
+		v := i
+		for delay[v] == unknown && len(chain) <= m {
 			p := s.parent[v]
-			if p < 0 {
-				break // not wired into the last build
+			if p < 0 || !s.live.has(int(p)) {
+				break // not wired into the last build, or the parent left
 			}
 			chain = append(chain, v)
-			v = p
+			if v = nodeOf(p); v < 0 {
+				break
+			}
 		}
-		if delay[v] == unknown {
+		if v < 0 || delay[v] == unknown {
 			continue
 		}
-		for i := len(chain) - 1; i >= 0; i-- {
-			c := chain[i]
-			p := s.parent[c]
-			delay[c] = delay[p] + s.geo.pos(p).Dist(s.geo.pos(c))
-			if s.present[c] && delay[c] > radius {
-				radius = delay[c]
-			}
+		for c := len(chain) - 1; c >= 0; c-- {
+			u := chain[c]
+			delay[u] = delay[v] + s.geo.pos(slotOf(v)).Dist(s.geo.pos(slotOf(u)))
+			radius = max(radius, delay[u])
+			v = u
 		}
 	}
 	return radius

@@ -175,3 +175,69 @@ func indexOfSlot(slots []int, slot int) int {
 	}
 	return -1
 }
+
+// TestRealizedRadiusSkipsDepartedAncestors: after the member with the
+// largest subtree leaves, and before any rebuild, RealizedRadius covers
+// only the members whose whole ancestor chain is still live. It used to
+// walk through the departed slot's stale parent entry and keep reporting
+// the whole tree's radius.
+func TestRealizedRadiusSkipsDepartedAncestors(t *testing.T) {
+	r := rng.New(35)
+	h := newStateHarness(t, geom.Point2{})
+	for i := 0; i < 400; i++ {
+		h.add(r.UniformDisk(1))
+	}
+	res, _, err := h.bs.Rebuild()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node i >= 1 of the built tree is h.slots[i-1]. The departing node is
+	// the source's child above the farthest member: the largest subtree on
+	// the chain that realizes the radius.
+	tr := res.Tree
+	pos := func(v int) geom.Point2 {
+		if v == 0 {
+			return geom.Point2{}
+		}
+		return h.pos[h.slots[v-1]]
+	}
+	delay := func(v int, cut int) (float64, bool) {
+		var d float64
+		for u := v; u != 0; u = tr.Parent(u) {
+			if u == cut {
+				return 0, false
+			}
+			d += pos(u).Dist(pos(tr.Parent(u)))
+		}
+		return d, true
+	}
+	far, farDelay := 0, 0.0
+	for v := 1; v < tr.N(); v++ {
+		if d, _ := delay(v, -1); d > farDelay {
+			far, farDelay = v, d
+		}
+	}
+	gone := far
+	for tr.Parent(gone) != 0 {
+		gone = tr.Parent(gone)
+	}
+	size := tr.SubtreeSizes()
+	goneSlot := h.slots[gone-1]
+	h.bs.Remove(goneSlot)
+
+	// The radius over members whose chain to the source avoids the
+	// departed node, from the exported tree and the positions.
+	var want float64
+	for v := 1; v < tr.N(); v++ {
+		if d, ok := delay(v, gone); ok {
+			want = max(want, d)
+		}
+	}
+	if want >= res.Radius {
+		t.Fatalf("removing a subtree of %d nodes left the radius at %v; pick a test case where it shrinks", size[gone], want)
+	}
+	if got := h.bs.RealizedRadius(); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("realized radius with slot %d (subtree of %d) gone = %v, want %v (built radius %v)",
+			goneSlot, size[gone], got, want, res.Radius)
+	}
+}

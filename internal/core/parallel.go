@@ -25,21 +25,21 @@ const unattachedNode int32 = -2
 // cell responsible for it, so concurrent MustAttach calls always target
 // distinct entries. Structural validation (spanning, acyclicity, degree
 // caps) runs once over the finished array, in the metrics phase's walk
-// (measure), after BuildState's export has compacted its slots.
+// (measure). BuildState wires through its own slot-keyed sink (slotSink).
 type parentSink struct {
 	parents []int32
 }
 
 var _ bisect.Attacher = (*parentSink)(nil)
 
-// sinkOver resets parents to a tree rooted at node 0 with nothing attached
-// yet and returns the sink that wires into it.
-func sinkOver(parents []int32) *parentSink {
+// unwired resets parents to a tree rooted at node 0 with nothing attached
+// yet and returns it.
+func unwired(parents []int32) []int32 {
 	for i := range parents {
 		parents[i] = unattachedNode
 	}
 	parents[0] = tree.NoParent
-	return &parentSink{parents: parents}
+	return parents
 }
 
 // MustAttach wires child under parent. The double-attach check involves no

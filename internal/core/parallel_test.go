@@ -237,7 +237,7 @@ func TestMeasureReportsBrokenWiring(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 2} {
 			res := &Result{MaxOutDegree: 2}
-			err := measure(instr{}, res, append([]int32(nil), parents...), workers, dist, nil, nil, 1, g)
+			err := measure(instr{}, res, append([]int32(nil), parents...), workers, dist, nil, 1, g)
 			if err == nil || !strings.Contains(err.Error(), "incomplete wiring (bug)") {
 				t.Errorf("parents %v, %d workers: err = %v", parents, workers, err)
 			}

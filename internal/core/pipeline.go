@@ -89,9 +89,9 @@ func build[P, C any, G boundGrid](receivers []P, opts []Option, d dimension[P, C
 	reps := electReps(tallies)
 	endReps()
 
-	sink := sinkOver(make([]int32, n+1))
+	sink := &parentSink{parents: unwired(make([]int32, n+1))}
 	wireCells(sink, k, groups, reps, d.connector(g, coords, sink), variant, workers, in)
-	if err := measure(in, res, sink.parents, workers, d.dist, reps, nil, k, g); err != nil {
+	if err := measure(in, res, sink.parents, workers, d.dist, reps, k, g); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -102,10 +102,9 @@ func build[P, C any, G boundGrid](receivers []P, opts []Option, d dimension[P, C
 // wired parents validates the tree (spanning, acyclic, within the degree
 // cap) and sums those lengths into delays; the tree takes ownership of
 // parents. From the delays come the radius and the core delay over the
-// representatives — node ids, or slots that rank maps to node ids when rank
-// is not nil — next to k and the eq. 7 bound of grid g. dist must be safe
-// to call from several goroutines.
-func measure[G boundGrid](in instr, res *Result, parents []int32, workers int, dist tree.DistFunc, reps, rank []int32, k int, g G) error {
+// representatives' node ids (-1 for an empty cell), next to k and the eq. 7
+// bound of grid g. dist must be safe to call from several goroutines.
+func measure[G boundGrid](in instr, res *Result, parents []int32, workers int, dist tree.DistFunc, reps []int32, k int, g G) error {
 	endMetrics := in.phase("build/metrics")
 	defer endMetrics()
 	n := len(parents)
@@ -126,7 +125,7 @@ func measure[G boundGrid](in instr, res *Result, parents []int32, workers int, d
 	res.Tree = t
 	res.K = k
 	res.Radius = maxOf(delays)
-	res.CoreDelay = coreDelay(delays, reps, rank)
+	res.CoreDelay = coreDelay(delays, reps)
 	res.Bound = g.UpperBound(arcCoeff(res.Variant))
 	return nil
 }

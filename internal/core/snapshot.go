@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"omtree/internal/geom"
@@ -74,17 +76,50 @@ func (s *BuildState) EncodeTo(e *snapshot.Encoder, putPt PointEncoder) {
 			e.Float64(p.Theta)
 		}
 	}
-	e.Uvarint(uint64(len(s.present)))
-	e.Bools(s.present)
+	slots := s.geo.Slots()
+	e.Uvarint(uint64(slots))
+	for sl := 0; sl < slots; sl++ {
+		e.Bool(s.live.has(sl))
+	}
 	e.Float64(s.scale)
 	e.Int(s.k)
 	e.Bool(s.built)
 	e.Bool(s.needFull)
 	e.Uvarint(uint64(len(s.members)))
 	e.Int32Lists(s.members)
-	e.Fixed32s(s.cellOf)
+	// The slot-indexed cell and parent columns derive from the layout in two
+	// passes over the encoder's buffer, a fill and a scatter of the
+	// exceptions, or are written back as a decoded checkpoint held them
+	// until its first mutation; no slot-sized array is built.
+	if s.legacy != nil {
+		e.Fixed32s(s.legacy.cellOf)
+	} else {
+		// A slot's entry is the cell whose member list holds it, -1 if none
+		// does, and 0 for the source. While a full rebuild is pending the
+		// lists are frozen: they may still hold slots that left.
+		e.Uvarint(uint64(slots))
+		col := e.Fixed32Run(slots, -1)
+		e.SetFixed32(col, 0, 0)
+		if s.built {
+			for c, list := range s.members {
+				for _, sl := range list {
+					e.SetFixed32(col, int(sl), int32(c))
+				}
+			}
+		}
+	}
 	e.Fixed32s(s.reps)
-	e.Fixed32s(s.parent)
+	if s.legacy != nil {
+		e.Fixed32s(s.legacy.parent)
+	} else {
+		// The last build's parents under their slots; unattachedNode elsewhere.
+		e.Uvarint(uint64(slots))
+		col := e.Fixed32Run(slots, unattachedNode)
+		e.SetFixed32(col, 0, tree.NoParent)
+		for i, sl := range s.wired {
+			e.SetFixed32(col, int(sl), s.parent[i+1])
+		}
+	}
 	e.Fixed32s(s.cnt1)
 	e.Int(s.emptyK)
 	e.Int(s.empty1)
@@ -101,6 +136,12 @@ func (s *BuildState) EncodeTo(e *snapshot.Encoder, putPt PointEncoder) {
 	e.Float64(s.cert.Radius)
 }
 
+// legacyColumns are the slot-indexed cell and parent columns of a decoded
+// checkpoint whose values the layout does not keep, as read.
+type legacyColumns struct {
+	cellOf, parent []int32
+}
+
 // EncodedSizeBound returns an upper bound on the bytes EncodeTo writes with
 // the raw position encoding: fixed-width columns count exactly and every
 // varint counts at its widest, so a checkpoint can size its buffer once.
@@ -110,9 +151,10 @@ func (s *BuildState) EncodedSizeBound() int {
 	if !s.shared {
 		size += pt + v + pt*len(s.geo.hosts) + 2*f*(len(s.geo.pts)-1)
 	}
-	size += v + len(s.present) + f + v + 2
+	slots := s.geo.Slots()
+	size += v + slots + f + v + 2
 	size += v + snapshot.Int32ListsLen(s.members)
-	size += 4*v + 4*(len(s.cellOf)+len(s.reps)+len(s.parent)+len(s.cnt1))
+	size += 4*v + 4*(2*slots+len(s.reps)+len(s.cnt1))
 	size += 2*v + v + v*len(s.dirty) + 2*f
 	return size
 }
@@ -184,16 +226,16 @@ func decodeBuildState(d *snapshot.Decoder, geo *SlotGeometry, getPt PointDecoder
 	}
 
 	nslots := d.Length(1)
-	present := d.Bools(nslots)
+	present := d.BoolBits(nslots)
 	scale := d.Float64()
 	k := d.Int()
 	built := d.Bool()
 	needFull := d.Bool()
 	ncells := d.Length(1)
 	members := d.Int32Lists(ncells)
-	cellOf := d.Fixed32s()
+	cellCol := d.Fixed32View(d.Length(4))
 	reps := d.Fixed32s()
-	parent := d.Fixed32s()
+	parentCol := d.Fixed32View(d.Length(4))
 	cnt1 := d.Fixed32s()
 	emptyK := d.Int()
 	empty1 := d.Int()
@@ -222,21 +264,24 @@ func decodeBuildState(d *snapshot.Decoder, geo *SlotGeometry, getPt PointDecoder
 	if nslots != geo.Slots() {
 		return corrupt("%d present flags for %d geometry slots", nslots, geo.Slots())
 	}
-	if nslots < 1 || !present[0] {
+	live := slotSet{words: present}
+	if nslots < 1 || !live.has(0) {
 		return corrupt("source slot not present")
 	}
-	if len(cellOf) != nslots || len(parent) != nslots {
-		return corrupt("cellOf/parent arrays (%d/%d entries) do not span %d slots", len(cellOf), len(parent), nslots)
+	if cellCol.Len() != nslots || parentCol.Len() != nslots {
+		return corrupt("cellOf/parent arrays (%d/%d entries) do not span %d slots", cellCol.Len(), parentCol.Len(), nslots)
 	}
 	if !dirtyOK || (!built && ndirty > 0) {
 		return corrupt("dirty set inconsistent with grid state")
 	}
-	n := 0
-	for sl := 1; sl < nslots; sl++ {
-		if present[sl] {
-			n++
-		}
+	n := -1 // the source's bit is not a receiver
+	for _, w := range present {
+		n += bits.OnesCount64(w)
 	}
+	// The cell column matches what the layout derives (see EncodeTo) when
+	// the source reads 0 and exactly the listed slots read their cell.
+	cellsMatch, filed := cellCol.At(0) == 0, 0
+	var g grid.PolarGrid
 	if built {
 		if k < 1 || k > decodeKMax || !(scale > 0) {
 			return corrupt("built state with depth %d scale %v", k, scale)
@@ -247,36 +292,84 @@ func decodeBuildState(d *snapshot.Decoder, geo *SlotGeometry, getPt PointDecoder
 		if want := grid.NumCells(k + 1); len(cnt1) != want {
 			return corrupt("%d depth-%d+1 counters, want %d", len(cnt1), k, grid.NumCells(k+1))
 		}
+		g = grid.PolarGrid{K: k, Scale: scale}
 		for c, list := range members {
-			for _, sl := range list {
+			for i, sl := range list {
 				if sl < 1 || int(sl) >= nslots {
 					return corrupt("cell %d lists slot %d of %d", c, sl, nslots)
 				}
+				onFile := cellCol.At(int(sl)) == int32(c)
+				cellsMatch = cellsMatch && onFile
 				// Once needFull is set, churn stops maintaining the member
 				// lists, so absent slots may linger until the full rebuild.
-				if !needFull && !present[sl] {
+				if needFull {
+					continue
+				}
+				// Otherwise the lists hold exactly the live slots, ascending,
+				// each filed under its cell in the cell column too (so each
+				// is listed once).
+				if !live.has(int(sl)) {
 					return corrupt("cell %d lists absent slot %d", c, sl)
 				}
+				if i > 0 && sl <= list[i-1] {
+					return corrupt("cell %d lists slot %d out of order", c, sl)
+				}
+				if !onFile {
+					return corrupt("cell %d lists slot %d, filed under cell %d", c, sl, cellCol.At(int(sl)))
+				}
 			}
+			filed += len(list)
 		}
-		for sl, c := range cellOf {
-			if c < -1 || int(c) >= ncells {
-				return corrupt("slot %d in cell %d of a %d-cell grid", sl, c, ncells)
-			}
+		if !needFull && filed != n {
+			return corrupt("member lists hold %d slots, %d are live", filed, n)
 		}
 		for c, r := range reps {
 			if r < -1 || int(r) >= nslots {
 				return corrupt("cell %d represented by slot %d", c, r)
 			}
+			// A clean cell is wired from its representative as is, so it
+			// must be one of its members (and cell 0 has none: the source
+			// anchors ring 0).
+			if _, isDirty := dirty[c]; needFull || isDirty {
+				continue
+			}
+			if _, ok := slices.BinarySearch(members[c], r); (c == 0 || len(members[c]) == 0) != (r == -1) || (r >= 0 && !ok) {
+				return corrupt("cell %d represented by slot %d, not a member", c, r)
+			}
 		}
 	}
-	for sl, p := range parent {
-		if p < unattachedNode || int(p) >= nslots {
-			return corrupt("slot %d parented by slot %d", sl, p)
-		}
-	}
-	if parent[0] != tree.NoParent {
+	if parentCol.At(0) != tree.NoParent {
 		return corrupt("source slot has a parent")
+	}
+	// One pass over both columns: range checks, the wired slots (those with
+	// a parent), and whether each column is the one the layout derives.
+	wiredN, parentsMatch := 0, true
+	for sl := 1; sl < nslots; sl++ {
+		if c := cellCol.At(sl); built && (c < -1 || int(c) >= ncells) {
+			return corrupt("slot %d in cell %d of a %d-cell grid", sl, c, ncells)
+		} else if c != -1 {
+			filed--
+		}
+		switch p := parentCol.At(sl); {
+		case p < unattachedNode || int(p) >= nslots:
+			return corrupt("slot %d parented by slot %d", sl, p)
+		case p >= 0:
+			wiredN++
+		case p != unattachedNode:
+			parentsMatch = false
+		}
+	}
+	cellsMatch = cellsMatch && filed == 0
+
+	// Fold the parent column into the last build's node order.
+	wired := make([]int32, 0, wiredN)
+	parent := make([]int32, 1, wiredN+1)
+	parent[0] = tree.NoParent
+	for sl := 1; sl < nslots; sl++ {
+		if p := parentCol.At(sl); p >= 0 {
+			wired = append(wired, int32(sl))
+			parent = append(parent, p)
+		}
 	}
 
 	s := &BuildState{
@@ -285,13 +378,14 @@ func decodeBuildState(d *snapshot.Decoder, geo *SlotGeometry, getPt PointDecoder
 		degCap:   degCap,
 		geo:      geo,
 		shared:   shared,
-		present:  present,
+		live:     live,
 		n:        n,
 		scale:    scale,
 		k:        k,
+		g:        g,
 		members:  members,
-		cellOf:   cellOf,
 		reps:     reps,
+		wired:    wired,
 		parent:   parent,
 		cnt1:     cnt1,
 		emptyK:   emptyK,
@@ -302,8 +396,18 @@ func decodeBuildState(d *snapshot.Decoder, geo *SlotGeometry, getPt PointDecoder
 		cert:     cert,
 	}
 	if built {
-		s.g = grid.PolarGrid{K: k, Scale: scale}
 		s.g1 = grid.PolarGrid{K: k + 1, Scale: scale}
+	}
+	// A checkpoint can hold values the layout does not keep: the cell of a
+	// slot that left while a full rebuild was pending (that rebuild never
+	// clears it), or a parent entry no build writes. Such columns are kept
+	// as read, so the state re-encodes to the same bytes, until the first
+	// mutation; the columns a state writes itself always derive back.
+	if !cellsMatch || !parentsMatch {
+		s.legacy = &legacyColumns{cellOf: make([]int32, nslots), parent: make([]int32, nslots)}
+		for sl := range nslots {
+			s.legacy.cellOf[sl], s.legacy.parent[sl] = cellCol.At(sl), parentCol.At(sl)
+		}
 	}
 	return s, nil
 }

@@ -44,7 +44,7 @@ type cellGroups struct {
 // take cells in; one worker takes them in id order, which keeps serial
 // trace timelines byte-stable. The pool gauges are published only when
 // several workers run.
-func wireCells(sink *parentSink, k int, g cellGroups, reps []int32, conn connector, variant Variant, workers int, in instr) {
+func wireCells(sink bisect.Attacher, k int, g cellGroups, reps []int32, conn connector, variant Variant, workers int, in instr) {
 	endWire := in.phase("build/wire")
 	defer endWire()
 	in = in.wiring()
@@ -221,16 +221,12 @@ func wireBinaryCell(b bisect.Attacher, conn connector, rep int32, members, child
 }
 
 // coreDelay returns the longest source-to-representative delay — the
-// paper's "Core" column. delays is indexed by node id; reps holds node ids,
-// or slots that rank maps to node ids when rank is not nil.
-func coreDelay(delays []float64, reps, rank []int32) float64 {
+// paper's "Core" column. delays is indexed by node id; reps holds node ids.
+func coreDelay(delays []float64, reps []int32) float64 {
 	var maxDelay float64
 	for _, rep := range reps {
 		if rep < 0 {
 			continue
-		}
-		if rank != nil {
-			rep = rank[rep]
 		}
 		if delays[rep] > maxDelay {
 			maxDelay = delays[rep]

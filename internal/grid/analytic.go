@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"math/bits"
 
 	"omtree/internal/geom"
 )
@@ -194,8 +195,11 @@ func compactPairsOr(x uint64) uint64 {
 // over n points: mark(cap, b) classifies each point once in the depth-cap
 // grid and marks every point of ring 1..cap-1 in b; the folded bitmaps give
 // the deepest feasible depth, and an answer that hits the estimated cap
-// re-runs the pass at kMax.
+// re-runs the pass at kMax. A depth-k grid has 2^k - 2 interior cells, so
+// n points fill none deeper than log2(n+2): kMax is capped there, which
+// changes no answer and keeps a huge kMax from sizing the bitmaps.
 func searchK(n, kMax int, mark func(cap int, b *occBits)) int {
+	kMax = min(kMax, bits.Len(uint(n+2))-1)
 	if kMax < 1 {
 		kMax = 1
 	}

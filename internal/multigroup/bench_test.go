@@ -21,12 +21,16 @@ import (
 //     its own member coordinates and runs a from-scratch Build2, paying
 //     the geometry transform and k-search setup G times with nothing
 //     amortized.
+//   - sparse: 16 groups of 500 members on a 50,000-host substrate, built
+//     like shared. A group's cost should follow its members, not the
+//     substrate; shared cannot show that, because its groups cover 75% of
+//     their substrate.
 //
 // shared and cloned produce identical trees (the differential suite locks
-// that down). shared trades some per-build time (slot-sparse iteration
-// over the full population's slots instead of a dense member array) for
-// the memory amortization and incremental churn the substrate design
-// buys; this benchmark pins that overhead so it cannot silently grow.
+// that down). shared trades some per-build time (per-cell member lists
+// kept for incremental churn instead of one dense member array) for the
+// memory amortization and incremental churn the substrate design buys;
+// this benchmark pins that overhead so it cannot silently grow.
 func BenchmarkMultiGroupBuild(b *testing.B) {
 	const (
 		hosts     = 2000
@@ -71,6 +75,47 @@ func BenchmarkMultiGroupBuild(b *testing.B) {
 				}
 				for j := 0; j < groupSize; j++ {
 					if err := g.Join(memberOf(gi, j)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, _, err := g.Build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+
+	b.Run("sparse", func(b *testing.B) {
+		const (
+			sparseHosts = 50_000
+			sparseSize  = 500
+		)
+		r := rng.New(43)
+		sub, err := multigroup.NewSubstrate(r.UniformDiskN(sparseHosts, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := func(gi int) multigroup.GroupConfig {
+			src := srcPool[gi%sources]
+			return multigroup.GroupConfig{Source: []float64{src.X, src.Y}, MaxOutDegree: 6}
+		}
+		// Warm every source's polar view, which the substrate computes once
+		// per source on first use.
+		for gi := 0; gi < sources; gi++ {
+			if _, err := sub.NewGroup(cfg(gi)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for gi := 0; gi < groups; gi++ {
+				g, err := sub.NewGroup(cfg(gi))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < sparseSize; j++ {
+					if err := g.Join((gi*977 + j*97) % sparseHosts); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -123,3 +123,69 @@ func TestThousandGroupsResident(t *testing.T) {
 	}
 	runtime.KeepAlive(gs)
 }
+
+// TestGroupSizedByMembers pins what a group costs on a large substrate: the
+// same 500-member group on a 2,000-host and on a 200,000-host substrate
+// (the first 2,000 hosts shared, so both build the same tree). The larger
+// substrate may add, per NewGroup + Join + Build and to the group's
+// MemoryBytes, only what scales with its slot count by design: the group's
+// and the build state's membership bitsets and the state's rank index,
+// under 1 byte per 2 slots.
+func TestGroupSizedByMembers(t *testing.T) {
+	const (
+		small, large = 2_000, 200_000
+		members      = 500
+	)
+	r := rng.New(61)
+	hosts := r.UniformDiskN(large, 1)
+	source := []float64{0.1, 0.05}
+	// cost returns the least bytes allocated over a few NewGroup + Join +
+	// Build runs, and the built group's MemoryBytes.
+	cost := func(sub *multigroup.Substrate) (alloc uint64, mem int64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		for run := 0; run < 4; run++ {
+			runtime.ReadMemStats(&before)
+			g, err := sub.NewGroup(multigroup.GroupConfig{Source: source, MaxOutDegree: 6, ID: "sized"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for h := 0; h < small; h += small / members {
+				if err := g.Join(h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := g.Build(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			// The first run computes the source's polar view; later runs
+			// reuse it, like every group after the first on a warm
+			// substrate.
+			if a := after.TotalAlloc - before.TotalAlloc; run > 0 && (alloc == 0 || a < alloc) {
+				alloc = a
+			}
+			mem = g.MemoryBytes()
+		}
+		return alloc, mem
+	}
+	subSmall, err := multigroup.NewSubstrate(hosts[:small])
+	if err != nil {
+		t.Fatal(err)
+	}
+	subLarge, err := multigroup.NewSubstrate(hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocSmall, memSmall := cost(subSmall)
+	allocLarge, memLarge := cost(subLarge)
+	budget := (large - small) / 2
+	t.Logf("allocated %d B on %d hosts, %d B on %d; MemoryBytes %d vs %d; budget %d B",
+		allocSmall, small, allocLarge, large, memSmall, memLarge, budget)
+	if extra := int64(allocLarge) - int64(allocSmall); extra > int64(budget) {
+		t.Errorf("the larger substrate adds %d B of allocation per group, over the %d B its membership bits and rank index need", extra, budget)
+	}
+	if extra := memLarge - memSmall; extra > int64(budget) {
+		t.Errorf("the larger substrate adds %d B to a group's MemoryBytes, over the %d B its membership bits and rank index need", extra, budget)
+	}
+}

@@ -139,6 +139,14 @@ func (s *Substrate) RestoreGroup(r io.Reader) (*GroupTree, error) {
 			return corrupt("member host %d listed twice", h)
 		}
 	}
+	// The member list and the build state each record the membership; a
+	// blob where they disagree would restore a group whose Has and Leave
+	// contradict its tree.
+	for h := 0; h < s.Hosts(); h++ {
+		if g.members.get(h) != bs.Present(h+1) {
+			return corrupt("member list and build state disagree on host %d", h)
+		}
+	}
 	g.bs = bs
 	return g, nil
 }

@@ -3,6 +3,7 @@ package multigroup
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 
 	"omtree/internal/geom"
@@ -145,4 +146,119 @@ func TestGroupSnapshotRejectsWrongSubstrate(t *testing.T) {
 	if _, err := sub3.RestoreGroup(bytes.NewReader(blob)); err == nil {
 		t.Error("3-D substrate claimed to restore")
 	}
+}
+
+// TestRestoreGroupRejectsMembershipMismatch: a CRC-valid checkpoint whose
+// delta-coded member list names host 150 where its build state holds host
+// 49 must fail to restore. Accepted, it gave a group that Has(150) while
+// its tree spans host 49, and whose Leave(150) panicked in core.
+func TestRestoreGroupRejectsMembershipMismatch(t *testing.T) {
+	sub, err := NewSubstrate(snapshotHosts(200, 59))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := sub.NewGroup(GroupConfig{Source: []float64{0, 0}, ID: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < 50; h++ {
+		if err := g.Join(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := g.Build(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := snapshot.Open(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-encode the header and member list as WriteSnapshot does, with the
+	// last delta moved from host 49 to host 150, and splice the build state
+	// section back on unchanged.
+	header := func(last int) []byte {
+		var e snapshot.Encoder
+		e.Uvarint(uint64(sub.Hosts()))
+		e.Uvarint(sub.Checksum())
+		e.String("m")
+		e.Uvarint(2)
+		e.Float64(0)
+		e.Float64(0)
+		e.Int(0)
+		e.Int(0)
+		e.Int(0)
+		e.Uvarint(50)
+		e.Uvarint(0)
+		for h := 1; h < 49; h++ {
+			e.Uvarint(1)
+		}
+		e.Uvarint(uint64(last - 48))
+		return e.Bytes()
+	}
+	orig := header(49)
+	if !bytes.HasPrefix(payload, orig) {
+		t.Fatal("payload header differs from the re-encoded one")
+	}
+	bad := append(header(150), payload[len(orig):]...)
+	_, err = sub.RestoreGroup(bytes.NewReader(snapshot.Seal(snapshot.KindGroupTree, bad)))
+	if !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("member list disagreeing with the build state restored: %v", err)
+	}
+}
+
+// FuzzGroupSnapshotRoundTrip feeds arbitrary bytes to RestoreGroup on a
+// fixed substrate, as a whole checkpoint and sealed as a group-tree payload
+// (which takes the fuzzer past the envelope's checksum into the decoder).
+// Any blob that restores must re-encode byte-identically, and Build, Join
+// and Leave on the restored group must return errors, never panic. The seed
+// corpus is the committed departed-slot checkpoint, whose build state holds
+// the stale columns of members that left.
+func FuzzGroupSnapshotRoundTrip(f *testing.F) {
+	sub, err := NewSubstrate(snapshotHosts(300, 57))
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := os.ReadFile(goldenGroupBlob)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, payload, err := snapshot.Open(blob)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add(payload)
+	f.Add([]byte("OMTS"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, snapshot.Seal(snapshot.KindGroupTree, data)} {
+			g, err := sub.RestoreGroup(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			var out bytes.Buffer
+			if err := g.WriteSnapshot(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), in) {
+				t.Fatal("restore/write round trip not byte-identical")
+			}
+			// Churn the restored group; every call may fail, none may panic.
+			_, _, _ = g.Build()
+			for h := 0; h < 12; h++ {
+				if g.Has(h) {
+					_ = g.Leave(h)
+				} else {
+					_ = g.Join(h)
+				}
+			}
+			_ = g.Join(-1)
+			_ = g.Leave(sub.Hosts())
+			_, _, _ = g.Build()
+		}
+	})
 }

@@ -214,3 +214,117 @@ func TestSnapshotGoldenV1(t *testing.T) {
 		t.Errorf("restored trees differ from %s\n got:\n%s\nwant:\n%s", goldenBlobHashes, got, want)
 	}
 }
+
+// The departed-slot checkpoint pins the hard case of the BuildState
+// section: columns whose values outlive the membership they describe. Its
+// core state holds the old cell of members that left while a full rebuild
+// was pending, which that rebuild never clears, and the old parent of
+// members that left before an incremental rebuild, which never touches an
+// absent slot. Like the v1 goldens above, the blob was written once and is
+// never regenerated to make a failure go away.
+const (
+	goldenDepartedBlob   = "testdata/overlay_departed_v1.omts"
+	goldenDepartedHashes = "testdata/overlay_departed_v1.sha256"
+)
+
+// goldenDepartedSession is the pinned departed-slot overlay: 300 members
+// and a full rebuild; then the outermost member and the next two ids leave,
+// which forces the next rebuild to be full; then four more leave before an
+// incremental rebuild, and two more after it.
+func goldenDepartedSession(t *testing.T) *Overlay {
+	t.Helper()
+	o, err := New(sessionConfig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(2006)
+	for i := 0; i < 300; i++ {
+		reliableJoin(t, o, r.UniformDisk(1))
+	}
+	rebuild := func(wantIncremental bool) {
+		t.Helper()
+		before := o.Stats.IncrementalRebuilds
+		if _, err := o.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		if got := o.Stats.IncrementalRebuilds > before; got != wantIncremental {
+			t.Fatalf("rebuild incremental = %v, want %v", got, wantIncremental)
+		}
+	}
+	leave := func(id int) {
+		t.Helper()
+		if _, err := o.Leave(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebuild(false)
+	far := 1
+	for id := 2; id < len(o.nodes); id++ {
+		if o.nodes[id].pos.Dist(o.cfg.Source) > o.nodes[far].pos.Dist(o.cfg.Source) {
+			far = id
+		}
+	}
+	// The rebuild removes slots in id order: the outermost first, which
+	// trips the full-rebuild guard before the two after it are removed.
+	for id := far; id < far+3; id++ {
+		leave(1 + (id-1)%300)
+	}
+	rebuild(false)
+	for _, id := range []int{17, 88, 151, 233} {
+		leave(id)
+	}
+	rebuild(true)
+	for _, id := range []int{41, 199} {
+		leave(id)
+	}
+	return o
+}
+
+// TestSnapshotGoldenV1Departed restores the committed departed-slot
+// checkpoint: it must decode, pass Audit, re-encode byte-identically, and
+// rebuild to the pinned trees. -update rewrites the blob and its hashes.
+func TestSnapshotGoldenV1Departed(t *testing.T) {
+	if *update {
+		var buf bytes.Buffer
+		if err := goldenDepartedSession(t).WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		writeGolden(t, goldenDepartedBlob, buf.Bytes())
+	}
+	blob, err := os.ReadFile(goldenDepartedBlob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := RestoreBytes(blob)
+	if err != nil {
+		t.Fatalf("departed-slot checkpoint: %v", err)
+	}
+	if err := o.Audit(); err != nil {
+		t.Fatalf("restored overlay audit: %v", err)
+	}
+	if !bytes.Equal(reencode(o), blob) {
+		t.Fatal("restored overlay does not re-encode byte-identically")
+	}
+	lines := restoredTreeLines(t, "departed", o)
+	// A rebuild through the overlay rewires it from the retained state.
+	if _, err := o.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Audit(); err != nil {
+		t.Fatalf("rebuilt overlay audit: %v", err)
+	}
+	lines = append(lines, restoredTreeLines(t, "departed/rebuilt", o)...)
+
+	got := strings.Join(lines, "\n") + "\n"
+	if *update {
+		writeGolden(t, goldenDepartedHashes, []byte(got))
+		return
+	}
+	want, err := os.ReadFile(goldenDepartedHashes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("restored trees differ from %s\n got:\n%s\nwant:\n%s", goldenDepartedHashes, got, want)
+	}
+}

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // Payload kinds carried in the envelope header.
@@ -186,6 +187,25 @@ func (e *Encoder) Int32s(vs []int32) {
 // per-element branching.
 func (e *Encoder) Fixed32(v int32) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v))
+}
+
+// Fixed32Run appends n fixed 4-byte words, all v, and returns the byte
+// offset of the first, which SetFixed32 takes to overwrite single words of
+// the run. A column that is mostly one value is written in one pass and
+// its exceptions patched in in any order, without materializing it.
+func (e *Encoder) Fixed32Run(n int, v int32) int {
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, 4*n)
+	for range n {
+		e.Fixed32(v)
+	}
+	return off
+}
+
+// SetFixed32 overwrites word i of the run at byte offset run (see
+// Fixed32Run) with v.
+func (e *Encoder) SetFixed32(run, i int, v int32) {
+	binary.LittleEndian.PutUint32(e.buf[run+4*i:], uint32(v))
 }
 
 // Fixed32s appends a length-prefixed slice of fixed 4-byte int32 words —
@@ -502,6 +522,55 @@ func (d *Decoder) Bools(n int) []bool {
 	}
 	d.off += n
 	return vs
+}
+
+// BoolBits is Bools read into a bitset: bit i of the result (word i/64,
+// bit i%64) is set for a true byte. A column of flags folds into a bitset
+// without a []bool in between.
+func (d *Decoder) BoolBits(n int) []uint64 {
+	if d.err != nil {
+		return nil
+	}
+	if n < 0 || d.Len() < n {
+		d.fail("bool burst of %d bytes exceeds remaining %d at offset %d", n, d.Len(), d.off)
+		return nil
+	}
+	bits := make([]uint64, (n+63)/64)
+	for i, b := range d.buf[d.off : d.off+n] {
+		if b > 1 {
+			d.fail("bool byte %#x at offset %d", b, d.off+i)
+			return nil
+		}
+		bits[i>>6] |= uint64(b) << uint(i&63)
+	}
+	d.off += n
+	return bits
+}
+
+// Fixed32View is a read-only window onto fixed 4-byte words in a Decoder's
+// buffer, read by index.
+type Fixed32View []byte
+
+// Len returns the number of words in the view.
+func (v Fixed32View) Len() int { return len(v) / 4 }
+
+// At returns word i.
+func (v Fixed32View) At(i int) int32 { return int32(binary.LittleEndian.Uint32(v[4*i:])) }
+
+// Fixed32View consumes n fixed 4-byte words written by Fixed32 and returns
+// them as a view into the buffer, for columnar sections a caller folds into
+// its own layout, in as many passes as it needs, without materializing them.
+func (d *Decoder) Fixed32View(n int) Fixed32View {
+	if d.err != nil {
+		return nil
+	}
+	if n < 0 || d.Len()/4 < n {
+		d.fail("fixed32 burst of %d words exceeds remaining %d bytes at offset %d", n, d.Len(), d.off)
+		return nil
+	}
+	v := Fixed32View(d.buf[d.off : d.off+4*n])
+	d.off += 4 * n
+	return v
 }
 
 // Int32sInto decodes len(dst) zigzag varints into dst with one sticky

@@ -191,6 +191,11 @@ func TestBulkPrimitiveRoundTrip(t *testing.T) {
 	e.Fixed32s(int32s)
 	e.Fixed32s(nil)
 	e.Int32Lists(lists)
+	e.Bools(bools)
+	run := e.Fixed32Run(len(int32s), 7)
+	for i, v := range int32s {
+		e.SetFixed32(run, i, v)
+	}
 	var spliced Encoder
 	spliced.Raw(e.Bytes())
 
@@ -244,6 +249,12 @@ func TestBulkPrimitiveRoundTrip(t *testing.T) {
 	if l := gotLists[3]; len(l) != 1 || l[0] != 9 {
 		t.Errorf("list 3 = %v", l)
 	}
+	if got := d.BoolBits(len(bools)); len(got) != 1 || got[0] != 0b1001 {
+		t.Errorf("BoolBits = %b", got)
+	}
+	if v := d.Fixed32View(len(int32s)); v.Len() != len(int32s) || v.At(0) != -1 || v.At(2) != math.MaxInt32 || v.At(3) != math.MinInt32 {
+		t.Errorf("Fixed32View = %v", v)
+	}
 	if d.Err() != nil {
 		t.Fatalf("Err = %v", d.Err())
 	}
@@ -273,6 +284,10 @@ func TestBulkPrimitiveCorruption(t *testing.T) {
 	check("Float64s oversized", func(d *Decoder) { d.Float64s(3) })
 	check("Float64s negative", func(d *Decoder) { d.Float64s(-1) })
 	check("Bools oversized", func(d *Decoder) { d.Bools(17) })
+	check("BoolBits oversized", func(d *Decoder) { d.BoolBits(17) })
+	check("BoolBits negative", func(d *Decoder) { d.BoolBits(-1) })
+	check("Fixed32View oversized", func(d *Decoder) { d.Fixed32View(5) })
+	check("Fixed32View negative", func(d *Decoder) { d.Fixed32View(-1) })
 	check("Int32sInto truncated", func(d *Decoder) { d.Int32sInto(make([]int32, 17)) })
 	check("IntsInto truncated", func(d *Decoder) { d.IntsInto(make([]int, 17)) })
 	check("Fixed32sInto truncated", func(d *Decoder) { d.Fixed32sInto(make([]int32, 5)) })
@@ -283,6 +298,10 @@ func TestBulkPrimitiveCorruption(t *testing.T) {
 	d := NewDecoder([]byte{0, 1, 2})
 	if got := d.Bools(3); got != nil || !errors.Is(d.Err(), ErrCorrupt) {
 		t.Errorf("Bools = %v, err = %v, want nil + ErrCorrupt", got, d.Err())
+	}
+	d = NewDecoder([]byte{0, 1, 2})
+	if got := d.BoolBits(3); got != nil || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Errorf("BoolBits = %v, err = %v, want nil + ErrCorrupt", got, d.Err())
 	}
 
 	// An int32 column holding a value outside int32 range.
@@ -314,7 +333,8 @@ func TestBulkPrimitiveCorruption(t *testing.T) {
 	// Bulk reads after a poison return zero values without advancing.
 	d = NewDecoder([]byte{0x05})
 	d.Float64()
-	if d.Float64s(1) != nil || d.Bools(1) != nil || d.Fixed32s() != nil || d.Int32Lists(1) != nil {
+	if d.Float64s(1) != nil || d.Bools(1) != nil || d.BoolBits(1) != nil || d.Fixed32s() != nil ||
+		d.Fixed32View(1) != nil || d.Int32Lists(1) != nil {
 		t.Error("post-error bulk read returned data")
 	}
 	probe := []int32{42}
@@ -331,6 +351,8 @@ func TestBulkPrimitiveTruncation(t *testing.T) {
 	e.Bools([]bool{true, false})
 	e.Fixed32s([]int32{7, 8})
 	e.Int32Lists([][]int32{{1}, {2, 3}})
+	e.Bools([]bool{false, true})
+	e.Fixed32(5)
 	full := e.Bytes()
 	for cut := 0; cut < len(full); cut++ {
 		d := NewDecoder(full[:cut])
@@ -338,6 +360,8 @@ func TestBulkPrimitiveTruncation(t *testing.T) {
 		d.Bools(2)
 		d.Fixed32s()
 		d.Int32Lists(2)
+		d.BoolBits(2)
+		d.Fixed32View(1)
 		if !errors.Is(d.Err(), ErrCorrupt) {
 			t.Fatalf("prefix %d/%d: Err = %v, want ErrCorrupt", cut, len(full), d.Err())
 		}
