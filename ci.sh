@@ -64,6 +64,7 @@ check_cover() {
 check_cover ./internal/obs 92
 check_cover ./internal/obs/trace 90
 check_cover ./internal/obs/flight 90
+check_cover ./internal/bisect 90
 check_cover ./internal/core 92
 check_cover ./internal/coords 92
 check_cover ./internal/grid 92

@@ -1,7 +1,7 @@
 // Churn scenario: a live session where members join and leave continuously
 // — the decentralized protocol the paper names as future work. The example
 // tracks delay quality and control-message cost through a flash crowd, a
-// departure wave, maintenance rounds, and a coordinated rebuild.
+// departure wave, and a coordinated rebuild.
 package main
 
 import (
@@ -72,19 +72,6 @@ func main() {
 		}
 	}
 	report("after departure wave:")
-
-	// Periodic maintenance: local re-homing forgets unlucky join-order
-	// decisions.
-	for round := 0; ; round++ {
-		st, err := overlay.Optimize()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if st.Moves == 0 || round >= 4 {
-			break
-		}
-	}
-	report("after maintenance rounds:")
 
 	// Coordinated rebuild: the source re-runs the centralized algorithm
 	// over the surviving membership — O(n) messages, optimal tree.

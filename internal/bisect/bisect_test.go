@@ -208,182 +208,204 @@ func TestBuildTreeCollinear(t *testing.T) {
 	}
 }
 
-func TestConnect4InCell(t *testing.T) {
-	// Drive the cell-level API directly, as the core algorithm does.
-	r := rng.New(5)
-	seg := geom.RingSegment{RMin: 0.5, RMax: 0.8, ThetaMin: 1.0, ThetaMax: 1.4}
-	n := 64
-	polars := make([]geom.Polar, n)
-	for i := range polars {
-		polars[i] = geom.Polar{
-			R:     seg.RMin + r.Float64()*(seg.RMax-seg.RMin),
-			Theta: seg.ThetaMin + r.Float64()*(seg.ThetaMax-seg.ThetaMin),
+// testShell and testCellD are the 3-D and d-D counterparts of the
+// degree-4 test's ring segment: the same radial band and azimuth interval,
+// and polar extents of a similar width.
+var testShell = geom.ShellCell{RMin: 0.5, RMax: 0.8, ThetaMin: 1.0, ThetaMax: 1.4, UMin: -0.2, UMax: 0.2}
+
+func testCellD(d int) geom.CellD {
+	c := geom.CellD{
+		RMin: 0.5, RMax: 0.8, ThetaMin: 1.0, ThetaMax: 1.4,
+		PhiMin: make([]float64, d-2), PhiMax: make([]float64, d-2),
+	}
+	for m := range c.PhiMin {
+		c.PhiMin[m], c.PhiMax[m] = 1.3, 1.7
+	}
+	return c
+}
+
+// cellSizes are the point counts every in-cell recursion is checked at.
+var cellSizes = []int{1, 2, 3, 4, 5, 9, 33, 100, 300}
+
+// draw returns n uniform draws from [lo, hi], or n copies of one draw when
+// coincident, so that points drawn coordinate by coordinate all coincide.
+func draw(r *rng.Rand, lo, hi float64, n int, coincident bool) []float64 {
+	vs := make([]float64, n)
+	for i := range vs {
+		if i == 0 || !coincident {
+			vs[i] = lo + r.Float64()*(hi-lo)
+		} else {
+			vs[i] = vs[0]
 		}
 	}
-	b, err := tree.NewBuilder(n, 0, 4)
+	return vs
+}
+
+// inSegment, inShell and inCellD place n points in a cell (see draw) and
+// return their cell coordinates and Cartesian distance.
+func inSegment(r *rng.Rand, seg geom.RingSegment, n int, coincident bool) ([]geom.Polar, tree.DistFunc) {
+	rs, ts := draw(r, seg.RMin, seg.RMax, n, coincident), draw(r, seg.ThetaMin, seg.ThetaMax, n, coincident)
+	polars, pts := make([]geom.Polar, n), make([]geom.Point2, n)
+	for i := range polars {
+		polars[i] = geom.Polar{R: rs[i], Theta: ts[i]}
+		pts[i] = polars[i].ToPoint()
+	}
+	return polars, dist2(pts)
+}
+
+func inShell(r *rng.Rand, cell geom.ShellCell, n int, coincident bool) ([]geom.Spherical, tree.DistFunc) {
+	rs, ts := draw(r, cell.RMin, cell.RMax, n, coincident), draw(r, cell.ThetaMin, cell.ThetaMax, n, coincident)
+	us := draw(r, cell.UMin, cell.UMax, n, coincident)
+	sph, pts := make([]geom.Spherical, n), make([]geom.Point3, n)
+	for i := range sph {
+		sph[i] = geom.Spherical{R: rs[i], Theta: ts[i], U: us[i]}
+		pts[i] = sph[i].ToPoint()
+	}
+	return sph, dist3(pts)
+}
+
+func inCellD(r *rng.Rand, cell geom.CellD, n int, coincident bool) ([]geom.Hyperspherical, tree.DistFunc) {
+	rs, ts := draw(r, cell.RMin, cell.RMax, n, coincident), draw(r, cell.ThetaMin, cell.ThetaMax, n, coincident)
+	hs, pts := make([]geom.Hyperspherical, n), make([]geom.Vec, n)
+	for i := range hs {
+		hs[i] = geom.Hyperspherical{R: rs[i], Theta: ts[i], Phi: make([]float64, len(cell.PhiMin))}
+	}
+	for m := range cell.PhiMin {
+		for i, v := range draw(r, cell.PhiMin[m], cell.PhiMax[m], n, coincident) {
+			hs[i].Phi[m] = v
+		}
+	}
+	for i := range hs {
+		pts[i] = hs[i].ToVec()
+	}
+	return hs, distD(pts)
+}
+
+// shellBound is the path bound of a 3-D recursion from a source at radius
+// q: the radial term plus perLevel·RMax times the cell's angular width, the
+// azimuth width plus the polar-angle width. The degree-8 recursion spends
+// 2, the degree-2 relay 8.
+func shellBound(c geom.ShellCell, q, perLevel float64) float64 {
+	angle := (c.ThetaMax - c.ThetaMin) + (math.Acos(c.UMin) - math.Acos(c.UMax))
+	return math.Max(c.RMax-q, q-c.RMin) + perLevel*c.RMax*angle
+}
+
+// cellDBound is shellBound for a d-D cell, whose angular width is the sum
+// of its per-axis widths. The natural recursion spends 2, the degree-2
+// relay 2^d.
+func cellDBound(c geom.CellD, q, perLevel float64) float64 {
+	angle := c.ThetaMax - c.ThetaMin
+	for m := range c.PhiMin {
+		angle += c.PhiMax[m] - c.PhiMin[m]
+	}
+	return math.Max(c.RMax-q, q-c.RMin) + perLevel*c.RMax*angle
+}
+
+// checkInCell wires nodes 1..n-1 under source 0 with wire, as the core
+// algorithm does inside a grid cell, and checks that the tree spans them,
+// keeps out-degree deg and stays within the path bound.
+func checkInCell(t *testing.T, n, deg int, dist tree.DistFunc, bound float64, wire func(*tree.Builder, []int32)) {
+	t.Helper()
+	b, err := tree.NewBuilder(n, 0, deg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &Ctx2{B: b, Pts: polars}
 	idx := make([]int32, 0, n-1)
 	for i := 1; i < n; i++ {
 		idx = append(idx, int32(i))
 	}
-	ctx.Connect4(idx, 0, seg)
+	wire(b, idx)
 	tr, err := b.Build()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("n=%d: %v", n, err)
 	}
-	if err := tr.Validate(4); err != nil {
-		t.Fatal(err)
+	if err := tr.Validate(deg); err != nil {
+		t.Fatalf("n=%d: %v", n, err)
 	}
-	// Inequality (1) holds for the realized tree.
-	pts := make([]geom.Point2, n)
-	for i, c := range polars {
-		pts[i] = c.ToPoint()
-	}
-	if radius := tr.Radius(dist2(pts)); radius > PathBound4(seg, polars[0].R)+1e-9 {
-		t.Errorf("radius %v > bound %v", radius, PathBound4(seg, polars[0].R))
+	if radius := tr.Radius(dist); radius > bound+1e-9 {
+		t.Errorf("n=%d: radius %v > bound %v", n, radius, bound)
 	}
 }
 
+// cellName names a subtest after its cell and whether its points coincide.
+func cellName(cell string, coincident bool) string {
+	if coincident {
+		return cell + "/coincident"
+	}
+	return cell
+}
+
+// TestConnect4InCell drives the natural recursion of every dimension over
+// one cell: Ctx2.Connect4 against inequality (1), Ctx3.Connect8 and
+// CtxD.ConnectFull against their 3-D and d-D analogues. Coincident points
+// exercise the fallback for cells too thin to split.
+func TestConnect4InCell(t *testing.T) {
+	r := rng.New(5)
+	for _, coincident := range []bool{false, true} {
+		t.Run(cellName("segment", coincident), func(t *testing.T) {
+			seg := geom.RingSegment{RMin: 0.5, RMax: 0.8, ThetaMin: 1.0, ThetaMax: 1.4}
+			for _, n := range cellSizes {
+				polars, dist := inSegment(r, seg, n, coincident)
+				checkInCell(t, n, 4, dist, PathBound4(seg, polars[0].R), func(b *tree.Builder, idx []int32) {
+					(&Ctx2{B: b, Pts: polars}).Connect4(idx, 0, seg)
+				})
+			}
+		})
+		t.Run(cellName("shell", coincident), func(t *testing.T) {
+			for _, n := range cellSizes {
+				sph, dist := inShell(r, testShell, n, coincident)
+				checkInCell(t, n, 8, dist, shellBound(testShell, sph[0].R, 2), func(b *tree.Builder, idx []int32) {
+					(&Ctx3{B: b, Pts: sph}).Connect8(idx, 0, testShell)
+				})
+			}
+		})
+		t.Run(cellName("cellD", coincident), func(t *testing.T) {
+			for d := 2; d <= 5; d++ {
+				cell := testCellD(d)
+				for _, n := range cellSizes {
+					hs, dist := inCellD(r, cell, n, coincident)
+					checkInCell(t, n, 1<<d, dist, cellDBound(cell, hs[0].R, 2), func(b *tree.Builder, idx []int32) {
+						(&CtxD{B: b, Pts: hs}).ConnectFull(idx, 0, cell)
+					})
+				}
+			}
+		})
+	}
+}
+
+// TestConnect2InCell is TestConnect4InCell for the degree-2 variants, whose
+// relays spend more angle per level: inequality (2) in 2-D.
 func TestConnect2InCell(t *testing.T) {
 	r := rng.New(6)
-	seg := geom.RingSegment{RMin: 0.9, RMax: 1.0, ThetaMin: 0.2, ThetaMax: 0.5}
-	for _, n := range []int{1, 2, 3, 4, 5, 9, 33, 100} {
-		polars := make([]geom.Polar, n)
-		for i := range polars {
-			polars[i] = geom.Polar{
-				R:     seg.RMin + r.Float64()*(seg.RMax-seg.RMin),
-				Theta: seg.ThetaMin + r.Float64()*(seg.ThetaMax-seg.ThetaMin),
+	for _, coincident := range []bool{false, true} {
+		t.Run(cellName("segment", coincident), func(t *testing.T) {
+			seg := geom.RingSegment{RMin: 0.9, RMax: 1.0, ThetaMin: 0.2, ThetaMax: 0.5}
+			for _, n := range cellSizes {
+				polars, dist := inSegment(r, seg, n, coincident)
+				checkInCell(t, n, 2, dist, PathBound2(seg, polars[0].R), func(b *tree.Builder, idx []int32) {
+					(&Ctx2{B: b, Pts: polars}).Connect2(idx, 0, seg)
+				})
 			}
-		}
-		b, err := tree.NewBuilder(n, 0, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := &Ctx2{B: b, Pts: polars}
-		idx := make([]int32, 0, n-1)
-		for i := 1; i < n; i++ {
-			idx = append(idx, int32(i))
-		}
-		ctx.Connect2(idx, 0, seg)
-		tr, err := b.Build()
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := tr.Validate(2); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		pts := make([]geom.Point2, n)
-		for i, c := range polars {
-			pts[i] = c.ToPoint()
-		}
-		if radius := tr.Radius(dist2(pts)); radius > PathBound2(seg, polars[0].R)+1e-9 {
-			t.Errorf("n=%d: radius %v > bound %v", n, radius, PathBound2(seg, polars[0].R))
-		}
-	}
-}
-
-func TestBuildTree3(t *testing.T) {
-	r := rng.New(7)
-	for _, deg := range []int{2, 8, 10} {
-		for _, n := range []int{1, 2, 3, 10, 200} {
-			pts := r.UniformBall3N(n, 1)
-			tr, rep, err := BuildTree3(pts, 0, deg)
-			if err != nil {
-				t.Fatalf("deg=%d n=%d: %v", deg, n, err)
+		})
+		t.Run(cellName("shell", coincident), func(t *testing.T) {
+			for _, n := range cellSizes {
+				sph, dist := inShell(r, testShell, n, coincident)
+				checkInCell(t, n, 2, dist, shellBound(testShell, sph[0].R, 8), func(b *tree.Builder, idx []int32) {
+					(&Ctx3{B: b, Pts: sph}).Connect2(idx, 0, testShell)
+				})
 			}
-			capDeg := 8
-			if deg < 8 {
-				capDeg = 2
-			}
-			if err := tr.Validate(capDeg); err != nil {
-				t.Fatalf("deg=%d n=%d: %v", deg, n, err)
-			}
-			if n > 1 {
-				radius := tr.Radius(dist3(pts))
-				if radius > rep.PathBound+1e-9 {
-					t.Errorf("deg=%d n=%d: radius %v > bound %v", deg, n, radius, rep.PathBound)
-				}
-				if radius < rep.LowerBound-1e-9 {
-					t.Errorf("deg=%d n=%d: radius %v < lower %v", deg, n, radius, rep.LowerBound)
+		})
+		t.Run(cellName("cellD", coincident), func(t *testing.T) {
+			for d := 2; d <= 5; d++ {
+				cell := testCellD(d)
+				for _, n := range cellSizes {
+					hs, dist := inCellD(r, cell, n, coincident)
+					checkInCell(t, n, 2, dist, cellDBound(cell, hs[0].R, float64(int(1)<<d)), func(b *tree.Builder, idx []int32) {
+						(&CtxD{B: b, Pts: hs}).Connect2(idx, 0, cell)
+					})
 				}
 			}
-		}
-	}
-}
-
-func TestBuildTree3Coincident(t *testing.T) {
-	pts := make([]geom.Point3, 9)
-	tr, _, err := BuildTree3(pts, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(2); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBuildTreeD(t *testing.T) {
-	r := rng.New(8)
-	for _, d := range []int{2, 3, 4, 5} {
-		for _, deg := range []int{2, 1 << uint(d)} {
-			n := 150
-			pts := r.UniformBallDN(n, d, 1)
-			tr, rep, err := BuildTreeD(pts, 0, deg)
-			if err != nil {
-				t.Fatalf("d=%d deg=%d: %v", d, deg, err)
-			}
-			capDeg := deg
-			if deg < 1<<uint(d) {
-				capDeg = 2
-			}
-			if err := tr.Validate(capDeg); err != nil {
-				t.Fatalf("d=%d deg=%d: %v", d, deg, err)
-			}
-			radius := tr.Radius(distD(pts))
-			if radius > rep.PathBound+1e-9 {
-				t.Errorf("d=%d deg=%d: radius %v > bound %v", d, deg, radius, rep.PathBound)
-			}
-		}
-	}
-}
-
-func TestBuildTreeDValidation(t *testing.T) {
-	if _, _, err := BuildTreeD([]geom.Vec{{1}}, 0, 2); err == nil {
-		t.Error("accepted dimension 1")
-	}
-	if _, _, err := BuildTreeD([]geom.Vec{{1, 2}, {1, 2, 3}}, 0, 2); err == nil {
-		t.Error("accepted mixed dimensions")
-	}
-	if _, _, err := BuildTreeD(nil, 0, 2); err == nil {
-		t.Error("accepted empty input")
-	}
-}
-
-func TestBuildTreeDMatches2DQualitatively(t *testing.T) {
-	// The d=2 generic path and the specialized 2-D path won't build
-	// byte-identical trees (different covering cells), but both must beat
-	// the same bound scale.
-	r := rng.New(9)
-	pts2 := r.UniformDiskN(200, 1)
-	vecs := make([]geom.Vec, len(pts2))
-	for i, p := range pts2 {
-		vecs[i] = p.Vec()
-	}
-	t2, _, err := BuildTree(pts2, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	td, _, err := BuildTreeD(vecs, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := t2.Radius(dist2(pts2))
-	rd := td.Radius(distD(vecs))
-	if rd > 3*r2+1e-9 && r2 > 3*rd+1e-9 {
-		t.Errorf("radii wildly inconsistent: 2-D %v, d-D %v", r2, rd)
+		})
 	}
 }
 

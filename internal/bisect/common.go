@@ -103,15 +103,6 @@ func removeAt(bucket []int32, pos int) (int32, []int32) {
 	return id, bucket[:last]
 }
 
-// countPoints sums the bucket sizes.
-func countPoints(buckets [][]int32) int {
-	var n int
-	for _, bkt := range buckets {
-		n += len(bkt)
-	}
-	return n
-}
-
 // countNonEmpty counts the occupied buckets.
 func countNonEmpty(buckets [][]int32) int {
 	var n int

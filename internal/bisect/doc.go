@@ -16,15 +16,16 @@
 //     attaches the two points with radius closest to its own, and each of
 //     those relays two of the four sub-segments; the angular term doubles
 //     (inequality (2)).
-//   - Connect8 / Connect2Ball3 (3-D) and ConnectD / Connect2BallD (general
-//     d): cells split along every axis into 2^d sub-cells; the natural
-//     out-degree is 2^d, and the out-degree-2 versions relay the sub-cell
-//     representatives through a binary helper tree.
+//   - Ctx3.Connect8 / Ctx3.Connect2 (3-D) and CtxD.ConnectFull /
+//     CtxD.Connect2 (general d): cells split along every axis into 2^d
+//     sub-cells; the natural out-degree is 2^d, and the out-degree-2
+//     versions relay the sub-cell representatives through a binary helper
+//     tree. Package core runs them inside each grid cell.
 //
-// Standalone entry points (BuildTree, BuildTree3, BuildTreeD) cover an
-// arbitrary point set with a thin, nearly-flat ring segment whose polar
-// origin is placed far away — far enough that sin(a) > (5/6)a and
-// r > 0.6R, the preconditions of the factor-5 proof.
+// The standalone entry point BuildTree covers an arbitrary planar point set
+// with a thin, nearly-flat ring segment whose polar origin is placed far
+// away — far enough that sin(a) > (5/6)a and r > 0.6R, the preconditions
+// of the factor-5 proof. BuildTreeSquare is the square-cell variant.
 //
 // The package attaches nodes into a tree.Builder so that the degree caps
 // are machine-checked during construction.

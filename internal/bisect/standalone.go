@@ -120,236 +120,3 @@ func BuildTree(points []geom.Point2, source, maxOutDegree int) (*tree.Tree, Repo
 	}
 	return t, rep, nil
 }
-
-// Report3 is the certificate of a standalone 3-D build.
-type Report3 struct {
-	Cell       geom.ShellCell
-	PathBound  float64
-	LowerBound float64
-}
-
-// BuildTree3 is the standalone 3-D Bisection: the points are covered with a
-// thin spherical-shell cell whose origin lies far below the cloud along -z,
-// and the degree-8 (maxOutDegree >= 8) or degree-2 recursion connects them.
-func BuildTree3(points []geom.Point3, source, maxOutDegree int) (*tree.Tree, Report3, error) {
-	if maxOutDegree < 2 {
-		return nil, Report3{}, fmt.Errorf("bisect: out-degree %d < 2 cannot span arbitrary point sets", maxOutDegree)
-	}
-	n := len(points)
-	if source < 0 || source >= n {
-		return nil, Report3{}, fmt.Errorf("bisect: source %d out of range [0, %d)", source, n)
-	}
-	b, err := tree.NewBuilder(n, source, maxOutDegree)
-	if err != nil {
-		return nil, Report3{}, err
-	}
-	if n == 1 {
-		t, err := b.Build()
-		return t, Report3{}, err
-	}
-
-	var center geom.Point3
-	for _, p := range points {
-		center = center.Add(p)
-	}
-	center = center.Scale(1 / float64(n))
-	_, h := farthest3(center, points)
-
-	idx := make([]int32, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != source {
-			idx = append(idx, int32(i))
-		}
-	}
-	if h == 0 {
-		attachKary(b, idx, int32(source), maxOutDegree)
-		t, err := b.Build()
-		return t, Report3{}, err
-	}
-
-	// Offset along -y: the cloud then sits near azimuth pi/2 (far from the
-	// atan2 branch cut at 0/2pi) and near the spherical equator u ~ 0 (far
-	// from the poles, where azimuth degenerates), keeping every angular
-	// coordinate in a thin interval.
-	origin := geom.Point3{X: center.X, Y: center.Y - originFactor*h, Z: center.Z}
-	sph := make([]geom.Spherical, n)
-	cell := geom.ShellCell{
-		RMin: math.Inf(1), RMax: math.Inf(-1),
-		ThetaMin: math.Inf(1), ThetaMax: math.Inf(-1),
-		UMin: math.Inf(1), UMax: math.Inf(-1),
-	}
-	var lower float64
-	for i, p := range points {
-		c := p.SphericalAround(origin)
-		sph[i] = c
-		cell.RMin = math.Min(cell.RMin, c.R)
-		cell.RMax = math.Max(cell.RMax, c.R)
-		cell.ThetaMin = math.Min(cell.ThetaMin, c.Theta)
-		cell.ThetaMax = math.Max(cell.ThetaMax, c.Theta)
-		cell.UMin = math.Min(cell.UMin, c.U)
-		cell.UMax = math.Max(cell.UMax, c.U)
-		if d := p.Dist(points[source]); d > lower {
-			lower = d
-		}
-	}
-
-	ctx := &Ctx3{B: b, Pts: sph}
-	rep := Report3{Cell: cell, LowerBound: lower}
-	q := sph[source].R
-	radial := math.Max(cell.RMax-q, q-cell.RMin)
-	// Angular detour per level: theta width plus polar-angle width, halving
-	// each level; the degree-2 variant doubles the spend per level twice
-	// (two helper hops), costing another factor of 2 per relay level.
-	angle := (cell.ThetaMax - cell.ThetaMin) +
-		(math.Acos(clamp(cell.UMin, -1, 1)) - math.Acos(clamp(cell.UMax, -1, 1)))
-	if maxOutDegree >= 8 {
-		ctx.Connect8(idx, int32(source), cell)
-		rep.PathBound = radial + 2*cell.RMax*angle
-	} else {
-		ctx.Connect2(idx, int32(source), cell)
-		rep.PathBound = radial + 8*cell.RMax*angle
-	}
-	t, err := b.Build()
-	if err != nil {
-		return nil, Report3{}, err
-	}
-	return t, rep, nil
-}
-
-// ReportD is the certificate of a standalone d-dimensional build.
-type ReportD struct {
-	Cell       geom.CellD
-	PathBound  float64
-	LowerBound float64
-}
-
-// BuildTreeD is the standalone d-dimensional Bisection (d >= 2); all points
-// must share dimension d. The covering cell's origin is placed far away
-// along the negative last axis. maxOutDegree >= 2^d runs the natural
-// recursion; anything in [2, 2^d) runs the degree-2 relay variant.
-func BuildTreeD(points []geom.Vec, source, maxOutDegree int) (*tree.Tree, ReportD, error) {
-	if maxOutDegree < 2 {
-		return nil, ReportD{}, fmt.Errorf("bisect: out-degree %d < 2 cannot span arbitrary point sets", maxOutDegree)
-	}
-	n := len(points)
-	if source < 0 || source >= n {
-		return nil, ReportD{}, fmt.Errorf("bisect: source %d out of range [0, %d)", source, n)
-	}
-	if n == 0 {
-		return nil, ReportD{}, fmt.Errorf("bisect: no points")
-	}
-	d := len(points[0])
-	if d < 2 {
-		return nil, ReportD{}, fmt.Errorf("bisect: dimension %d < 2", d)
-	}
-	for i, p := range points {
-		if len(p) != d {
-			return nil, ReportD{}, fmt.Errorf("bisect: point %d has dimension %d, want %d", i, len(p), d)
-		}
-	}
-	b, err := tree.NewBuilder(n, source, maxOutDegree)
-	if err != nil {
-		return nil, ReportD{}, err
-	}
-	if n == 1 {
-		t, err := b.Build()
-		return t, ReportD{}, err
-	}
-
-	center := make(geom.Vec, d)
-	for _, p := range points {
-		for j := range center {
-			center[j] += p[j]
-		}
-	}
-	for j := range center {
-		center[j] /= float64(n)
-	}
-	_, h := geom.FarthestFromVec(center, points)
-
-	idx := make([]int32, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != source {
-			idx = append(idx, int32(i))
-		}
-	}
-	if h == 0 {
-		attachKary(b, idx, int32(source), maxOutDegree)
-		t, err := b.Build()
-		return t, ReportD{}, err
-	}
-
-	// Offset along -x_2 (see BuildTree3): every hyperspherical angle of the
-	// cloud then concentrates near pi/2, away from branch cuts and poles.
-	origin := center.Clone()
-	origin[1] -= originFactor * h
-	hs := make([]geom.Hyperspherical, n)
-	cell := geom.CellD{
-		RMin: math.Inf(1), RMax: math.Inf(-1),
-		ThetaMin: math.Inf(1), ThetaMax: math.Inf(-1),
-		PhiMin: make([]float64, d-2), PhiMax: make([]float64, d-2),
-	}
-	for m := range cell.PhiMin {
-		cell.PhiMin[m] = math.Inf(1)
-		cell.PhiMax[m] = math.Inf(-1)
-	}
-	var lower float64
-	for i, p := range points {
-		c := p.Sub(origin).ToHyperspherical()
-		hs[i] = c
-		cell.RMin = math.Min(cell.RMin, c.R)
-		cell.RMax = math.Max(cell.RMax, c.R)
-		cell.ThetaMin = math.Min(cell.ThetaMin, c.Theta)
-		cell.ThetaMax = math.Max(cell.ThetaMax, c.Theta)
-		for m := range c.Phi {
-			cell.PhiMin[m] = math.Min(cell.PhiMin[m], c.Phi[m])
-			cell.PhiMax[m] = math.Max(cell.PhiMax[m], c.Phi[m])
-		}
-		if dd := p.Dist(points[source]); dd > lower {
-			lower = dd
-		}
-	}
-
-	ctx := &CtxD{B: b, Pts: hs}
-	rep := ReportD{Cell: cell, LowerBound: lower}
-	q := hs[source].R
-	radial := math.Max(cell.RMax-q, q-cell.RMin)
-	angle := cell.MaxAngle()
-	if maxOutDegree >= 1<<uint(d) {
-		ctx.ConnectFull(idx, int32(source), cell)
-		rep.PathBound = radial + 2*cell.RMax*angle
-	} else {
-		ctx.Connect2(idx, int32(source), cell)
-		// Each relay level multiplies the per-level angular spend by the
-		// helper-tree depth; 2^(d-1) links bound d-1 relay levels.
-		rep.PathBound = radial + float64(int(1)<<uint(d))*cell.RMax*angle
-	}
-	t, err := b.Build()
-	if err != nil {
-		return nil, ReportD{}, err
-	}
-	return t, rep, nil
-}
-
-func farthest3(origin geom.Point3, pts []geom.Point3) (int, float64) {
-	best, bestD2 := -1, -1.0
-	for i, p := range pts {
-		if d2 := origin.Dist2(p); d2 > bestD2 {
-			best, bestD2 = i, d2
-		}
-	}
-	if best < 0 {
-		return -1, 0
-	}
-	return best, math.Sqrt(bestD2)
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

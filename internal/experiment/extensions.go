@@ -16,17 +16,15 @@ type ChurnConfig struct {
 	Trials       int
 	Seed         uint64
 	MaxOutDegree int // >= 3
-	// OptimizeRounds is the number of maintenance rounds (default 3).
-	OptimizeRounds int
 }
 
 // ChurnRow reports the dynamic-overlay quality ladder at one size: raw
-// after joins, after maintenance, after a coordinated rebuild, against the
-// centralized build; plus the average per-join control cost.
+// after joins, after a coordinated rebuild, against the centralized build;
+// plus the average per-join control cost.
 type ChurnRow struct {
-	Nodes                            int
-	Raw, Optimized, Rebuilt, Central float64
-	JoinMsgs                         float64
+	Nodes                 int
+	Raw, Rebuilt, Central float64
+	JoinMsgs              float64
 }
 
 // RunChurn measures the decentralized protocol against the centralized
@@ -38,14 +36,9 @@ func RunChurn(cfg ChurnConfig) ([]ChurnRow, error) {
 	if cfg.MaxOutDegree < 3 {
 		return nil, fmt.Errorf("experiment: churn degree %d < 3", cfg.MaxOutDegree)
 	}
-	rounds := cfg.OptimizeRounds
-	if rounds <= 0 {
-		rounds = 3
-	}
-
 	rows := make([]ChurnRow, 0, len(cfg.Sizes))
 	for sizeIdx, n := range cfg.Sizes {
-		var raw, opt, rebuilt, central, joinMsgs stats.Accumulator
+		var raw, rebuilt, central, joinMsgs stats.Accumulator
 		for trial := 0; trial < cfg.Trials; trial++ {
 			r := rng.New(trialSeed(cfg.Seed^0xc412, sizeIdx, trial))
 			pts := r.UniformDiskN(n, 1)
@@ -72,19 +65,6 @@ func RunChurn(cfg ChurnConfig) ([]ChurnRow, error) {
 				return nil, err
 			}
 			raw.Add(v)
-			for round := 0; round < rounds; round++ {
-				st, err := o.Optimize()
-				if err != nil {
-					return nil, err
-				}
-				if st.Moves == 0 {
-					break
-				}
-			}
-			if v, err = o.Radius(); err != nil {
-				return nil, err
-			}
-			opt.Add(v)
 			if _, err := o.Rebuild(); err != nil {
 				return nil, err
 			}
@@ -100,9 +80,7 @@ func RunChurn(cfg ChurnConfig) ([]ChurnRow, error) {
 			central.Add(c.Radius)
 		}
 		rows = append(rows, ChurnRow{
-			Nodes: n,
-			Raw:   raw.Mean(), Optimized: opt.Mean(),
-			Rebuilt: rebuilt.Mean(), Central: central.Mean(),
+			Nodes: n, Raw: raw.Mean(), Rebuilt: rebuilt.Mean(), Central: central.Mean(),
 			JoinMsgs: joinMsgs.Mean(),
 		})
 	}
@@ -111,12 +89,11 @@ func RunChurn(cfg ChurnConfig) ([]ChurnRow, error) {
 
 // ChurnTable renders the churn rows.
 func ChurnTable(rows []ChurnRow) *stats.Table {
-	t := stats.NewTable("Nodes", "RawJoin", "Optimized", "Rebuilt", "Centralized", "Msgs/Join")
+	t := stats.NewTable("Nodes", "RawJoin", "Rebuilt", "Centralized", "Msgs/Join")
 	for _, r := range rows {
 		t.AddRow(
 			fmt.Sprintf("%d", r.Nodes),
 			fmt.Sprintf("%.3f", r.Raw),
-			fmt.Sprintf("%.3f", r.Optimized),
 			fmt.Sprintf("%.3f", r.Rebuilt),
 			fmt.Sprintf("%.3f", r.Central),
 			fmt.Sprintf("%.1f", r.JoinMsgs),

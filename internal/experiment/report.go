@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"omtree/internal/obs"
 	"omtree/internal/stats"
 )
 
@@ -163,19 +162,4 @@ func Figure7(rows []Row) (*stats.Plot, error) {
 // WriteCSV emits the full sweep as CSV.
 func WriteCSV(rows []Row, w io.Writer) error {
 	return Table1(rows).RenderCSV(w)
-}
-
-// WriteMetrics embeds a metrics snapshot in a report: a titled section in
-// the registry's stable text layout. An empty snapshot (nil or disabled
-// registry, or nothing recorded) writes nothing, so reports only grow the
-// section when -metrics-style instrumentation was actually attached.
-func WriteMetrics(snap obs.Snapshot, w io.Writer) error {
-	text := snap.Text()
-	if text == "" {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "== Metrics ==\n%s", text); err != nil {
-		return err
-	}
-	return nil
 }

@@ -178,19 +178,6 @@ func (c CellD) SubcellIndex(h Hyperspherical) int {
 	return j
 }
 
-// MaxAngle returns an upper bound on the total angular extent of the cell —
-// the sum of the per-axis angular widths. Multiplied by RMax this bounds the
-// arc-length detour of moving between any two points of the cell along
-// angular coordinates, which is the quantity the Bisection path-length
-// analysis charges per recursion level.
-func (c CellD) MaxAngle() float64 {
-	a := c.ThetaMax - c.ThetaMin
-	for m := range c.PhiMin {
-		a += c.PhiMax[m] - c.PhiMin[m]
-	}
-	return a
-}
-
 // Degenerate reports whether no axis of the cell can be split further at
 // floating-point resolution.
 func (c CellD) Degenerate() bool {

@@ -123,20 +123,6 @@ func TestCellDMatchesRingSegmentIn2D(t *testing.T) {
 	}
 }
 
-func TestCellDMaxAngle(t *testing.T) {
-	c := FullShellD(3, 0.5, 1)
-	want := TwoPi + math.Pi
-	if got := c.MaxAngle(); !almostEqual(got, want, 1e-12) {
-		t.Errorf("MaxAngle = %v, want %v", got, want)
-	}
-	subs := c.Subcells()
-	for i, s := range subs {
-		if s.MaxAngle() >= c.MaxAngle() {
-			t.Errorf("subcell %d angle %v not smaller than parent %v", i, s.MaxAngle(), c.MaxAngle())
-		}
-	}
-}
-
 func TestCellDDegenerate(t *testing.T) {
 	c := FullShellD(3, 0.5, 1)
 	if c.Degenerate() {

@@ -181,17 +181,3 @@ func FarthestFrom(origin Point2, pts []Point2) (int, float64) {
 	}
 	return best, math.Sqrt(bestD2)
 }
-
-// FarthestFromVec is FarthestFrom for d-dimensional points.
-func FarthestFromVec(origin Vec, pts []Vec) (int, float64) {
-	best, bestD2 := -1, -1.0
-	for i, p := range pts {
-		if d2 := origin.Dist2(p); d2 > bestD2 {
-			best, bestD2 = i, d2
-		}
-	}
-	if best < 0 {
-		return -1, 0
-	}
-	return best, math.Sqrt(bestD2)
-}

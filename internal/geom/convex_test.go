@@ -142,11 +142,3 @@ func TestFarthestFrom(t *testing.T) {
 		t.Errorf("FarthestFrom(empty) = (%d, %v)", i, d)
 	}
 }
-
-func TestFarthestFromVec(t *testing.T) {
-	pts := []Vec{{1, 0, 0}, {0, 0, -5}, {2, 2, 2}}
-	i, d := FarthestFromVec(Vec{0, 0, 0}, pts)
-	if i != 1 || !almostEqual(d, 5, 1e-15) {
-		t.Errorf("FarthestFromVec = (%d, %v), want (1, 5)", i, d)
-	}
-}

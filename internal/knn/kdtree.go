@@ -141,17 +141,6 @@ func (t *Tree) Nearest(q geom.Point2, accept func(id int) bool) int {
 	return best
 }
 
-// NearestDist returns Nearest plus the distance (Inf when none).
-func (t *Tree) NearestDist(q geom.Point2, accept func(id int) bool) (int, float64) {
-	best := -1
-	bestD2 := math.Inf(1)
-	t.search(q, 0, len(t.idx), 0, accept, &best, &bestD2)
-	if best < 0 {
-		return -1, math.Inf(1)
-	}
-	return best, math.Sqrt(bestD2)
-}
-
 func (t *Tree) search(q geom.Point2, lo, hi, depth int, accept func(id int) bool, best *int, bestD2 *float64) {
 	if lo >= hi {
 		return

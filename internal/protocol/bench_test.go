@@ -61,25 +61,6 @@ func BenchmarkChurn(b *testing.B) {
 	}
 }
 
-func BenchmarkOptimizeRound(b *testing.B) {
-	r := rng.New(3)
-	o, err := New(Config{Source: geom.Point2{}, Scale: 1, K: 6, MaxOutDegree: 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		if _, _, err := o.Join(r.UniformDisk(1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Optimize(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRebuild(b *testing.B) {
 	r := rng.New(4)
 	o, err := New(Config{Source: geom.Point2{}, Scale: 1, K: 6, MaxOutDegree: 6})

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"omtree/internal/coords"
 	"omtree/internal/rng"
+	"omtree/internal/snapshot"
 	"omtree/internal/tree"
 )
 
@@ -326,5 +328,104 @@ func TestSnapshotGoldenV1Departed(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("restored trees differ from %s\n got:\n%s\nwant:\n%s", goldenDepartedHashes, got, want)
+	}
+}
+
+// The retired-slot checkpoint pins a v1 stats field whose counter is gone.
+// The seventh stats slot counted the messages of Optimize, a local repair
+// round since deleted in favour of Rebuild; the layout keeps the slot, and
+// every other committed blob holds 0 there. This one was written by the
+// last commit that still had Optimize, with a test in this package that
+// ran, in order:
+//
+//	o, _ := New(sessionConfig(5))
+//	r := rng.New(2007)
+//	300 × reliableJoin(t, o, r.UniformDisk(1))
+//	o.Rebuild()
+//	40 × reliableJoin(t, o, r.UniformDisk(1))
+//	one Optimize round // 241 moves, 3721 messages
+//	o.WriteSnapshot(&buf)
+//
+// and then wrote the hashes file from RestoreBytes(blob): each remaining
+// SessionStats field by name, the retired slot's value, and
+// restoredTreeLines(t, "retired", o). The blob cannot be regenerated.
+const (
+	goldenRetiredBlob   = "testdata/overlay_retired_v1.omts"
+	goldenRetiredHashes = "testdata/overlay_retired_v1.sha256"
+)
+
+// TestSnapshotGoldenV1RetiredSlot restores a checkpoint with a non-zero
+// retired stats slot: it must decode, pass Audit, keep every remaining
+// counter and both trees, and re-encode differing from the blob only in
+// that slot, which now writes 0.
+func TestSnapshotGoldenV1RetiredSlot(t *testing.T) {
+	blob, err := os.ReadFile(goldenRetiredBlob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := RestoreBytes(blob)
+	if err != nil {
+		t.Fatalf("retired-slot checkpoint: %v", err)
+	}
+	if err := o.Audit(); err != nil {
+		t.Fatalf("restored overlay audit: %v", err)
+	}
+
+	// The stats section ends the payload, so both payloads must share
+	// everything before it and differ inside it only at the retired slot.
+	_, payload, err := snapshot.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, again, err := snapshot.Open(reencode(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const retiredSlot = 6
+	var e snapshot.Encoder
+	o.Stats.Restores-- // as reencode does: the blob predates the restore
+	for _, f := range statsFields(&o.Stats) {
+		e.Int(*f)
+	}
+	o.Stats.Restores++
+	start := len(again) - len(e.Bytes())
+	if start < 0 || start > len(payload) || !bytes.Equal(payload[:start], again[:start]) {
+		t.Fatal("re-encoded payload differs before the stats section")
+	}
+	readStats := func(b []byte) []int {
+		d := snapshot.NewDecoder(b)
+		vs := make([]int, len(statsFields(&o.Stats)))
+		for i := range vs {
+			vs[i] = d.Int()
+		}
+		if d.Err() != nil || d.Len() != 0 {
+			t.Fatalf("stats section: err %v, %d bytes left", d.Err(), d.Len())
+		}
+		return vs
+	}
+	was, now := readStats(payload[start:]), readStats(again[start:])
+	for i := range was {
+		if i != retiredSlot && was[i] != now[i] {
+			t.Errorf("stats slot %d: blob %d, re-encoded %d", i+1, was[i], now[i])
+		}
+	}
+	if was[retiredSlot] == 0 || now[retiredSlot] != 0 {
+		t.Errorf("retired slot: blob %d, re-encoded %d; want non-zero, 0", was[retiredSlot], now[retiredSlot])
+	}
+
+	var lines []string
+	v := reflect.ValueOf(o.Stats)
+	for i := 0; i < v.NumField(); i++ {
+		lines = append(lines, fmt.Sprintf("retired stats %s=%d", v.Type().Field(i).Name, v.Field(i).Int()))
+	}
+	lines = append(lines, fmt.Sprintf("retired slot %d=%d", retiredSlot+1, was[retiredSlot]))
+	lines = append(lines, restoredTreeLines(t, "retired", o)...)
+	got := strings.Join(lines, "\n") + "\n"
+	want, err := os.ReadFile(goldenRetiredHashes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("restored overlay differs from %s\n got:\n%s\nwant:\n%s", goldenRetiredHashes, got, want)
 	}
 }

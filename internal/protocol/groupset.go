@@ -98,7 +98,7 @@ func (s *GroupSet) Create(name string, cfg Config) (*Overlay, error) {
 }
 
 // Group returns the named group's session (nil if absent) for operations
-// the set does not wrap: Optimize, Snapshot, Audit, drift control, ...
+// the set does not wrap: Snapshot, Audit, drift control, ...
 func (s *GroupSet) Group(name string) *Overlay { return s.groups[name] }
 
 // Names returns the group names in sorted order.

@@ -28,7 +28,6 @@ func RegisterSessionMetrics(r *obs.Registry, st *SessionStats) {
 		{"protocol/leave_messages", &st.LeaveMessages},
 		{"protocol/rep_elections", &st.RepElections},
 		{"protocol/fallback_scans", &st.FallbackScans},
-		{"protocol/optimize_messages", &st.OptimizeMessages},
 		{"protocol/rebuilds", &st.Rebuilds},
 		{"protocol/rebuild_messages", &st.RebuildMessages},
 		{"protocol/abrupt_failures", &st.AbruptFailures},

@@ -248,13 +248,12 @@ type Overlay struct {
 
 // SessionStats aggregates control traffic.
 type SessionStats struct {
-	Joins, Leaves    int
-	JoinMessages     int
-	LeaveMessages    int
-	RepElections     int
-	FallbackScans    int // joins/reattaches that needed the global scan
-	OptimizeMessages int
-	Rebuilds         int
+	Joins, Leaves int
+	JoinMessages  int
+	LeaveMessages int
+	RepElections  int
+	FallbackScans int // joins/reattaches that needed the global scan
+	Rebuilds      int
 	// IncrementalRebuilds counts the Rebuilds served from the retained
 	// build state (dirty cells rewired, clean cells untouched) rather than
 	// from scratch; those skip the per-member coordinate reports.
@@ -919,173 +918,6 @@ func (o *Overlay) MaxOutDegreeUsed() int {
 		}
 	}
 	return m
-}
-
-// Optimize runs one maintenance round, the periodic repair a deployed
-// protocol would schedule: every cell representative re-anchors to the
-// representative of its nearest occupied ancestor cell (join order may
-// have left it hanging off a distant early node), and every ordinary
-// member re-homes to the best local parent in its cell if that strictly
-// improves its delay. Control messages are counted like any operation.
-// Returns the operation stats; call until Moves reaches zero (one or two
-// rounds suffice in practice).
-func (o *Overlay) Optimize() (OptimizeStats, error) {
-	var st OptimizeStats
-	endOp := o.beginOp("protocol/optimize", -1, "")
-	defer func() { endOp("moves=" + strconv.Itoa(st.Moves)) }()
-
-	// Pass 1: representative re-anchoring, inner rings first so parents
-	// settle before children measure against them.
-	for ring := 1; ring <= o.cfg.K; ring++ {
-		for idx := 0; idx < grid.CellsInRing(ring); idx++ {
-			cell := grid.CellID(ring, idx)
-			rep := o.reps[cell]
-			if rep < 0 || !o.live[rep] {
-				continue
-			}
-			target := o.properAnchor(ring, idx, rep, &st.Op)
-			if target < 0 || target == o.nodes[rep].parent || target == rep {
-				continue
-			}
-			if o.isDescendant(target, rep) {
-				continue // moving under our own subtree would cycle
-			}
-			// Structural properness only pays if it reduces the measured
-			// delay (a direct link to the source can beat the "proper"
-			// ancestor chain).
-			newDelay := o.nodes[target].delay + o.nodes[target].pos.Dist(o.nodes[rep].pos)
-			if newDelay >= o.nodes[rep].delay-1e-12 {
-				continue
-			}
-			if o.transport != nil && !o.exchange(rep, target, &st.Op) {
-				continue // the new anchor went dark; stay put
-			}
-			o.moveSubtree(rep, target)
-			st.Moves++
-			st.Op.Messages += 2 // detach + handshake
-		}
-	}
-
-	// Pass 2: member re-homing within cells.
-	for cell := range o.members {
-		for _, m := range o.members[cell] {
-			if o.nodes[m].isRep || !o.live[m] {
-				continue
-			}
-			cur := o.nodes[m].parent
-			best := cur
-			bestDelay := o.nodes[m].delay
-			consider := func(id int32) {
-				if id == m || id == cur || !o.nodeAlive(id) || o.residual(id) == 0 {
-					return
-				}
-				if o.isDescendant(id, m) {
-					return
-				}
-				st.Op.Messages++ // probe
-				cand := &o.nodes[id]
-				if d := cand.delay + cand.pos.Dist(o.nodes[m].pos); d < bestDelay-1e-12 {
-					best, bestDelay = id, d
-				}
-			}
-			if cell == 0 {
-				consider(0)
-			}
-			for _, id := range o.members[cell] {
-				consider(id)
-			}
-			if best != cur {
-				if o.transport != nil && !o.exchange(m, best, &st.Op) {
-					continue // the new parent went dark; stay put
-				}
-				o.moveSubtree(m, best)
-				st.Moves++
-				st.Op.Messages += 2
-			}
-		}
-	}
-	// Pass 3: global re-homing — every node probes a descent from the
-	// source toward itself (the same O(depth) walk a join uses) and moves,
-	// subtree and all, when that strictly improves its measured delay.
-	// This is what lets the overlay forget unlucky early attachment
-	// decisions. Breadth-first order settles ancestors before descendants.
-	order := []int32{0}
-	for head := 0; head < len(order); head++ {
-		for _, c := range o.nodes[order[head]].children {
-			if o.live[c] {
-				order = append(order, c)
-			}
-		}
-	}
-	for _, m := range order[1:] {
-		cand := o.descendParent(o.nodes[m].pos, o.residual, &st.Op)
-		if cand < 0 || cand == m || cand == o.nodes[m].parent {
-			continue
-		}
-		if o.isDescendant(cand, m) {
-			continue
-		}
-		newDelay := o.nodes[cand].delay + o.nodes[cand].pos.Dist(o.nodes[m].pos)
-		if newDelay >= o.nodes[m].delay-1e-12 {
-			continue
-		}
-		if o.transport != nil && !o.exchange(m, cand, &st.Op) {
-			continue // the new parent went dark; stay put
-		}
-		o.moveSubtree(m, cand)
-		st.Moves++
-		st.Op.Messages += 2
-	}
-
-	o.Stats.OptimizeMessages += st.Op.Messages
-	return st, nil
-}
-
-// OptimizeStats reports one maintenance round.
-type OptimizeStats struct {
-	Op    OpStats
-	Moves int
-}
-
-// properAnchor returns the best attachment point in the nearest occupied
-// ancestor cell (the source if none): the member minimizing the
-// representative's resulting delay, among those with room. Returns -1 to
-// keep the current parent.
-func (o *Overlay) properAnchor(ring, idx int, rep int32, st *OpStats) int32 {
-	i := grid.ParentCell(idx)
-	for r := ring - 1; r >= 1; r-- {
-		st.Messages++ // probe the ancestor representative
-		cell := grid.CellID(r, i)
-		if o.reps[cell] >= 0 {
-			best := int32(-1)
-			bestDelay := math.Inf(1)
-			consider := func(id int32) {
-				if id == rep || !o.nodeAlive(id) {
-					return
-				}
-				// The current parent is always an admissible "candidate"
-				// (no room needed to stay put); others need a spare slot.
-				if id != o.nodes[rep].parent && o.residualAsCoreParent(id) == 0 {
-					return
-				}
-				st.Messages++ // probe
-				cand := &o.nodes[id]
-				if d := cand.delay + cand.pos.Dist(o.nodes[rep].pos); d < bestDelay {
-					best, bestDelay = id, d
-				}
-			}
-			consider(o.reps[cell])
-			for _, m := range o.members[cell] {
-				consider(m)
-			}
-			return best
-		}
-		i = grid.ParentCell(i)
-	}
-	if o.nodes[rep].parent == 0 || o.residualAsCoreParent(0) > 0 {
-		return 0
-	}
-	return -1
 }
 
 // isDescendant reports whether a lies in the subtree rooted at root.

@@ -147,42 +147,34 @@ func TestDecentralizedQualityVsCentralized(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rawRadius, err := o.Radius()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A deployed protocol runs periodic maintenance; two rounds settle it.
-	for round := 0; round < 2; round++ {
-		if _, err := o.Optimize(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dynRadius, err := o.Radius()
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr, _, _, err := o.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Validate(6); err != nil {
-		t.Fatalf("optimize broke the tree: %v", err)
+		t.Fatalf("joins broke the tree: %v", err)
+	}
+	joined, err := o.Radius()
+	if err != nil {
+		t.Fatal(err)
 	}
 	central, err := core.Build2(geom.Point2{}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dynRadius < central.Scale-1e-9 {
-		t.Fatalf("dynamic radius %v below the lower bound %v", dynRadius, central.Scale)
+	if joined < central.Scale-1e-9 {
+		t.Fatalf("joined radius %v below the farthest receiver %v", joined, central.Scale)
 	}
-	if dynRadius > rawRadius+1e-9 {
-		t.Errorf("optimize worsened radius: %v -> %v", rawRadius, dynRadius)
+	// The source-coordinated rebuild forgets join order entirely.
+	if _, err := o.Rebuild(); err != nil {
+		t.Fatal(err)
 	}
-	// Decentralization costs delay; after maintenance it must stay within
-	// a modest constant factor of the centralized build on uniform inputs.
-	if dynRadius > 2*central.Radius {
-		t.Errorf("dynamic radius %v (raw %v) vs centralized %v — degradation too large",
-			dynRadius, rawRadius, central.Radius)
+	rebuilt, err := o.Radius()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt != central.Radius {
+		t.Errorf("rebuilt radius %v, centralized build %v", rebuilt, central.Radius)
 	}
 }
 

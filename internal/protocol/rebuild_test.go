@@ -111,49 +111,3 @@ func TestRebuildEmptySession(t *testing.T) {
 		t.Errorf("N = %d", o.N())
 	}
 }
-
-func TestOptimizeConvergesAndHelps(t *testing.T) {
-	r := rng.New(11)
-	n := 1000
-	o, err := New(Config{Source: geom.Point2{}, Scale: 1, K: SuggestK(n), MaxOutDegree: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if _, _, err := o.Join(r.UniformDisk(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := o.Radius()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := raw
-	for round := 0; round < 8; round++ {
-		st, err := o.Optimize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur, err := o.Radius()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur > prev+1e-9 {
-			t.Fatalf("round %d worsened radius %v -> %v", round, prev, cur)
-		}
-		prev = cur
-		if st.Moves == 0 {
-			break
-		}
-	}
-	if prev >= raw-1e-12 && raw > 1.2 {
-		t.Errorf("optimize never improved: raw %v final %v", raw, prev)
-	}
-	tr, _, _, err := o.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(6); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -87,11 +87,13 @@ func (o *Overlay) killpoint(name string) error {
 
 // statsFields lists every SessionStats field once, in declaration order —
 // the single source of truth for the stats section of the payload, so the
-// encoder and decoder cannot drift apart.
+// encoder and decoder cannot drift apart. The seventh slot held the counter
+// of a retired repair round; v1 keeps it as a discarded value, written as 0
+// and dropped on read.
 func statsFields(s *SessionStats) []*int {
 	return []*int{
 		&s.Joins, &s.Leaves, &s.JoinMessages, &s.LeaveMessages,
-		&s.RepElections, &s.FallbackScans, &s.OptimizeMessages,
+		&s.RepElections, &s.FallbackScans, new(int),
 		&s.Rebuilds, &s.IncrementalRebuilds, &s.RebuildMessages,
 		&s.AbruptFailures, &s.Attempts, &s.AttemptsDelivered,
 		&s.Retries, &s.Timeouts, &s.MessagesLost, &s.DuplicatesDelivered,

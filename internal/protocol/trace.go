@@ -5,9 +5,9 @@ import (
 )
 
 // Trace attaches an event recorder to the session: every subsequent
-// operation (join, leave, optimize, rebuild, maintenance round) mints a
-// trace id and lands its exchanges, retries, fault-plane verdicts, and
-// detector transitions on that timeline. Rebuild forwards the recorder to
+// operation (join, leave, rebuild, maintenance round) mints a trace id and
+// lands its exchanges, retries, fault-plane verdicts, and detector
+// transitions on that timeline. Rebuild forwards the recorder to
 // the centralized build, so a full session reads as one trace file. A nil
 // recorder (the default) detaches tracing; like the metrics registry it
 // never influences protocol behavior — traced and untraced runs of one

@@ -173,14 +173,6 @@ func (e *Encoder) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Int32s appends a length-prefixed slice of int32.
-func (e *Encoder) Int32s(vs []int32) {
-	e.Uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		e.Int32(v)
-	}
-}
-
 // Fixed32 appends an int32 as a fixed 4-byte little-endian word (two's
 // complement). Hot columnar sections trade the varint's size for decode
 // speed: a fixed-width column bulk-decodes with one bounds check and no
@@ -208,8 +200,7 @@ func (e *Encoder) SetFixed32(run, i int, v int32) {
 	binary.LittleEndian.PutUint32(e.buf[run+4*i:], uint32(v))
 }
 
-// Fixed32s appends a length-prefixed slice of fixed 4-byte int32 words —
-// the fixed-width counterpart of Int32s.
+// Fixed32s appends a length-prefixed slice of fixed 4-byte int32 words.
 func (e *Encoder) Fixed32s(vs []int32) {
 	e.Uvarint(uint64(len(vs)))
 	for _, v := range vs {
@@ -378,24 +369,6 @@ func (d *Decoder) String() string {
 	return s
 }
 
-// Int32s reads a length-prefixed slice of int32. A nil slice is decoded
-// as an empty non-nil slice only when the encoded length is zero and the
-// encoder wrote a nil slice the same way, so round-trips stay byte-exact.
-func (d *Decoder) Int32s() []int32 {
-	// Each element takes at least one byte, so cap the allocation by the
-	// remaining buffer: corrupt length prefixes can't trigger huge makes.
-	n := d.length(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]int32, n)
-	d.Int32sInto(vs)
-	if d.err != nil {
-		return nil
-	}
-	return vs
-}
-
 // Fixed32sInto decodes len(dst) fixed 4-byte words written by Fixed32 with
 // a single bounds check, for columnar sections whose length the caller
 // already knows.
@@ -414,8 +387,8 @@ func (d *Decoder) Fixed32sInto(dst []int32) {
 	d.off += 4 * len(dst)
 }
 
-// Fixed32s reads a length-prefixed slice written by Encoder.Fixed32s. Like
-// Int32s, a zero length decodes to nil so round-trips stay byte-exact.
+// Fixed32s reads a length-prefixed slice written by Encoder.Fixed32s. A
+// zero length decodes to nil so round-trips stay byte-exact.
 func (d *Decoder) Fixed32s() []int32 {
 	n := d.length(4)
 	if d.err != nil || n == 0 {
@@ -571,48 +544,6 @@ func (d *Decoder) Fixed32View(n int) Fixed32View {
 	v := Fixed32View(d.buf[d.off : d.off+4*n])
 	d.off += 4 * n
 	return v
-}
-
-// Int32sInto decodes len(dst) zigzag varints into dst with one sticky
-// check up front, for columnar sections whose length the caller already
-// knows. dst is left partially filled if the buffer runs out.
-func (d *Decoder) Int32sInto(dst []int32) {
-	if d.err != nil {
-		return
-	}
-	off := d.off
-	for i := range dst {
-		v, n := binary.Varint(d.buf[off:])
-		if n <= 0 {
-			d.fail("truncated or overlong varint at offset %d", off)
-			return
-		}
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			d.fail("varint %d out of int32 range at offset %d", v, off)
-			return
-		}
-		dst[i] = int32(v)
-		off += n
-	}
-	d.off = off
-}
-
-// IntsInto is Int32sInto for native ints (zigzag varints written by Int).
-func (d *Decoder) IntsInto(dst []int) {
-	if d.err != nil {
-		return
-	}
-	off := d.off
-	for i := range dst {
-		v, n := binary.Varint(d.buf[off:])
-		if n <= 0 {
-			d.fail("truncated or overlong varint at offset %d", off)
-			return
-		}
-		dst[i] = int(v)
-		off += n
-	}
-	d.off = off
 }
 
 // Length reads a length prefix for a sequence whose elements each occupy

@@ -24,8 +24,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	e.Bool(false)
 	e.String("")
 	e.String("polar grid")
-	e.Int32s(nil)
-	e.Int32s([]int32{5, -2, 0})
 
 	d := NewDecoder(e.Bytes())
 	if got := d.Uvarint(); got != 0 {
@@ -67,12 +65,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	if got := d.String(); got != "polar grid" {
 		t.Errorf("String = %q", got)
 	}
-	if got := d.Int32s(); got != nil {
-		t.Errorf("Int32s = %v, want nil", got)
-	}
-	if got := d.Int32s(); len(got) != 3 || got[0] != 5 || got[1] != -2 || got[2] != 0 {
-		t.Errorf("Int32s = %v, want [5 -2 0]", got)
-	}
 	if d.Err() != nil {
 		t.Fatalf("Err = %v", d.Err())
 	}
@@ -83,8 +75,8 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 
 func TestDecoderStickyError(t *testing.T) {
 	d := NewDecoder([]byte{0x05}) // length prefix 5 with no payload behind it
-	if got := d.Int32s(); got != nil {
-		t.Errorf("Int32s on corrupt input = %v, want nil", got)
+	if got := d.String(); got != "" {
+		t.Errorf("String on corrupt input = %q, want empty", got)
 	}
 	if !errors.Is(d.Err(), ErrCorrupt) {
 		t.Fatalf("Err = %v, want ErrCorrupt", d.Err())
@@ -113,7 +105,6 @@ func TestDecoderTruncation(t *testing.T) {
 	e.Float64(2.5)
 	e.Bool(true)
 	e.String("xyz")
-	e.Int32s([]int32{1, 2})
 	full := e.Bytes()
 	for cut := 0; cut < len(full); cut++ {
 		d := NewDecoder(full[:cut])
@@ -122,7 +113,6 @@ func TestDecoderTruncation(t *testing.T) {
 		d.Float64()
 		d.Bool()
 		_ = d.String()
-		d.Int32s()
 		if !errors.Is(d.Err(), ErrCorrupt) {
 			t.Fatalf("prefix %d/%d: Err = %v, want ErrCorrupt", cut, len(full), d.Err())
 		}
@@ -173,18 +163,11 @@ func TestBulkPrimitiveRoundTrip(t *testing.T) {
 	floats := []float64{0, -1.5, math.Inf(1), math.Copysign(0, -1)}
 	bools := []bool{true, false, false, true}
 	int32s := []int32{-1, 0, math.MaxInt32, math.MinInt32}
-	ints := []int{-7, 0, 1 << 40}
 	lists := [][]int32{{3, -4}, nil, {}, {9}}
 
 	var e Encoder
 	e.Float64s(floats)
 	e.Bools(bools)
-	for _, v := range int32s {
-		e.Int32(v)
-	}
-	for _, v := range ints {
-		e.Int(v)
-	}
 	for _, v := range int32s {
 		e.Fixed32(v)
 	}
@@ -206,20 +189,6 @@ func TestBulkPrimitiveRoundTrip(t *testing.T) {
 	}
 	if got := d.Bools(len(bools)); len(got) != len(bools) || !got[0] || got[1] || got[2] || !got[3] {
 		t.Errorf("Bools = %v", got)
-	}
-	got32 := make([]int32, len(int32s))
-	d.Int32sInto(got32)
-	for i, v := range int32s {
-		if got32[i] != v {
-			t.Errorf("Int32sInto[%d] = %d, want %d", i, got32[i], v)
-		}
-	}
-	gotInts := make([]int, len(ints))
-	d.IntsInto(gotInts)
-	for i, v := range ints {
-		if gotInts[i] != v {
-			t.Errorf("IntsInto[%d] = %d, want %d", i, gotInts[i], v)
-		}
 	}
 	gotFixed := make([]int32, len(int32s))
 	d.Fixed32sInto(gotFixed)
@@ -288,8 +257,6 @@ func TestBulkPrimitiveCorruption(t *testing.T) {
 	check("BoolBits negative", func(d *Decoder) { d.BoolBits(-1) })
 	check("Fixed32View oversized", func(d *Decoder) { d.Fixed32View(5) })
 	check("Fixed32View negative", func(d *Decoder) { d.Fixed32View(-1) })
-	check("Int32sInto truncated", func(d *Decoder) { d.Int32sInto(make([]int32, 17)) })
-	check("IntsInto truncated", func(d *Decoder) { d.IntsInto(make([]int, 17)) })
 	check("Fixed32sInto truncated", func(d *Decoder) { d.Fixed32sInto(make([]int32, 5)) })
 	check("Int32Lists oversized", func(d *Decoder) { d.Int32Lists(17) })
 	check("Fail", func(d *Decoder) { d.Fail("by hand") })
@@ -304,17 +271,8 @@ func TestBulkPrimitiveCorruption(t *testing.T) {
 		t.Errorf("BoolBits = %v, err = %v, want nil + ErrCorrupt", got, d.Err())
 	}
 
-	// An int32 column holding a value outside int32 range.
-	var e Encoder
-	e.Int(math.MaxInt32 + 1)
-	d = NewDecoder(e.Bytes())
-	d.Int32sInto(make([]int32, 1))
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Errorf("Int32sInto range: Err = %v, want ErrCorrupt", d.Err())
-	}
-
 	// A list-length column claiming a negative length.
-	e = Encoder{}
+	var e Encoder
 	e.Fixed32(-2)
 	e.Fixed32(1)
 	d = NewDecoder(e.Bytes())
@@ -338,7 +296,6 @@ func TestBulkPrimitiveCorruption(t *testing.T) {
 		t.Error("post-error bulk read returned data")
 	}
 	probe := []int32{42}
-	d.Int32sInto(probe)
 	d.Fixed32sInto(probe)
 	if probe[0] != 42 {
 		t.Error("post-error Into overwrote its destination")

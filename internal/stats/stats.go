@@ -58,14 +58,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 // Max returns the largest observation (0 if empty).
 func (a *Accumulator) Max() float64 { return a.max }
 
-// StdErr returns the standard error of the mean.
-func (a *Accumulator) StdErr() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.StdDev() / math.Sqrt(float64(a.n))
-}
-
 // Merge combines another accumulator into a (parallel-reduction friendly;
 // Chan et al. pairwise update).
 func (a *Accumulator) Merge(b *Accumulator) {

@@ -3,6 +3,7 @@ package omtree_test
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"omtree"
@@ -87,5 +88,36 @@ func TestBuildStateNonFiniteJoinRecovers(t *testing.T) {
 	}
 	if res.Radius != want.Radius || res.K != want.K {
 		t.Errorf("recovered state builds radius %v k %d, fresh build %v k %d", res.Radius, res.K, want.Radius, want.K)
+	}
+}
+
+// TestBisectionRejectsNonFinite covers the standalone Bisection builds,
+// which used to return a tree and a nil error for a NaN or infinite point.
+// The error names the lowest bad index.
+func TestBisectionRejectsNonFinite(t *testing.T) {
+	pts := []omtree.Point2{{X: 0, Y: 0}, {X: 1, Y: 1}, {X: 0.5, Y: 0.5}, {X: 0.3, Y: 0.2}}
+	builds := map[string]func([]omtree.Point2) error{
+		"BuildBisection": func(p []omtree.Point2) error {
+			_, _, err := omtree.BuildBisection(p, 0, 4)
+			return err
+		},
+		"BuildBisectionSquare": func(p []omtree.Point2) error {
+			_, _, err := omtree.BuildBisectionSquare(p, 0, 4)
+			return err
+		},
+	}
+	for name, build := range builds {
+		for _, bad := range []omtree.Point2{{X: math.NaN(), Y: 0.5}, {X: 0.5, Y: math.Inf(1)}} {
+			err := build(withPoint(withPoint(pts, 3, bad), 2, bad))
+			if !errors.Is(err, omtree.ErrNonFinite) {
+				t.Fatalf("%s with %v: err = %v, want ErrNonFinite", name, bad, err)
+			}
+			if !strings.Contains(err.Error(), "point 2 ") {
+				t.Errorf("%s: error %q does not name point 2", name, err)
+			}
+		}
+		if err := build(pts); err != nil {
+			t.Errorf("%s on finite points: %v", name, err)
+		}
 	}
 }

@@ -20,6 +20,7 @@
 package omtree
 
 import (
+	"fmt"
 	"io"
 
 	"omtree/internal/baseline"
@@ -261,6 +262,9 @@ var NewOverlayGroupSet = protocol.NewGroupSet
 // arbitrary planar point set. Unlike Build, the source indexes into points
 // and node ids equal point indices.
 func BuildBisection(points []Point2, source, maxOutDegree int) (*Tree, BisectReport, error) {
+	if err := checkFinite(points); err != nil {
+		return nil, BisectReport{}, err
+	}
 	return bisect.BuildTree(points, source, maxOutDegree)
 }
 
@@ -271,7 +275,20 @@ type SquareBisectReport = bisect.SquareReport
 // square version §II alludes to): same constant-factor flavor, axis-aligned
 // splitting.
 func BuildBisectionSquare(points []Point2, source, maxOutDegree int) (*Tree, SquareBisectReport, error) {
+	if err := checkFinite(points); err != nil {
+		return nil, SquareBisectReport{}, err
+	}
 	return bisect.BuildTreeSquare(points, source, maxOutDegree)
+}
+
+// checkFinite rejects the first NaN or infinite point with ErrNonFinite.
+func checkFinite(points []Point2) error {
+	for i, p := range points {
+		if !p.IsFinite() {
+			return fmt.Errorf("omtree: point %d at %v: %w", i, p, ErrNonFinite)
+		}
+	}
+	return nil
 }
 
 // DiameterResult is the outcome of a minimum-diameter build.
@@ -405,8 +422,6 @@ type (
 	OverlayConfig = protocol.Config
 	// OpStats counts one operation's control messages.
 	OpStats = protocol.OpStats
-	// OptimizeStats reports one maintenance round.
-	OptimizeStats = protocol.OptimizeStats
 	// OverlayTransport delivers (or drops, delays, duplicates) control
 	// messages between overlay nodes.
 	OverlayTransport = protocol.Transport

@@ -260,9 +260,6 @@ func TestFacadeNewSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ov.Optimize(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := ov.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
