@@ -99,6 +99,42 @@ func TestJoinAndLeaveAfterRebuild(t *testing.T) {
 	}
 }
 
+// TestRebuildLeavesRingZeroToSource checks that a rebuild, like every other
+// election site, leaves ring 0 without a representative: the source anchors
+// it, and a member marked there would reserve two core slots it can never
+// use.
+func TestRebuildLeavesRingZeroToSource(t *testing.T) {
+	const n = 2000
+	o, err := New(Config{Source: geom.Point2{}, Scale: 1, K: SuggestK(n), MaxOutDegree: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rng.New(4).UniformDiskN(n, 1) {
+		if _, _, err := o.Join(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := o.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if len(o.members[0]) == 0 {
+		t.Fatal("no member landed in ring 0; the check below would be vacuous")
+	}
+	if o.reps[0] != -1 {
+		t.Errorf("reps[0] = %d after Rebuild, want -1", o.reps[0])
+	}
+	for _, m := range o.members[0] {
+		if o.nodes[m].isRep {
+			t.Errorf("ring-0 member %d is marked a representative (residual %d)", m, o.residual(m))
+		}
+	}
+	for cell := 1; cell < len(o.members); cell++ {
+		if len(o.members[cell]) > 0 && o.reps[cell] < 0 {
+			t.Errorf("cell %d has %d members and no representative", cell, len(o.members[cell]))
+		}
+	}
+}
+
 func TestRebuildEmptySession(t *testing.T) {
 	o, err := New(Config{Source: geom.Point2{}, Scale: 1, K: 2, MaxOutDegree: 6})
 	if err != nil {

@@ -656,24 +656,17 @@ func (o *Overlay) rejoinEvicted(id int32, st *OpStats) bool {
 // elects the same node. Returns false when no member was electable.
 func (o *Overlay) electRep(cell int32, st *OpStats) bool {
 	var convener int32 = -1
-	ring, idx := grid.RingIdx(int(cell))
-	seg := o.g.Segment(ring, idx)
-	center := geom.Polar{R: seg.RMin, Theta: seg.MidTheta()}
-	best, bestD := int32(-1), math.Inf(1)
-	for _, m := range o.members[cell] {
+	best := o.closestToArc(cell, func(m int32) bool {
 		if !o.live[m] {
-			continue
+			return false
 		}
 		if convener < 0 {
 			convener = m
 			st.Messages++ // the convener announces the election
-		} else if !o.exchange(convener, m, st) {
-			continue // unreachable members sit this one out
+			return true
 		}
-		if d := o.dist(o.nodes[m].polar, center); d < bestD {
-			best, bestD = m, d
-		}
-	}
+		return o.exchange(convener, m, st) // unreachable members sit this one out
+	})
 	if best < 0 {
 		return false
 	}
@@ -682,6 +675,25 @@ func (o *Overlay) electRep(cell int32, st *OpStats) bool {
 	o.Stats.RepElections++
 	o.emit("protocol/elect", best, -1, "cell="+strconv.Itoa(int(cell)))
 	return true
+}
+
+// closestToArc returns the member of cell closest to the middle of the
+// cell's inner arc, the static algorithm's representative, among those
+// admit accepts (-1 if none). admit sees the members in list order.
+func (o *Overlay) closestToArc(cell int32, admit func(m int32) bool) int32 {
+	ring, idx := grid.RingIdx(int(cell))
+	seg := o.g.Segment(ring, idx)
+	center := geom.Polar{R: seg.RMin, Theta: seg.MidTheta()}
+	best, bestD := int32(-1), math.Inf(1)
+	for _, m := range o.members[cell] {
+		if !admit(m) {
+			continue
+		}
+		if d := o.dist(o.nodes[m].polar, center); d < bestD {
+			best, bestD = m, d
+		}
+	}
+	return best
 }
 
 // removeMember drops id from its cell's membership list (idempotent).
