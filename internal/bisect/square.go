@@ -36,18 +36,6 @@ func (s Square) Quadrants() [4]Square {
 	}
 }
 
-// QuadrantIndex returns which quadrant p falls into (half-open splits).
-func (s Square) QuadrantIndex(p geom.Point2) int {
-	i := 0
-	if p.X >= s.MinX+s.Side/2 {
-		i |= 1
-	}
-	if p.Y >= s.MinY+s.Side/2 {
-		i |= 2
-	}
-	return i
-}
-
 // Degenerate reports whether the square can no longer split at
 // floating-point resolution.
 func (s Square) Degenerate() bool {

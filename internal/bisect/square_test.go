@@ -1,9 +1,7 @@
 package bisect
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
 	"omtree/internal/geom"
 	"omtree/internal/rng"
@@ -25,21 +23,6 @@ func TestSquareQuadrants(t *testing.T) {
 	// Index convention: bit 0 = right, bit 1 = upper.
 	if qs[1].MinX != 3 || qs[2].MinY != 4 {
 		t.Error("quadrant ordering wrong")
-	}
-}
-
-func TestSquareQuadrantIndexConsistent(t *testing.T) {
-	s := Square{MinX: -1, MinY: -1, Side: 2}
-	qs := s.Quadrants()
-	f := func(xf, yf float64) bool {
-		xf = math.Abs(math.Mod(xf, 1))
-		yf = math.Abs(math.Mod(yf, 1))
-		p := geom.Point2{X: s.MinX + xf*s.Side, Y: s.MinY + yf*s.Side}
-		i := s.QuadrantIndex(p)
-		return i >= 0 && i < 4 && qs[i].Contains(p)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

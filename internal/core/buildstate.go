@@ -385,8 +385,11 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 			scale = r
 		}
 	}
-	s.scale = scale
 	endConv()
+	if err := CheckScale(scale); err != nil {
+		return nil, err
+	}
+	s.scale = scale
 
 	res := &Result{Dim: 2, Variant: s.variant, MaxOutDegree: s.degCap, Scale: scale}
 	if s.n == 0 || scale == 0 {

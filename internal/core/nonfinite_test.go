@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"omtree/internal/geom"
@@ -63,5 +64,78 @@ func TestBuildsRejectNonFinite(t *testing.T) {
 	}
 	if _, _, err := bs.Rebuild(); !errors.Is(err, ErrNonFinite) {
 		t.Errorf("BuildState rebuild over a NaN slot: err = %v, want ErrNonFinite", err)
+	}
+}
+
+// TestBuildsRejectScaleBeyondRange checks the scale guard on every build
+// path: a build whose scale lies outside [MinScale, MaxScale], where
+// squared distances overflow or sink into subnormals and the build's
+// comparisons tie, fails with ErrNonFinite instead of returning another
+// tree; a power-of-two rescale inside the range is exact and keeps every
+// parent of the unscaled build.
+func TestBuildsRejectScaleBeyondRange(t *testing.T) {
+	r := rng.New(3)
+	recv := r.UniformDiskN(2000, 1)
+	recv3 := r.UniformBall3N(2000, 1)
+	recvD := r.UniformBallDN(2000, 4, 1)
+	scaled2 := func(s float64) []geom.Point2 {
+		out := make([]geom.Point2, len(recv))
+		for i, p := range recv {
+			out[i] = geom.Point2{X: p.X * s, Y: p.Y * s}
+		}
+		return out
+	}
+	builds := map[string]func(s float64, deg int) (*Result, error){
+		"Build2": func(s float64, deg int) (*Result, error) {
+			return Build2(geom.Point2{}, scaled2(s), WithMaxOutDegree(deg))
+		},
+		"Build3": func(s float64, deg int) (*Result, error) {
+			pts := make([]geom.Point3, len(recv3))
+			for i, p := range recv3 {
+				pts[i] = geom.Point3{X: p.X * s, Y: p.Y * s, Z: p.Z * s}
+			}
+			return Build3(geom.Point3{}, pts, WithMaxOutDegree(deg))
+		},
+		"BuildD": func(s float64, deg int) (*Result, error) {
+			pts := make([]geom.Vec, len(recvD))
+			for i, p := range recvD {
+				pts[i] = p.Scale(s)
+			}
+			return BuildD(make(geom.Vec, 4), pts, WithMaxOutDegree(deg))
+		},
+		"BuildState": func(s float64, deg int) (*Result, error) {
+			bs, err := NewBuildState(geom.Point2{}, WithMaxOutDegree(deg))
+			if err != nil {
+				return nil, err
+			}
+			for i, p := range scaled2(s) {
+				bs.Add(i+1, p)
+			}
+			res, _, err := bs.Rebuild()
+			return res, err
+		},
+	}
+	for name, build := range builds {
+		for _, deg := range []int{0, 2} {
+			want, err := build(1, deg)
+			if err != nil {
+				t.Fatalf("%s deg=%d: %v", name, deg, err)
+			}
+			for _, s := range []float64{1e160, 1e-160} {
+				if _, err := build(s, deg); !errors.Is(err, ErrNonFinite) {
+					t.Errorf("%s deg=%d scale %g: err = %v, want ErrNonFinite", name, deg, s, err)
+				}
+			}
+			for _, s := range []float64{0x1p400, 0x1p-400} {
+				got, err := build(s, deg)
+				if err != nil {
+					t.Errorf("%s deg=%d scale %g: %v", name, deg, s, err)
+					continue
+				}
+				if !slices.Equal(got.Tree.Parents(), want.Tree.Parents()) {
+					t.Errorf("%s deg=%d scale %g: parents differ from the unscaled build", name, deg, s)
+				}
+			}
+		}
 	}
 }

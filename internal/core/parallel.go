@@ -131,7 +131,8 @@ func parCells(workers, numCells int, fn func(w, c int)) {
 // maximum exactly — float64 max is association-independent — so the grid
 // scale (and hence the whole build) does not depend on the worker count. A
 // radius that is NaN or infinite fails the conversion with ErrNonFinite,
-// naming the lowest such receiver at any worker count.
+// naming the lowest such receiver at any worker count, and so does a scale
+// CheckScale rejects.
 func convertCoords[P, C any](workers int, receivers []P, coords []C, conv func(P) C, radius func(C) float64) (float64, error) {
 	maxR := make([]float64, workers)
 	bad := make([]int, workers)
@@ -160,6 +161,9 @@ func convertCoords[P, C any](workers int, receivers []P, coords []C, conv func(P
 		if m > scale {
 			scale = m
 		}
+	}
+	if err := CheckScale(scale); err != nil {
+		return 0, err
 	}
 	return scale, nil
 }

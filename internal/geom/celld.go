@@ -38,10 +38,6 @@ func FullShellD(d int, rMin, rMax float64) CellD {
 // Dim returns the dimension of the space the cell lives in.
 func (c CellD) Dim() int { return len(c.PhiMin) + 2 }
 
-// NumAngularAxes returns the number of angular axes (theta plus the polar
-// angles): d - 1.
-func (c CellD) NumAngularAxes() int { return c.Dim() - 1 }
-
 // Contains reports whether the hyperspherical point h lies in the cell.
 func (c CellD) Contains(h Hyperspherical) bool {
 	if h.R < c.RMin || h.R > c.RMax {

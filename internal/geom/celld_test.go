@@ -39,7 +39,7 @@ func TestCellDSplitAngularEqualMeasure(t *testing.T) {
 		t.Errorf("theta split at %v / %v, want pi", lo.ThetaMax, hi.ThetaMin)
 	}
 	// Axis m+1 (Phi[m]) splits the sin^(m+1) measure equally.
-	for axis := 1; axis <= c.NumAngularAxes()-1; axis++ {
+	for axis := 1; axis <= c.Dim()-2; axis++ {
 		m := axis - 1
 		lo, hi := c.SplitAngular(axis)
 		left := SinPowerIntegral(m+1, lo.PhiMax[m]) - SinPowerIntegral(m+1, lo.PhiMin[m])

@@ -1,93 +1,6 @@
 package geom
 
-import (
-	"math"
-	"sort"
-)
-
-// ConvexHull returns the convex hull of the given planar points in
-// counter-clockwise order, starting from the lexicographically smallest
-// point (Andrew's monotone chain). Collinear points on hull edges are
-// dropped. Inputs of fewer than three distinct points return the distinct
-// points sorted lexicographically.
-func ConvexHull(pts []Point2) []Point2 {
-	n := len(pts)
-	if n == 0 {
-		return nil
-	}
-	sorted := append([]Point2(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
-		}
-		return sorted[i].Y < sorted[j].Y
-	})
-	// Deduplicate.
-	uniq := sorted[:1]
-	for _, p := range sorted[1:] {
-		if p != uniq[len(uniq)-1] {
-			uniq = append(uniq, p)
-		}
-	}
-	if len(uniq) < 3 {
-		return uniq
-	}
-
-	cross := func(o, a, b Point2) float64 {
-		return (a.X-o.X)*(b.Y-o.Y) - (a.Y-o.Y)*(b.X-o.X)
-	}
-	hull := make([]Point2, 0, 2*len(uniq))
-	// Lower hull.
-	for _, p := range uniq {
-		for len(hull) >= 2 && cross(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := len(uniq) - 2; i >= 0; i-- {
-		p := uniq[i]
-		for len(hull) >= lower && cross(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	return hull[:len(hull)-1]
-}
-
-// PolygonArea returns the signed area of the polygon given by its vertices
-// in order (positive for counter-clockwise orientation).
-func PolygonArea(poly []Point2) float64 {
-	var a float64
-	n := len(poly)
-	for i := range n {
-		j := (i + 1) % n
-		a += poly[i].X*poly[j].Y - poly[j].X*poly[i].Y
-	}
-	return a / 2
-}
-
-// PointInConvexPolygon reports whether p lies inside or on the boundary of
-// the convex polygon poly (vertices in counter-clockwise order).
-func PointInConvexPolygon(p Point2, poly []Point2) bool {
-	n := len(poly)
-	if n == 0 {
-		return false
-	}
-	if n == 1 {
-		return p == poly[0]
-	}
-	const eps = 1e-12
-	for i := range n {
-		a, b := poly[i], poly[(i+1)%n]
-		cross := (b.X-a.X)*(p.Y-a.Y) - (b.Y-a.Y)*(p.X-a.X)
-		if cross < -eps {
-			return false
-		}
-	}
-	return true
-}
+import "math"
 
 // Circle is a circle in the plane.
 type Circle struct {

@@ -6,75 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestConvexHullSquare(t *testing.T) {
-	pts := []Point2{
-		{0, 0}, {1, 0}, {1, 1}, {0, 1},
-		{0.5, 0.5}, {0.25, 0.75}, // interior
-		{0.5, 0}, // on edge
-	}
-	hull := ConvexHull(pts)
-	if len(hull) != 4 {
-		t.Fatalf("hull size = %d, want 4: %v", len(hull), hull)
-	}
-	if a := PolygonArea(hull); !almostEqual(a, 1, 1e-12) {
-		t.Errorf("hull area = %v, want 1", a)
-	}
-	for _, p := range pts {
-		if !PointInConvexPolygon(p, hull) {
-			t.Errorf("point %v not in own hull", p)
-		}
-	}
-}
-
-func TestConvexHullSmallInputs(t *testing.T) {
-	if got := ConvexHull(nil); got != nil {
-		t.Errorf("hull of nil = %v", got)
-	}
-	one := []Point2{{1, 2}}
-	if got := ConvexHull(one); len(got) != 1 || got[0] != one[0] {
-		t.Errorf("hull of one point = %v", got)
-	}
-	dup := []Point2{{1, 2}, {1, 2}, {1, 2}}
-	if got := ConvexHull(dup); len(got) != 1 {
-		t.Errorf("hull of duplicates = %v", got)
-	}
-	collinear := []Point2{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
-	got := ConvexHull(collinear)
-	if len(got) != 2 {
-		t.Errorf("hull of collinear points = %v, want 2 extremes", got)
-	}
-}
-
-func TestConvexHullCCW(t *testing.T) {
-	pts := []Point2{{0, 0}, {2, 0}, {1, 2}, {1, 0.5}}
-	hull := ConvexHull(pts)
-	if PolygonArea(hull) <= 0 {
-		t.Errorf("hull not counter-clockwise: %v", hull)
-	}
-}
-
-func TestConvexHullContainsAllQuick(t *testing.T) {
-	f := func(coords [8]int8) bool {
-		pts := make([]Point2, 0, 4)
-		for i := 0; i < 8; i += 2 {
-			pts = append(pts, Point2{float64(coords[i]), float64(coords[i+1])})
-		}
-		hull := ConvexHull(pts)
-		if len(hull) < 3 {
-			return true // degenerate, nothing to check
-		}
-		for _, p := range pts {
-			if !PointInConvexPolygon(p, hull) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEnclosingCircleKnown(t *testing.T) {
 	tests := []struct {
 		name   string

@@ -2,8 +2,9 @@
 // throughout the library: fixed-dimension point types (2-D and 3-D), a
 // general d-dimensional vector type, polar/spherical/hyperspherical
 // coordinates, ring segments and angular boxes (the grid-cell shapes of the
-// Polar_Grid algorithm), convex hulls, and the surface-measure math needed to
-// split hyperspherical cells into equal-measure halves in dimension d >= 3.
+// Polar_Grid algorithm), enclosing circles, and the surface-measure math
+// needed to split hyperspherical cells into equal-measure halves in
+// dimension d >= 3.
 //
 // Conventions:
 //

@@ -41,16 +41,6 @@ func NormalizeAngle(a float64) float64 {
 	return a
 }
 
-// AngleDist returns the absolute angular distance between two angles, in
-// [0, pi].
-func AngleDist(a, b float64) float64 {
-	d := math.Abs(NormalizeAngle(a) - NormalizeAngle(b))
-	if d > math.Pi {
-		d = TwoPi - d
-	}
-	return d
-}
-
 // Spherical is a point of 3-space in spherical coordinates: radius R >= 0,
 // azimuth Theta in [0, 2*pi), and U = cos(polar angle) in [-1, 1]. The
 // surface measure of the unit sphere is uniform in (Theta, U), which makes

@@ -37,22 +37,6 @@ func TestNormalizeAngleRangeQuick(t *testing.T) {
 	}
 }
 
-func TestAngleDist(t *testing.T) {
-	tests := []struct {
-		a, b, want float64
-	}{
-		{0, 0, 0},
-		{0, math.Pi, math.Pi},
-		{0.1, TwoPi - 0.1, 0.2},
-		{3, 3.5, 0.5},
-	}
-	for _, tt := range tests {
-		if got := AngleDist(tt.a, tt.b); !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("AngleDist(%v, %v) = %v, want %v", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
-
 func TestPolarRoundTrip(t *testing.T) {
 	pts := []Point2{
 		{1, 0}, {0, 1}, {-1, 0}, {0, -1},

@@ -40,20 +40,6 @@ func (s RingSegment) Quarters() [4]RingSegment {
 	}
 }
 
-// QuarterIndex returns which of the four Quarters sub-segments the polar
-// point c falls into, using half-open splits so every contained point maps to
-// exactly one quarter.
-func (s RingSegment) QuarterIndex(c Polar) int {
-	i := 0
-	if c.R >= s.MidR() {
-		i |= 2
-	}
-	if c.Theta >= s.MidTheta() {
-		i |= 1
-	}
-	return i
-}
-
 // Degenerate reports whether the segment is too small to split further at
 // floating-point resolution: both its radial extent and its angular extent
 // have collapsed (no midpoint strictly separates the halves).
@@ -109,22 +95,6 @@ func (s ShellCell) Octants() [8]ShellCell {
 		out[i] = c
 	}
 	return out
-}
-
-// OctantIndex returns which of the eight Octants sub-cells the spherical
-// point c falls into, using half-open splits.
-func (s ShellCell) OctantIndex(c Spherical) int {
-	i := 0
-	if c.R >= (s.RMin+s.RMax)/2 {
-		i |= 4
-	}
-	if c.U >= (s.UMin+s.UMax)/2 {
-		i |= 2
-	}
-	if c.Theta >= (s.ThetaMin+s.ThetaMax)/2 {
-		i |= 1
-	}
-	return i
 }
 
 // Degenerate reports whether the cell can no longer be split along any axis

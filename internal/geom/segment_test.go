@@ -1,10 +1,6 @@
 package geom
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRingSegmentQuartersPartition(t *testing.T) {
 	s := RingSegment{RMin: 1, RMax: 2, ThetaMin: 0.5, ThetaMax: 1.5}
@@ -22,24 +18,6 @@ func TestRingSegmentQuartersPartition(t *testing.T) {
 	}
 	if qs[0].ThetaMax != s.MidTheta() || qs[1].ThetaMin != s.MidTheta() {
 		t.Error("angular split not at MidTheta")
-	}
-}
-
-func TestRingSegmentQuarterIndexConsistent(t *testing.T) {
-	s := RingSegment{RMin: 0.5, RMax: 1.5, ThetaMin: 0, ThetaMax: 1}
-	qs := s.Quarters()
-	f := func(rFrac, tFrac float64) bool {
-		rFrac = math.Abs(math.Mod(rFrac, 1))
-		tFrac = math.Abs(math.Mod(tFrac, 1))
-		c := Polar{
-			R:     s.RMin + rFrac*(s.RMax-s.RMin),
-			Theta: s.ThetaMin + tFrac*(s.ThetaMax-s.ThetaMin),
-		}
-		i := s.QuarterIndex(c)
-		return i >= 0 && i < 4 && qs[i].Contains(c)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -92,26 +70,6 @@ func TestShellCellOctantsPartition(t *testing.T) {
 	parent := (s.ThetaMax - s.ThetaMin) * (s.UMax - s.UMin)
 	if !almostEqual(volume, 2*parent, 1e-12) {
 		t.Errorf("octants angular measure = %v, want %v", volume, 2*parent)
-	}
-}
-
-func TestShellCellOctantIndexConsistent(t *testing.T) {
-	s := ShellCell{RMin: 0.2, RMax: 1, ThetaMin: 1, ThetaMax: 2.5, UMin: -1, UMax: 0.25}
-	os := s.Octants()
-	f := func(rf, tf, uf float64) bool {
-		rf = math.Abs(math.Mod(rf, 1))
-		tf = math.Abs(math.Mod(tf, 1))
-		uf = math.Abs(math.Mod(uf, 1))
-		c := Spherical{
-			R:     s.RMin + rf*(s.RMax-s.RMin),
-			Theta: s.ThetaMin + tf*(s.ThetaMax-s.ThetaMin),
-			U:     s.UMin + uf*(s.UMax-s.UMin),
-		}
-		i := s.OctantIndex(c)
-		return i >= 0 && i < 8 && os[i].Contains(c)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -146,14 +146,8 @@ func TestConstructorsRejectBeyondMaxK(t *testing.T) {
 	if _, err := NewPolarGrid(MaxK+1, 1); err == nil {
 		t.Errorf("NewPolarGrid accepted k = %d", MaxK+1)
 	}
-	if _, err := NewSphereGrid3(MaxK+1, 1); err == nil {
-		t.Errorf("NewSphereGrid3 accepted k = %d", MaxK+1)
-	}
 	if _, err := NewPolarGrid(MaxK, 1); err != nil {
 		t.Errorf("NewPolarGrid rejected k = MaxK: %v", err)
-	}
-	if _, err := NewSphereGrid3(MaxK, 1); err != nil {
-		t.Errorf("NewSphereGrid3 rejected k = MaxK: %v", err)
 	}
 }
 

@@ -19,17 +19,6 @@ type SphereGrid3 struct {
 	Scale float64
 }
 
-// NewSphereGrid3 validates the parameters and returns the grid.
-func NewSphereGrid3(k int, scale float64) (SphereGrid3, error) {
-	if k < 1 || k > MaxK {
-		return SphereGrid3{}, fmt.Errorf("grid: sphere grid needs k in [1, %d], got %d", MaxK, k)
-	}
-	if !(scale > 0) || math.IsInf(scale, 0) || math.IsNaN(scale) {
-		return SphereGrid3{}, fmt.Errorf("grid: sphere grid needs positive finite scale, got %v", scale)
-	}
-	return SphereGrid3{K: k, Scale: scale}, nil
-}
-
 // NumCells returns the total number of cells, 2^(K+1) - 1.
 func (g SphereGrid3) NumCells() int { return NumCells(g.K) }
 

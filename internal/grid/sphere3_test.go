@@ -8,18 +8,6 @@ import (
 	"omtree/internal/rng"
 )
 
-func TestNewSphereGrid3Validation(t *testing.T) {
-	if _, err := NewSphereGrid3(0, 1); err == nil {
-		t.Error("accepted k=0")
-	}
-	if _, err := NewSphereGrid3(3, -1); err == nil {
-		t.Error("accepted negative scale")
-	}
-	if _, err := NewSphereGrid3(3, 1); err != nil {
-		t.Errorf("rejected valid grid: %v", err)
-	}
-}
-
 func TestSphereRadiiVolumeDoubling(t *testing.T) {
 	g := SphereGrid3{K: 5, Scale: 1}
 	if got := g.SphereRadius(5); got != 1 {

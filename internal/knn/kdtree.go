@@ -75,27 +75,15 @@ func (t *Tree) Activate(id int) {
 		return
 	}
 	t.active[id] = true
-	t.bumpCounts(id, 1)
+	t.bumpCounts(id)
 }
 
-// Deactivate switches a point off. Idempotent.
-func (t *Tree) Deactivate(id int) {
-	if !t.active[id] {
-		return
-	}
-	t.active[id] = false
-	t.bumpCounts(id, -1)
-}
-
-// Active reports a point's state.
-func (t *Tree) Active(id int) bool { return t.active[id] }
-
-// bumpCounts walks the recursion path that contains id and adjusts the
+// bumpCounts walks the recursion path that contains id and increments the
 // active counters.
-func (t *Tree) bumpCounts(id, delta int) {
+func (t *Tree) bumpCounts(id int) {
 	lo, hi, depth := 0, len(t.idx), 0
 	for {
-		t.activeCount[(lo+hi)/2] += int32(delta) // counter keyed by subtree midpoint
+		t.activeCount[(lo+hi)/2]++ // counter keyed by subtree midpoint
 		if hi-lo <= 1 {
 			return
 		}

@@ -109,18 +109,10 @@ func TestActivateDeactivate(t *testing.T) {
 	if got := tree.Nearest(q, nil); got != 0 {
 		t.Fatalf("got %d, want 0", got)
 	}
-	tree.Deactivate(0)
-	if got := tree.Nearest(q, nil); got != 2 {
-		t.Fatalf("after deactivate got %d, want 2", got)
-	}
 	// Idempotency.
-	tree.Deactivate(0)
 	tree.Activate(2)
-	if got := tree.Nearest(q, nil); got != 2 {
+	if got := tree.Nearest(q, nil); got != 0 {
 		t.Fatal("idempotent ops broke state")
-	}
-	if tree.Active(0) || !tree.Active(2) {
-		t.Error("Active() flags wrong")
 	}
 }
 
@@ -202,13 +194,6 @@ func TestDuplicatePoints(t *testing.T) {
 	got := tree.KNearest(geom.Point2{}, 20, nil)
 	if len(got) != 20 {
 		t.Fatalf("got %d duplicates", len(got))
-	}
-	// Deactivate them all; queries must go empty.
-	for i := range pts {
-		tree.Deactivate(i)
-	}
-	if got := tree.Nearest(geom.Point2{}, nil); got != -1 {
-		t.Fatalf("deactivated tree returned %d", got)
 	}
 }
 

@@ -22,24 +22,10 @@ func TestSubstrateAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.ReferenceK() < 1 {
-		t.Errorf("ReferenceK = %d on a spread population", sub.ReferenceK())
-	}
 	for h := 0; h < 5; h++ {
 		if got := (geom.Point2{X: sub.Coord(0, h), Y: sub.Coord(1, h)}); got != hosts[h] {
 			t.Errorf("Coord(·, %d) = %v, want %v", h, got, hosts[h])
 		}
-	}
-	// NearestHost: a query at a host's own position finds it; an accept
-	// filter excluding it finds someone else; rejecting everyone finds -1.
-	if got := sub.NearestHost(hosts[7], nil); got != 7 {
-		t.Errorf("NearestHost at hosts[7] = %d", got)
-	}
-	if got := sub.NearestHost(hosts[7], func(h int) bool { return h != 7 }); got == 7 || got < 0 {
-		t.Errorf("NearestHost excluding 7 = %d", got)
-	}
-	if got := sub.NearestHost(hosts[7], func(int) bool { return false }); got != -1 {
-		t.Errorf("NearestHost rejecting all = %d, want -1", got)
 	}
 	// The attached observer sees labeled group churn.
 	g, err := sub.NewGroup(multigroup.GroupConfig{Source: []float64{0, 0}, ID: "acc"})
@@ -59,25 +45,19 @@ func TestSubstrateAccessors(t *testing.T) {
 		t.Error("WithObserver registry missing the labeled join counter")
 	}
 
-	// Degenerate population: every host at one point leaves no usable scale.
-	flat, err := multigroup.NewSubstrate([]geom.Point2{{X: 1, Y: 1}, {X: 1, Y: 1}})
-	if err != nil {
+	// Degenerate population: every host at one point is still a substrate.
+	if _, err := multigroup.NewSubstrate([]geom.Point2{{X: 1, Y: 1}, {X: 1, Y: 1}}); err != nil {
 		t.Fatal(err)
-	}
-	if flat.ReferenceK() != 0 {
-		t.Errorf("ReferenceK = %d on a coincident population, want 0", flat.ReferenceK())
 	}
 
-	// Non-2-D substrates answer Coord but have no k-d tree to query.
-	sub3, err := multigroup.NewSubstrate3(r.UniformBall3N(50, 1))
+	// Non-2-D substrates answer Coord on every axis.
+	balls := r.UniformBall3N(50, 1)
+	sub3, err := multigroup.NewSubstrate3(balls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sub3.NearestHost(geom.Point2{}, nil); got != -1 {
-		t.Errorf("3-D NearestHost = %d, want -1", got)
-	}
-	if sub3.ReferenceK() != 0 {
-		t.Errorf("3-D ReferenceK = %d, want 0", sub3.ReferenceK())
+	if got := (geom.Point3{X: sub3.Coord(0, 9), Y: sub3.Coord(1, 9), Z: sub3.Coord(2, 9)}); got != balls[9] {
+		t.Errorf("3-D Coord(·, 9) = %v, want %v", got, balls[9])
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // over one host population, the number the shared substrate exists to
 // improve:
 //
-//   - substrate: the one-time cost a deployment pays once — axes, kNN
-//     index, and reference grid over the full population.
+//   - substrate: the one-time cost a deployment pays once — the coordinate
+//     axes over the full population.
 //   - shared: G groups created on an existing substrate: join through the
 //     bitset, build via the cached per-source polar views.
 //   - cloned: what a naive deployment does instead — every group gathers

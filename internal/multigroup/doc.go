@@ -1,17 +1,17 @@
 // Package multigroup runs many concurrent multicast groups over one shared
 // host population. The paper builds one minimal-delay tree per source; a
 // deployment (conference platform, CDN edge) runs thousands of groups over
-// the same hosts, and rebuilding per-group copies of the coordinate set,
-// grid bucketing and kNN index would multiply the dominant memory and
-// conversion costs by the group count.
+// the same hosts, and rebuilding per-group copies of the coordinate set and
+// its polar conversion would multiply the dominant memory and conversion
+// costs by the group count.
 //
 // The split is:
 //
 //   - Substrate: everything that depends only on the host population, built
 //     once and shared read-only — the coordinates in a struct-of-arrays
-//     layout (one []float64 per axis), the dense Point2 view and k-d tree
-//     for 2-D populations, a reference polar bucketing around the centroid,
-//     and a cache of per-source polar views (core.SlotGeometry). Nothing in
+//     layout (one []float64 per axis), the dense Point2 view for 2-D
+//     populations, and a cache of per-source polar views
+//     (core.SlotGeometry), the only derived data Polar_Grid reads. Nothing in
 //     a Substrate is written after construction except the view cache,
 //     which only grows (under a mutex) and whose entries are themselves
 //     immutable; Checksum folds every coordinate so tests can assert

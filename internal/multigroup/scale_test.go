@@ -189,3 +189,33 @@ func TestGroupSizedByMembers(t *testing.T) {
 		t.Errorf("the larger substrate adds %d B to a group's MemoryBytes, over the %d B its membership bits and rank index need", extra, budget)
 	}
 }
+
+// TestSubstrateSizedByCoordinates pins what NewSubstrate allocates: the two
+// axis columns that groups read (16 B per host) and little more. An index
+// over the hosts has to bring a caller that reads it before it can add
+// bytes here again.
+func TestSubstrateSizedByCoordinates(t *testing.T) {
+	const (
+		hosts   = 200_000
+		perHost = 24
+	)
+	pts := rng.New(62).UniformDiskN(hosts, 1)
+	var least uint64
+	var before, after runtime.MemStats
+	for run := 0; run < 3; run++ {
+		runtime.ReadMemStats(&before)
+		sub, err := multigroup.NewSubstrate(pts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(sub)
+		if a := after.TotalAlloc - before.TotalAlloc; run == 0 || a < least {
+			least = a
+		}
+	}
+	t.Logf("NewSubstrate allocated %d B over %d hosts (%.1f B/host)", least, hosts, float64(least)/hosts)
+	if least > perHost*hosts {
+		t.Errorf("NewSubstrate allocated %d B over %d hosts, over the %d B/host budget", least, hosts, perHost)
+	}
+}

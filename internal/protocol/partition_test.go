@@ -414,6 +414,8 @@ func TestConfigValidate(t *testing.T) {
 		{"negative scale", func(c *Config) { c.Scale = -2 }},
 		{"NaN scale", func(c *Config) { c.Scale = math.NaN() }},
 		{"infinite scale", func(c *Config) { c.Scale = math.Inf(1) }},
+		{"scale past the float range", func(c *Config) { c.Scale = 1e160 }},
+		{"scale below the float range", func(c *Config) { c.Scale = 1e-160 }},
 		{"zero K", func(c *Config) { c.K = 0 }},
 		{"negative K", func(c *Config) { c.K = -3 }},
 		{"huge K", func(c *Config) { c.K = 40 }},

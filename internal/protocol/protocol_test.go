@@ -30,13 +30,28 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestNonFiniteRejected checks a session refuses a non-finite source at
-// construction and a non-finite joiner, leaving its membership untouched.
+// TestNonFiniteRejected checks a session refuses a non-finite source and a
+// scale outside core's range at construction, and a non-finite joiner,
+// leaving its membership untouched.
 func TestNonFiniteRejected(t *testing.T) {
 	cfg := sessionConfig(4)
 	cfg.Source = geom.Point2{X: math.Inf(-1)}
 	if _, err := New(cfg); !errors.Is(err, core.ErrNonFinite) {
 		t.Errorf("New with an infinite source: err = %v, want ErrNonFinite", err)
+	}
+	for _, scale := range []float64{1e160, 1e-160} {
+		cfg := sessionConfig(4)
+		cfg.Scale = scale
+		if _, err := New(cfg); !errors.Is(err, core.ErrNonFinite) {
+			t.Errorf("New with scale %g: err = %v, want ErrNonFinite", scale, err)
+		}
+	}
+	for _, scale := range []float64{core.MinScale, core.MaxScale} {
+		cfg := sessionConfig(4)
+		cfg.Scale = scale
+		if _, err := New(cfg); err != nil {
+			t.Errorf("New with scale %g: %v", scale, err)
+		}
 	}
 	o, err := New(sessionConfig(4))
 	if err != nil {

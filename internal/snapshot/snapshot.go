@@ -149,9 +149,6 @@ func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 // Int appends a signed int as a zigzag varint.
 func (e *Encoder) Int(v int) { e.buf = binary.AppendVarint(e.buf, int64(v)) }
 
-// Int32 appends a signed int32 as a zigzag varint.
-func (e *Encoder) Int32(v int32) { e.buf = binary.AppendVarint(e.buf, int64(v)) }
-
 // Float64 appends the IEEE-754 bits as a fixed 8-byte little-endian word.
 // Fixed width keeps NaN payloads and signed zeros byte-exact.
 func (e *Encoder) Float64(v float64) {
@@ -306,24 +303,6 @@ func (d *Decoder) Int() int {
 	}
 	d.off += n
 	return int(v)
-}
-
-// Int32 reads a zigzag varint and range-checks it into an int32.
-func (d *Decoder) Int32() int32 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("truncated or overlong varint at offset %d", d.off)
-		return 0
-	}
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		d.fail("varint %d out of int32 range at offset %d", v, d.off)
-		return 0
-	}
-	d.off += n
-	return int32(v)
 }
 
 // Float64 reads a fixed 8-byte little-endian IEEE-754 word.

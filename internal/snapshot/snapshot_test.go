@@ -15,8 +15,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	e.Uvarint(1 << 40)
 	e.Int(-7)
 	e.Int(1 << 30)
-	e.Int32(-1)
-	e.Int32(math.MaxInt32)
 	e.Float64(3.14159)
 	e.Float64(math.Inf(-1))
 	e.Float64(math.Copysign(0, -1))
@@ -37,12 +35,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	}
 	if got := d.Int(); got != 1<<30 {
 		t.Errorf("Int = %d, want %d", got, 1<<30)
-	}
-	if got := d.Int32(); got != -1 {
-		t.Errorf("Int32 = %d, want -1", got)
-	}
-	if got := d.Int32(); got != math.MaxInt32 {
-		t.Errorf("Int32 = %d, want MaxInt32", got)
 	}
 	if got := d.Float64(); got != 3.14159 {
 		t.Errorf("Float64 = %v, want 3.14159", got)
@@ -124,16 +116,6 @@ func TestDecoderBadBool(t *testing.T) {
 	d.Bool()
 	if !errors.Is(d.Err(), ErrCorrupt) {
 		t.Fatalf("Err = %v, want ErrCorrupt for bool byte 2", d.Err())
-	}
-}
-
-func TestDecoderInt32Range(t *testing.T) {
-	var e Encoder
-	e.Int(math.MaxInt32 + 1)
-	d := NewDecoder(e.Bytes())
-	d.Int32()
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("Err = %v, want ErrCorrupt for out-of-range int32", d.Err())
 	}
 }
 

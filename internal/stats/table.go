@@ -27,20 +27,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowf appends a row by formatting each value with the matching verb.
-// verbs and values must have equal length.
-func (t *Table) AddRowf(verbs []string, values ...any) error {
-	if len(verbs) != len(values) {
-		return fmt.Errorf("stats: AddRowf got %d verbs for %d values", len(verbs), len(values))
-	}
-	cells := make([]string, len(values))
-	for i, v := range values {
-		cells[i] = fmt.Sprintf(verbs[i], v)
-	}
-	t.AddRow(cells...)
-	return nil
-}
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.header))

@@ -30,23 +30,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tbl := NewTable("n", "x")
-	if err := tbl.AddRowf([]string{"%d", "%.3f"}, 10, 1.23456); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := tbl.Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "1.235") {
-		t.Errorf("formatted cell missing:\n%s", b.String())
-	}
-	if err := tbl.AddRowf([]string{"%d"}, 1, 2); err == nil {
-		t.Error("expected error for verb/value mismatch")
-	}
-}
-
 func TestTableShortRow(t *testing.T) {
 	tbl := NewTable("a", "b", "c")
 	tbl.AddRow("1")

@@ -105,7 +105,10 @@ var (
 // ErrNonFinite reports a NaN or infinite source, receiver or host
 // coordinate, or a receiver whose distance from the source overflows.
 // Every build, BuildState rebuild, overlay join and substrate constructor
-// rejects such points with an error matching it under errors.Is.
+// rejects such points with an error matching it under errors.Is. Polar_Grid
+// builds, BuildState rebuilds and overlay configs also report it for a
+// scale (farthest receiver's distance from the source) outside
+// [2^-450, 2^450], where squared distances overflow or underflow.
 var ErrNonFinite = core.ErrNonFinite
 
 // Observability types (see internal/obs): a dependency-free registry of
@@ -220,11 +223,11 @@ type BuildState = core.BuildState
 var NewBuildState = core.NewBuildState
 
 // Multi-group types (see internal/multigroup): many multicast groups over
-// one shared host population. A Substrate holds the coordinates and every
-// index derived only from them, built once; each GroupTree holds one
-// group's private membership and tree state. A group's Build returns
-// exactly what Build/Build3D/BuildND would for the same source and the
-// members' coordinates in ascending host order.
+// one shared host population. A Substrate holds the coordinates and the
+// per-source polar views derived from them, built once; each GroupTree
+// holds one group's private membership and tree state. A group's Build
+// returns exactly what Build/Build3D/BuildND would for the same source and
+// the members' coordinates in ascending host order.
 type (
 	// Substrate is the shared, read-only half of a multi-group deployment.
 	Substrate = multigroup.Substrate
