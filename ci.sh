@@ -5,7 +5,7 @@
 # substrate, and short fuzz smokes over the codec, tree-validation walk,
 # fault-schedule, partition-schedule, drift-schedule, incremental-rebuild,
 # multi-group, SLO-rule, snapshot round-trip (overlay and shared-state
-# group), and grid cell-classifier fuzzers. `ci.sh bench` runs the benchmark regression gate instead.
+# group), grid cell-classifier and points-file fuzzers. `ci.sh bench` runs the benchmark regression gate instead.
 set -eu
 
 cd "$(dirname "$0")"
@@ -83,7 +83,7 @@ echo "== benchmarks, one iteration each =="
 # Timings are not judged; `ci.sh bench` is the regression gate.
 go test -run '^$' -bench . -benchtime 1x \
     ./internal/protocol ./internal/obs/trace ./internal/obs/flight \
-    ./internal/grid ./internal/tree ./internal/multigroup
+    ./internal/grid ./internal/tree ./internal/multigroup ./internal/bisect
 go test -run '^$' -bench '^BenchmarkTable1$' -benchtime 1x .
 
 # Golden files (cmd/omt-sim and cmd/omt-experiments CLI output;
@@ -109,5 +109,6 @@ go test -run='^$' -fuzz='^FuzzGroupSnapshotRoundTrip$' -fuzztime=10s ./internal/
 go test -run='^$' -fuzz='^FuzzSLORules$' -fuzztime=10s ./internal/obs/flight
 go test -run='^$' -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz='^FuzzCellOf$' -fuzztime=10s ./internal/grid
+go test -run='^$' -fuzz='^FuzzPointsFile$' -fuzztime=10s ./cmd/omtree
 
 echo "ci: all green"

@@ -86,6 +86,11 @@ func loadPoints(path string) (*pointsFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reading points: %w", err)
 	}
+	return decodePoints(data)
+}
+
+// decodePoints parses and validates the bytes of a points file.
+func decodePoints(data []byte) (*pointsFile, error) {
 	var pf pointsFile
 	if err := json.Unmarshal(data, &pf); err != nil {
 		return nil, fmt.Errorf("decoding points: %w", err)

@@ -10,17 +10,35 @@ import (
 const maxDepth = 4096
 
 // partition2 reorders idx so that elements with pred false come first,
-// returning the boundary. Order within halves is not preserved (not needed:
-// representatives are selected by radius, not position).
+// returning the boundary. Order within halves is not preserved, but it is
+// fixed: element j swaps with the boundary i exactly when !pred(idx[j]), as
+// in the textbook one-pass loop. The slice order that results is a contract,
+// because attachKary wires the coincident points it falls back on in slice
+// order.
+//
+// The loop is branch-free on the predicate. A grid cell's points fall on
+// either side of a split at random, so a branch on pred mispredicts about
+// half the time; instead keep is 0 or 1, the swap goes through the mask
+// -keep (all ones or zero), and the boundary advances by keep.
 func partition2(idx []int32, pred func(int32) bool) int {
 	i := 0
 	for j, id := range idx {
-		if !pred(id) {
-			idx[i], idx[j] = idx[j], idx[i]
-			i++
-		}
+		keep := b2i(!pred(id))
+		x := (idx[i] ^ id) & -int32(keep)
+		idx[j] ^= x
+		idx[i] ^= x
+		i += keep
 	}
 	return i
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag move,
+// without a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Ctx2 carries the shared state of a 2-D Bisection run: the polar

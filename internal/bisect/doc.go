@@ -27,6 +27,14 @@
 // away — far enough that sin(a) > (5/6)a and r > 0.6R, the preconditions
 // of the factor-5 proof. BuildTreeSquare is the square-cell variant.
 //
+// Every split of a 2-D quarter, a 3-D octant or a square quadrant goes
+// through partition2, a one-pass in-place partition that is branch-free on
+// its predicate (a split's outcome is a coin toss per point, which a branch
+// predictor cannot learn). It makes exactly the swaps of the textbook
+// branchy loop, so the slice order each split leaves is fixed; that order is
+// part of the output contract, because the coincident-point fallback
+// attachKary wires points in slice order.
+//
 // The package attaches nodes into a tree.Builder so that the degree caps
 // are machine-checked during construction.
 package bisect

@@ -17,9 +17,10 @@ import (
 
 // BuildState is the incremental counterpart of Build2: it retains the grid
 // geometry, the per-cell membership lists and the parent array of the last
-// build, so that a rebuild after churn only has to re-run representative
-// selection and wiring for the cells whose membership changed (plus their
-// ancestor chain, whose core edges may move). The
+// build, so that a rebuild after churn only has to re-run the wiring for the
+// cells whose membership changed (plus their ancestor chain, whose core
+// edges may move). Representatives follow each join and leave as it
+// happens; a rebuild re-elects only the cells whose representative left. The
 // result is always byte-identical to a from-scratch Build2 over the current
 // membership — the differential and fuzz suites enforce this — because all
 // wiring decisions are functions of per-cell membership and geometry only:
@@ -90,7 +91,13 @@ type BuildState struct {
 	emptyK int     // empty interior cells at depth k
 	empty1 int     // empty interior cells at depth k+1
 
-	dirty    map[int]struct{}
+	// dirty maps each cell whose membership changed since the last build
+	// to its pending representative, kept per churn event so that a
+	// rebuild re-elects only where it must: the cell's representative over
+	// its current members (the last build's, kept, or a joiner that beat
+	// it), or repRescan once the one it held left. reps keeps the last
+	// build's values until the rebuild applies these.
+	dirty    map[int]int32
 	needFull bool
 	built    bool
 
@@ -151,8 +158,22 @@ func newBuildState(opts []Option) (*BuildState, error) {
 		o:       o,
 		variant: variant,
 		degCap:  degCap,
-		dirty:   make(map[int]struct{}),
+		dirty:   make(map[int]int32),
 	}, nil
+}
+
+// repRescan marks a dirty cell whose pending representative left: the
+// rebuild re-elects it over the cell's members.
+const repRescan int32 = -3
+
+// pendingRep is the representative cell will have at the next rebuild as
+// churn has tracked it: the dirty map's entry, or the last build's for a
+// cell whose membership has not changed.
+func (s *BuildState) pendingRep(cell int) int32 {
+	if p, ok := s.dirty[cell]; ok {
+		return p
+	}
+	return s.reps[cell]
 }
 
 // N returns the number of live receiver slots.
@@ -270,7 +291,17 @@ func (s *BuildState) addLive(slot int) {
 		}
 		s.cnt1[c1]++
 	}
-	s.dirty[cell] = struct{}{}
+	// The joiner takes the cell over when it beats the pending
+	// representative by electReps's rule; the source anchors ring 0.
+	rep := s.pendingRep(cell)
+	if cell != 0 && rep != repRescan {
+		ring, j := grid.RingIdx(cell)
+		seg := s.g.Segment(ring, j)
+		if rep < 0 || repBefore(repScore2(c, seg), int32(slot), repScore2(s.geo.pts[rep], seg), rep) {
+			rep = int32(slot)
+		}
+	}
+	s.dirty[cell] = rep
 }
 
 // Remove unregisters the member at the given slot.
@@ -312,7 +343,12 @@ func (s *BuildState) Remove(slot int) {
 			s.empty1++
 		}
 	}
-	s.dirty[cell] = struct{}{}
+	// A leaver other than the pending representative cannot change it.
+	rep := s.pendingRep(cell)
+	if rep == int32(slot) {
+		rep = repRescan
+	}
+	s.dirty[cell] = rep
 }
 
 // kChanged reports whether a from-scratch build over the current membership
@@ -462,9 +498,11 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	return s.exportResult(in, res)
 }
 
-// rebuildIncremental re-runs representative selection and wiring for the
+// rebuildIncremental applies the dirty cells' pending representatives,
+// re-electing only those marked repRescan, and re-runs the wiring for the
 // dirty cells and their ancestor chain only; every other cell's edges are
-// left exactly as the previous build wired them.
+// left exactly as the previous build wired them. An ancestor that is not
+// itself dirty keeps its members and so its representative.
 func (s *BuildState) rebuildIncremental(in instr) (*Result, error) {
 	endMark := in.phase("build/dirty")
 	s.carryOver(s.live.reindex(s.n))
@@ -515,10 +553,14 @@ func (s *BuildState) rebuildIncremental(in instr) (*Result, error) {
 	sink := &slotSink{live: &s.live, parents: s.parent}
 	conn := newConn2(s.g, s.geo.pts, sink)
 	endReps := in.phase("build/reps")
-	for _, c := range cells {
-		if c != 0 {
-			s.reps[c] = repOf(s.members[c], c, conn)
+	for c, rep := range s.dirty {
+		if c == 0 {
+			continue // the source anchors ring 0
 		}
+		if rep == repRescan {
+			rep = repOf(s.members[c], c, conn)
+		}
+		s.reps[c] = rep
 	}
 	endReps()
 	endWire := in.phase("build/wire")

@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"omtree/internal/geom"
 	"omtree/internal/grid"
 	"omtree/internal/rng"
+	"omtree/internal/snapshot"
 )
 
 // stateHarness drives a BuildState and a mirror membership map in lockstep,
@@ -211,4 +214,192 @@ func TestBuildStateForceKParity(t *testing.T) {
 	theta := geom.TwoPi * (float64(j) + 0.5) / float64(grid.CellsInRing(ring))
 	h.add(source.Add(geom.Polar{R: rMid, Theta: theta}.ToPoint()))
 	h.check()
+}
+
+// addSlot adds a member at a chosen slot, which may be one a member freed.
+func (h *stateHarness) addSlot(slot int, p geom.Point2) {
+	h.bs.Add(slot, p)
+	h.pos[slot] = p
+	i, _ := slices.BinarySearch(h.slots, slot)
+	h.slots = slices.Insert(h.slots, i, slot)
+	h.next = max(h.next, slot+1)
+}
+
+// index returns the position of a member's slot among the present slots,
+// the argument remove and move take.
+func (h *stateHarness) index(slot int) int {
+	i, ok := slices.BinarySearch(h.slots, slot)
+	if !ok {
+		h.t.Fatalf("slot %d is not a member", slot)
+	}
+	return i
+}
+
+// inCell returns the point at fractions fr of cell c's radial extent and ft
+// of its angular extent.
+func (h *stateHarness) inCell(c int, fr, ft float64) geom.Point2 {
+	h.t.Helper()
+	ring, j := grid.RingIdx(c)
+	seg := h.bs.g.Segment(ring, j)
+	p := h.source.Add(geom.Polar{R: seg.RMin + fr*(seg.RMax-seg.RMin), Theta: seg.ThetaMin + ft*seg.Angle()}.ToPoint())
+	if got := h.bs.g.CellOf(p.PolarAround(h.source)); got != c {
+		h.t.Fatalf("point %v meant for cell %d lies in cell %d", p, c, got)
+	}
+	return p
+}
+
+// beats reports whether a member at slot and position p would beat the one
+// at slot inc as cell c's representative.
+func (h *stateHarness) beats(c, slot int, p geom.Point2, inc int) bool {
+	ring, j := grid.RingIdx(c)
+	seg := h.bs.g.Segment(ring, j)
+	return repBefore(repScore2(p.PolarAround(h.source), seg), int32(slot),
+		repScore2(h.pos[inc].PolarAround(h.source), seg), int32(inc))
+}
+
+// checkChurn rebuilds, requiring the incremental path, then checks every
+// cell's representative against repOf over its members and the tree
+// against Build2's.
+func (h *stateHarness) checkChurn(step string) {
+	h.t.Helper()
+	incs := h.incs
+	h.check()
+	if h.incs != incs+1 {
+		h.t.Fatalf("%s: the rebuild ran from scratch", step)
+	}
+	s := h.bs
+	conn := newConn2(s.g, s.geo.pts, nil)
+	for c, members := range s.members {
+		want := int32(-1)
+		if c != 0 {
+			want = repOf(members, c, conn)
+		}
+		if s.reps[c] != want {
+			h.t.Fatalf("%s: cell %d is represented by slot %d, repOf elects %d over %v", step, c, s.reps[c], want, members)
+		}
+	}
+}
+
+// TestBuildStateRepresentativesFollowChurn drives every churn event that
+// moves a cell's pending representative (DESIGN.md §2g) through the
+// incremental path: after each rebuild every cell's representative must be
+// the one repOf elects over its members, and the tree must be Build2's.
+func TestBuildStateRepresentativesFollowChurn(t *testing.T) {
+	for _, deg := range []int{6, 2} {
+		t.Run(fmt.Sprintf("deg=%d", deg), func(t *testing.T) {
+			source := geom.Point2{X: 0.5, Y: -0.25}
+			h := newStateHarness(t, source, WithMaxOutDegree(deg), WithKMax(4))
+			r := rng.New(uint64(70 + deg))
+			for i := 0; i < 600; i++ {
+				h.add(source.Add(r.UniformDisk(1)))
+			}
+			h.check()
+			if h.bs.k != 4 {
+				t.Fatalf("k = %d, want 4", h.bs.k)
+			}
+			// Cells 3..6 are ring 2, 7..14 ring 3 and 15..30 the outermost
+			// ring 4, which alone may empty without moving k. The farthest
+			// member never leaves: that would move the scale.
+			farthest := h.slots[0]
+			for _, sl := range h.slots {
+				if h.pos[sl].Dist(source) > h.pos[farthest].Dist(source) {
+					farthest = sl
+				}
+			}
+			// The incumbent: the member the election rule picks now.
+			rep := func(c int) int {
+				return int(repOf(h.bs.members[c], c, newConn2(h.bs.g, h.bs.geo.pts, nil)))
+			}
+
+			// A joiner that beats the incumbent, and one that does not.
+			p := h.inCell(3, 1e-3, 0.5)
+			if !h.beats(3, h.next, p, rep(3)) {
+				t.Fatal("cell 3: the joiner does not beat the incumbent")
+			}
+			h.add(p)
+			h.add(h.inCell(3, 0.9, 0.1))
+			// The incumbent leaves.
+			h.remove(h.index(rep(4)))
+			// A joiner that beats the incumbent leaves again.
+			h.add(h.inCell(5, 1e-3, 0.5))
+			h.remove(h.index(h.next - 1))
+			// The incumbent moves within its cell, then another one moves
+			// to the centre of a third cell's inner arc.
+			h.move(h.index(rep(6)), h.inCell(6, 0.95, 0.95))
+			h.move(h.index(rep(7)), h.inCell(8, 1e-3, 0.5))
+			// Duplicates of the incumbent tie on score: a higher slot loses,
+			// a freed lower slot wins.
+			inc := rep(9)
+			h.add(h.pos[inc])
+			low := -1
+			for _, sl := range h.slots {
+				if sl < inc && sl != farthest && sl != rep(h.bs.g.CellOf(h.pos[sl].PolarAround(source))) {
+					low = sl
+					break
+				}
+			}
+			if low < 0 {
+				t.Fatal("no free slot below the incumbent")
+			}
+			h.remove(h.index(low))
+			h.addSlot(low, h.pos[inc])
+			// An outermost cell emptied and refilled in one batch.
+			emptyRefill := func(c int) {
+				for _, sl := range slices.Clone(h.bs.members[c]) {
+					if int(sl) == farthest {
+						t.Fatalf("cell %d holds the farthest member", c)
+					}
+					h.remove(h.index(int(sl)))
+				}
+			}
+			emptyRefill(20)
+			h.add(h.inCell(20, 0.5, 0.5))
+			h.add(h.inCell(20, 0.2, 0.7))
+			h.checkChurn("first batch")
+
+			// An outermost cell emptied by one rebuild and refilled by the
+			// next.
+			emptyRefill(25)
+			h.checkChurn("emptied")
+			h.add(h.inCell(25, 0.3, 0.3))
+			h.add(h.inCell(25, 0.3, 0.3))
+			h.checkChurn("refilled")
+
+			// A checkpoint taken mid-churn and restored: the restored state
+			// re-encodes byte for byte, and churn goes on from it.
+			h.add(h.inCell(10, 1e-3, 0.5))
+			h.remove(h.index(rep(11)))
+			blob := encodeState(h.bs)
+			restored, err := DecodeBuildState(snapshot.NewDecoder(blob), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encodeState(restored), blob) {
+				t.Fatal("the mid-churn checkpoint re-encodes differently")
+			}
+			h.bs = restored
+			h.remove(h.index(rep(10)))
+			h.add(h.inCell(11, 1e-3, 0.5))
+			h.add(h.inCell(12, 1e-3, 0.5))
+			h.checkChurn("restored")
+
+			// Seeded random churn over the whole grid, moves included.
+			for round := 0; round < 20; round++ {
+				for e := 0; e < 15; e++ {
+					sl := h.slots[r.Intn(len(h.slots))]
+					c := h.bs.g.CellOf(h.pos[sl].PolarAround(source))
+					keep := sl == farthest || (c < 15 && len(h.bs.members[c]) < 3)
+					switch {
+					case r.Intn(3) == 0 && !keep:
+						h.remove(h.index(sl))
+					case r.Intn(2) == 0 && sl != farthest:
+						h.move(h.index(sl), h.inCell(c, r.Float64(), r.Float64()))
+					default:
+						h.add(h.inCell(1+r.Intn(30), r.Float64(), r.Float64()))
+					}
+				}
+				h.checkChurn(fmt.Sprintf("round %d", round))
+			}
+		})
+	}
 }

@@ -240,14 +240,16 @@ func decodeBuildState(d *snapshot.Decoder, geo *SlotGeometry, getPt PointDecoder
 	emptyK := d.Int()
 	empty1 := d.Int()
 	ndirty := d.Length(1)
-	dirty := make(map[int]struct{}, ndirty)
+	// A checkpoint lists the dirty cells but not their pending
+	// representatives, so each is re-elected at the next rebuild.
+	dirty := make(map[int]int32, ndirty)
 	dirtyOK := true
 	for i := 0; i < ndirty; i++ {
 		c := d.Int()
 		if c < 0 || (built && c >= ncells) {
 			dirtyOK = false
 		}
-		dirty[c] = struct{}{}
+		dirty[c] = repRescan
 	}
 	cert := Certificate{Bound: d.Float64(), Radius: d.Float64()}
 	if err := d.Err(); err != nil {

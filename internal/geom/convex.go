@@ -52,9 +52,16 @@ func circleFrom2(a, b Point2) Circle {
 }
 
 func circleFrom3(a, b, c Point2) Circle {
-	// Circumcircle via perpendicular bisector intersection.
+	// Circumcircle via perpendicular bisector intersection. The formula
+	// multiplies three coordinate differences, which overflows past about
+	// 2^341 and underflows below about 2^-341, so it runs on the
+	// differences scaled by a power of two to unit size: that rescaling is
+	// exact, and so is scaling the centre offset back.
 	ax, ay := b.X-a.X, b.Y-a.Y
 	bx, by := c.X-a.X, c.Y-a.Y
+	_, e := math.Frexp(max(math.Abs(ax), math.Abs(ay), math.Abs(bx), math.Abs(by)))
+	ax, ay = math.Ldexp(ax, -e), math.Ldexp(ay, -e)
+	bx, by = math.Ldexp(bx, -e), math.Ldexp(by, -e)
 	d := 2 * (ax*by - ay*bx)
 	if d == 0 {
 		// Collinear: fall back to the diameter of the farthest pair.
@@ -69,7 +76,7 @@ func circleFrom3(a, b, c Point2) Circle {
 	}
 	ux := (by*(ax*ax+ay*ay) - ay*(bx*bx+by*by)) / d
 	uy := (ax*(bx*bx+by*by) - bx*(ax*ax+ay*ay)) / d
-	center := Point2{a.X + ux, a.Y + uy}
+	center := Point2{a.X + math.Ldexp(ux, e), a.Y + math.Ldexp(uy, e)}
 	r := center.Dist(a)
 	if r2 := center.Dist(b); r2 > r {
 		r = r2

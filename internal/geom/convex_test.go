@@ -62,6 +62,31 @@ func TestEnclosingCircleMinimal(t *testing.T) {
 	}
 }
 
+// TestEnclosingCircleScaleExact rescales triangles by powers of two up to
+// 2^±450, where the circumcircle formula's cubed coordinate differences
+// would overflow or underflow unscaled: the circle must rescale exactly.
+func TestEnclosingCircleScaleExact(t *testing.T) {
+	tris := [][]Point2{
+		{{0, 0}, {2, 0}, {1, 0.5}},
+		{{-0.3, 0.7}, {0.9, -0.1}, {0.2, 0.8}},
+		{{1e-3, 0}, {0, 1e-3}, {-7e-4, -7e-4}},
+	}
+	for _, tri := range tris {
+		want := circleFrom3(tri[0], tri[1], tri[2])
+		for _, e := range []int{-450, -400, -341, 341, 400, 450} {
+			s := make([]Point2, 3)
+			for i, p := range tri {
+				s[i] = Point2{math.Ldexp(p.X, e), math.Ldexp(p.Y, e)}
+			}
+			got := circleFrom3(s[0], s[1], s[2])
+			wc := Point2{math.Ldexp(want.Center.X, e), math.Ldexp(want.Center.Y, e)}
+			if got.Center != wc || got.Radius != math.Ldexp(want.Radius, e) {
+				t.Errorf("%v scaled by 2^%d: circle %+v, want %v radius %v", tri, e, got, wc, math.Ldexp(want.Radius, e))
+			}
+		}
+	}
+}
+
 func TestFarthestFrom(t *testing.T) {
 	pts := []Point2{{1, 0}, {0, 3}, {-2, -2}}
 	i, d := FarthestFrom(Point2{}, pts)

@@ -121,3 +121,65 @@ func TestBisectionRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestBisectionsScaleRange holds the standalone Bisections to Build's scale
+// contract. A power-of-two rescale inside [2^-450, 2^450] keeps every parent
+// of the unscaled tree: BuildBisection's covering circle used to overflow
+// past 2^341 and change 1,998 of 2,000 parents at 2^400. A scale outside the
+// range fails with ErrNonFinite: BuildBisectionSquare used to panic at 1e160
+// and degree 2, and BuildBisection to run for half a minute there.
+func TestBisectionsScaleRange(t *testing.T) {
+	pts := omtree.NewRand(3).UniformDiskN(2000, 1)
+	scaled := func(s float64) []omtree.Point2 {
+		out := make([]omtree.Point2, len(pts))
+		for i, p := range pts {
+			out[i] = omtree.Point2{X: p.X * s, Y: p.Y * s}
+		}
+		return out
+	}
+	builds := map[string]func(p []omtree.Point2, deg int) (*omtree.Tree, error){
+		"BuildBisection": func(p []omtree.Point2, deg int) (*omtree.Tree, error) {
+			tr, _, err := omtree.BuildBisection(p, 0, deg)
+			return tr, err
+		},
+		"BuildBisectionSquare": func(p []omtree.Point2, deg int) (*omtree.Tree, error) {
+			tr, _, err := omtree.BuildBisectionSquare(p, 0, deg)
+			return tr, err
+		},
+	}
+	for name, build := range builds {
+		for _, deg := range []int{6, 2} {
+			want, err := build(pts, deg)
+			if err != nil {
+				t.Fatalf("%s deg=%d: %v", name, deg, err)
+			}
+			for _, s := range []float64{0x1p400, 0x1p-400} {
+				got, err := build(scaled(s), deg)
+				if err != nil {
+					t.Errorf("%s deg=%d scale %g: %v", name, deg, s, err)
+					continue
+				}
+				if moved := countMoved(got, want); moved > 0 {
+					t.Errorf("%s deg=%d scale %g: %d of %d parents differ from the unscaled tree", name, deg, s, moved, len(pts))
+				}
+			}
+			for _, s := range []float64{1e160, 1e-160} {
+				if _, err := build(scaled(s), deg); !errors.Is(err, omtree.ErrNonFinite) {
+					t.Errorf("%s deg=%d scale %g: err = %v, want ErrNonFinite", name, deg, s, err)
+				}
+			}
+		}
+	}
+}
+
+// countMoved counts the nodes whose parent differs between two trees over
+// the same nodes.
+func countMoved(a, b *omtree.Tree) int {
+	moved := 0
+	for v := 0; v < a.N(); v++ {
+		if a.Parent(v) != b.Parent(v) {
+			moved++
+		}
+	}
+	return moved
+}

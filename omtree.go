@@ -106,9 +106,10 @@ var (
 // coordinate, or a receiver whose distance from the source overflows.
 // Every build, BuildState rebuild, overlay join and substrate constructor
 // rejects such points with an error matching it under errors.Is. Polar_Grid
-// builds, BuildState rebuilds and overlay configs also report it for a
-// scale (farthest receiver's distance from the source) outside
-// [2^-450, 2^450], where squared distances overflow or underflow.
+// builds, BuildState rebuilds, the standalone Bisections and overlay
+// configs also report it for a scale (farthest receiver's distance from the
+// source) outside [2^-450, 2^450], where squared distances overflow or
+// underflow.
 var ErrNonFinite = core.ErrNonFinite
 
 // Observability types (see internal/obs): a dependency-free registry of
@@ -263,9 +264,10 @@ var NewOverlayGroupSet = protocol.NewGroupSet
 
 // BuildBisection runs the stand-alone constant-factor Bisection over an
 // arbitrary planar point set. Unlike Build, the source indexes into points
-// and node ids equal point indices.
+// and node ids equal point indices. Like Build, it rejects a point set whose
+// scale lies outside [2^-450, 2^450] with ErrNonFinite.
 func BuildBisection(points []Point2, source, maxOutDegree int) (*Tree, BisectReport, error) {
-	if err := checkFinite(points); err != nil {
+	if err := checkBisectionPoints(points, source); err != nil {
 		return nil, BisectReport{}, err
 	}
 	return bisect.BuildTree(points, source, maxOutDegree)
@@ -278,20 +280,32 @@ type SquareBisectReport = bisect.SquareReport
 // square version §II alludes to): same constant-factor flavor, axis-aligned
 // splitting.
 func BuildBisectionSquare(points []Point2, source, maxOutDegree int) (*Tree, SquareBisectReport, error) {
-	if err := checkFinite(points); err != nil {
+	if err := checkBisectionPoints(points, source); err != nil {
 		return nil, SquareBisectReport{}, err
 	}
 	return bisect.BuildTreeSquare(points, source, maxOutDegree)
 }
 
-// checkFinite rejects the first NaN or infinite point with ErrNonFinite.
-func checkFinite(points []Point2) error {
+// checkBisectionPoints applies Build's input contract to a standalone
+// Bisection: the first NaN or infinite point fails with ErrNonFinite, and
+// so does a scale (the farthest point's distance from the source) outside
+// [core.MinScale, core.MaxScale], past which squared distances overflow or
+// underflow and the recursion's choices tie. An out-of-range source is
+// left to the build, which reports it.
+func checkBisectionPoints(points []Point2, source int) error {
 	for i, p := range points {
 		if !p.IsFinite() {
 			return fmt.Errorf("omtree: point %d at %v: %w", i, p, ErrNonFinite)
 		}
 	}
-	return nil
+	if source < 0 || source >= len(points) {
+		return nil
+	}
+	var scale float64
+	for _, p := range points {
+		scale = max(scale, p.Dist(points[source]))
+	}
+	return core.CheckScale(scale)
 }
 
 // DiameterResult is the outcome of a minimum-diameter build.

@@ -10,11 +10,12 @@
 #                  including the DriftRepair local-vs-full pair at 10k and
 #                  100k nodes — the trace recorder, the grid k-search and
 #                  cell lookup, the tree delay pass, the multi-group
-#                  substrate, and the flight recorder: the surfaces the
-#                  tracing layer, the analytic rebuild path, the kinetic
-#                  repair loop, the metrics phase of every build, the
-#                  shared-substrate overhead, and the per-round sampling
-#                  cost must not slow down; the default set also runs the
+#                  substrate, the flight recorder, and the in-cell
+#                  Bisection: the surfaces the tracing layer, the analytic
+#                  rebuild path, the kinetic repair loop, the metrics phase
+#                  of every build, the shared-substrate overhead, the
+#                  per-round sampling cost and every build's wiring must
+#                  not slow down; the default set also runs the
 #                  root package's end-to-end BenchmarkTable1 builds, and
 #                  only that root benchmark, as the figure ones are slow)
 #   BENCH_PATTERN  -bench regexp (default: all benchmarks in BENCH_PKGS)
@@ -28,7 +29,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PKGS=${BENCH_PKGS:-"./internal/protocol ./internal/obs/trace ./internal/obs/flight ./internal/grid ./internal/tree ./internal/multigroup"}
+PKGS=${BENCH_PKGS:-"./internal/protocol ./internal/obs/trace ./internal/obs/flight ./internal/grid ./internal/tree ./internal/multigroup ./internal/bisect"}
 PATTERN=${BENCH_PATTERN:-.}
 COUNT=${BENCH_COUNT:-1}
 OUT=${1:-BENCH_$(date +%Y%m%d).json}
