@@ -27,14 +27,56 @@ const identityGolden = "testdata/tree_identity.golden"
 // identityLine fingerprints one build: the ring count, the bits of the
 // radius and core delay, and the SHA-256 of the parent array.
 func identityLine(name string, res *omtree.Result) string {
+	return fmt.Sprintf("%s n=%d k=%d radius=%016x core=%016x parents=%x",
+		name, res.Tree.N(), res.K, math.Float64bits(res.Radius), math.Float64bits(res.CoreDelay), parentsHash(res.Tree))
+}
+
+// parentsHash is the SHA-256 of t's parent array, each parent as four
+// little-endian bytes.
+func parentsHash(t *omtree.Tree) []byte {
 	h := sha256.New()
 	var buf [4]byte
-	for _, p := range res.Tree.Parents() {
+	for _, p := range t.Parents() {
 		binary.LittleEndian.PutUint32(buf[:], uint32(p))
 		h.Write(buf[:])
 	}
-	return fmt.Sprintf("%s n=%d k=%d radius=%016x core=%016x parents=%x",
-		name, res.Tree.N(), res.K, math.Float64bits(res.Radius), math.Float64bits(res.CoreDelay), h.Sum(nil))
+	return h.Sum(nil)
+}
+
+// checkGolden compares lines with the golden file at path, or rewrites the
+// file under -update, reporting every line that differs.
+func checkGolden(t *testing.T, path string, lines []string) {
+	t.Helper()
+	got := strings.Join(lines, "\n") + "\n"
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Errorf("build fingerprint differs:\n got: %s\nwant: %s", g, w)
+		}
+	}
 }
 
 // identityClusters is a lopsided three-blob density: one dense blob off
@@ -163,34 +205,5 @@ func identityLines(t *testing.T) []string {
 // count, radius or core delay that differs by a single bit from the
 // committed fingerprint.
 func TestTreeIdentityGolden(t *testing.T) {
-	got := strings.Join(identityLines(t), "\n") + "\n"
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(identityGolden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(identityGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(identityGolden)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Errorf("build fingerprint differs:\n got: %s\nwant: %s", g, w)
-		}
-	}
+	checkGolden(t, identityGolden, identityLines(t))
 }
