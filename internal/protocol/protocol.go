@@ -545,12 +545,7 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 		// First member of the cell: become its representative and attach
 		// to the nearest occupied ancestor cell's representative.
 		anchor := o.ancestorAnchor(ring, idx, p, &st)
-		if o.transport == nil {
-			o.reps[cell] = id
-			o.nodes[id].isRep = true
-			o.attach(id, anchor)
-			st.Messages++ // attach handshake
-		} else if o.exchange(id, anchor, &st) {
+		if o.exchange(id, anchor, &st) {
 			o.reps[cell] = id
 			o.nodes[id].isRep = true
 			o.attach(id, anchor)
@@ -572,16 +567,13 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 		// then one handshake.
 		parent := int32(-1)
 		queried := routeOK
-		if o.transport != nil && queried {
+		if queried {
 			if rep := o.reps[cell]; rep > 0 {
 				queried = o.exchange(id, rep, &st)
 			}
 		}
 		if queried {
 			parent = o.bestLocalParent(cell, p)
-			if parent >= 0 && o.transport == nil {
-				st.Messages++ // member-list query to the representative
-			}
 		}
 		if parent < 0 {
 			// Cell saturated (or its representative unreachable): descend
@@ -592,26 +584,21 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 				return 0, st, fmt.Errorf("protocol: overlay out of capacity")
 			}
 		}
-		if o.transport == nil {
-			o.attach(id, parent)
-			st.Messages += 2 // query + handshake
-		} else {
-			ok := o.exchange(id, parent, &st)
-			if !ok {
-				// The chosen parent went dark mid-join; fall back to a
-				// fresh descent before giving up.
-				if alt := o.descendParent(p, o.residual, &st); alt >= 0 {
-					parent = alt
-					ok = o.exchange(id, parent, &st)
-				}
+		ok := o.exchange(id, parent, &st)
+		if !ok {
+			// The chosen parent went dark mid-join; fall back to a fresh
+			// descent before giving up.
+			if alt := o.descendParent(p, o.residual, &st); alt >= 0 {
+				parent = alt
+				ok = o.exchange(id, parent, &st)
 			}
-			if !ok {
-				o.dropJoiner(id)
-				o.Stats.JoinMessages += st.Messages
-				return 0, st, fmt.Errorf("protocol: join could not reach a parent")
-			}
-			o.attach(id, parent)
 		}
+		if !ok {
+			o.dropJoiner(id)
+			o.Stats.JoinMessages += st.Messages
+			return 0, st, fmt.Errorf("protocol: join could not reach a parent")
+		}
+		o.attach(id, parent)
 	}
 
 	o.live[id] = true

@@ -14,9 +14,10 @@ import (
 )
 
 // Transport decides the fate of each control-message attempt. The default
-// (a nil transport) is perfectly reliable and free of delay, reproducing
-// the original cost model exactly; internal/faultplane.Plane implements
-// this contract to inject loss, duplication, delay, and crashes.
+// (a nil transport) is perfectly reliable and free of delay: it counts the
+// same messages and attempts as a plane that never loses, duplicates or
+// delays one; internal/faultplane.Plane implements this contract to inject
+// loss, duplication, delay, and crashes.
 type Transport interface {
 	// Attempt reports the fate of one message attempt from -> to.
 	Attempt(from, to int32) faultplane.Outcome
@@ -130,7 +131,9 @@ func (o *Overlay) exchange(from, to int32, st *OpStats) bool {
 // exchangeN pushes one control exchange through the transport, retrying on
 // timeout with exponential backoff and jitter; maxAttempts 0 means the
 // policy default. Under the reliable default it costs exactly one message
-// and always succeeds, preserving the original cost model. A false return
+// and one attempt and always succeeds, as a lossless transport's first
+// attempt does, so every protocol step that goes through it is counted
+// the same with or without a transport. A false return
 // means the retry budget is exhausted: the destination crashed, or the
 // network ate (or over-delayed) every attempt. Handlers behind an exchange
 // must be idempotent — a duplicated attempt applies them twice, and a
