@@ -2,6 +2,7 @@ package bisect
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"omtree/internal/geom"
@@ -420,7 +421,7 @@ func TestAttachKary(t *testing.T) {
 		for i := 1; i < n; i++ {
 			idx = append(idx, int32(i))
 		}
-		attachKary(b, idx, 0, k)
+		AttachKary(b, idx, 0, k)
 		tr, err := b.Build()
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
@@ -435,10 +436,17 @@ func TestAttachKary(t *testing.T) {
 	}
 }
 
+// TestPickRepTieBreak checks that the representative and helper picks
+// break ties by smallest id and remove the pick by swapping it with the
+// last element, the slice order AttachKary later wires in.
 func TestPickRepTieBreak(t *testing.T) {
-	radius := func(id int32) float64 { return 1 }
+	near := func(id, src int32) float64 { return 1 }
 	idx := []int32{5, 3, 9}
-	if p := pickRep(idx, radius, 1); idx[p] != 3 {
-		t.Errorf("tie-break picked %d, want 3", idx[p])
+	if rep, rest := takeRep(idx, 0, near); rep != 3 || !slices.Equal(rest, []int32{5, 9}) {
+		t.Errorf("takeRep took %d leaving %v, want 3 leaving [5 9]", rep, rest)
+	}
+	buckets := [][]int32{{7, 4}, {}, {6, 2, 8}}
+	if h := takeHelper(buckets, 0, near); h != 2 || !slices.Equal(buckets[2], []int32{6, 8}) {
+		t.Errorf("takeHelper took %d leaving %v, want 2 leaving [6 8]", h, buckets[2])
 	}
 }

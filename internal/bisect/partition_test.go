@@ -54,7 +54,7 @@ func TestPartition2MatchesBranchyLoop(t *testing.T) {
 
 // coincidentCell places members at the four corners of a segment two ulps
 // wide on each axis: one split separates the corners, and the next segment
-// is too thin to split, so attachKary wires each corner's cluster in the
+// is too thin to split, so AttachKary wires each corner's cluster in the
 // slice order the partition left. Member i+1 sits at corner corner[i].
 func coincidentCell() (geom.RingSegment, []geom.Polar) {
 	r0, t0 := 1.0, 0.75
@@ -72,7 +72,7 @@ func coincidentCell() (geom.RingSegment, []geom.Polar) {
 
 // TestCoincidentClustersWireAsBranchyPartition pins the wiring of a cell of
 // coincident clusters, where the slice order the partition leaves decides
-// which member attachKary hangs under which. The expected parents are what
+// which member AttachKary hangs under which. The expected parents are what
 // both variants wire with the branchy partition (partitionOracle); a
 // partition that split the same way but ordered either half differently
 // fails here.

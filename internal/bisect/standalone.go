@@ -76,7 +76,7 @@ func BuildTree(points []geom.Point2, source, maxOutDegree int) (*tree.Tree, Repo
 	if h == 0 {
 		// All points coincide; geometry is useless and any balanced tree is
 		// optimal (all edges are zero-length).
-		attachKary(b, idx, int32(source), maxOutDegree)
+		AttachKary(b, idx, int32(source), maxOutDegree)
 		t, err := b.Build()
 		return t, Report{}, err
 	}
