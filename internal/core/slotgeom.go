@@ -36,9 +36,6 @@ func NewSlotGeometry(source geom.Point2, hosts []geom.Point2) *SlotGeometry {
 // host.
 func (g *SlotGeometry) Slots() int { return len(g.hosts) + 1 }
 
-// Source returns the slot-0 position.
-func (g *SlotGeometry) Source() geom.Point2 { return g.source }
-
 // pos returns the absolute position of a slot.
 func (g *SlotGeometry) pos(slot int32) geom.Point2 {
 	if slot == 0 {

@@ -65,14 +65,3 @@ func Rotate(path string, keep int) error {
 	}
 	return nil
 }
-
-// ReadFile reads path and verifies the envelope, returning the payload
-// kind and bytes. Corruption (including truncation from a torn write on
-// a non-atomic filesystem) surfaces as an error wrapping ErrCorrupt.
-func ReadFile(path string) (kind byte, payload []byte, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, nil, fmt.Errorf("snapshot: %w", err)
-	}
-	return Open(data)
-}

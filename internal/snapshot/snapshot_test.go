@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -375,16 +376,23 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err := WriteFileAtomic(path, blob); err != nil {
 		t.Fatalf("WriteFileAtomic: %v", err)
 	}
-	kind, payload, err := ReadFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind, payload, err := Open(data)
 	if err != nil || kind != KindOverlay || string(payload) != "round 7" {
-		t.Fatalf("ReadFile: kind=%d payload=%q err=%v", kind, payload, err)
+		t.Fatalf("read back: kind=%d payload=%q err=%v", kind, payload, err)
 	}
 
 	// Overwrite replaces the content and leaves no temp files behind.
 	if err := WriteFileAtomic(path, Seal(KindOverlay, []byte("round 8"))); err != nil {
 		t.Fatalf("overwrite: %v", err)
 	}
-	_, payload, err = ReadFile(path)
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err = Open(data)
 	if err != nil || string(payload) != "round 8" {
 		t.Fatalf("after overwrite: payload=%q err=%v", payload, err)
 	}
@@ -402,21 +410,32 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
+// TestReadFileMissing checks that a missing snapshot file cannot pass for
+// an empty one: reading it fails with fs.ErrNotExist, not ErrCorrupt, and
+// the empty bytes a reader that ignored the failure would hold do not open.
 func TestReadFileMissing(t *testing.T) {
-	if _, _, err := ReadFile(filepath.Join(t.TempDir(), "absent.omts")); err == nil {
-		t.Fatal("ReadFile on missing file succeeded")
-	} else if errors.Is(err, ErrCorrupt) {
-		t.Fatalf("missing file reported as corrupt: %v", err)
+	data, err := os.ReadFile(filepath.Join(t.TempDir(), "absent.omts"))
+	if !errors.Is(err, fs.ErrNotExist) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("missing file: err = %v, want fs.ErrNotExist", err)
+	}
+	if _, _, err := Open(data); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("empty read: err = %v, want ErrCorrupt", err)
 	}
 }
 
+// TestReadFileCorrupt checks that a file torn by a non-atomic write fails
+// to open with ErrCorrupt.
 func TestReadFileCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.omts")
 	blob := Seal(KindOverlay, []byte("will be torn"))
 	if err := os.WriteFile(path, blob[:len(blob)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadFile(path); !errors.Is(err, ErrCorrupt) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(data); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn file: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -360,14 +360,8 @@ func NewBuilder(n, root, maxOutDegree int) (*Builder, error) {
 // N returns the number of nodes.
 func (b *Builder) N() int { return len(b.parent) }
 
-// Root returns the root id.
-func (b *Builder) Root() int { return int(b.root) }
-
 // Attached reports whether node i has been wired into the tree.
 func (b *Builder) Attached(i int) bool { return b.parent[i] != unattached }
-
-// OutDegree returns the current out-degree of node i.
-func (b *Builder) OutDegree(i int) int { return int(b.outDeg[i]) }
 
 // ResidualDegree returns how many more children node i may take
 // (a large sentinel if unconstrained).

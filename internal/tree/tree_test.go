@@ -96,8 +96,8 @@ func TestBuilderBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.N() != 4 || b.Root() != 1 {
-		t.Fatalf("N=%d Root=%d", b.N(), b.Root())
+	if b.N() != 4 {
+		t.Fatalf("N=%d", b.N())
 	}
 	if !b.Attached(1) || b.Attached(0) {
 		t.Error("initial attachment state wrong")
@@ -115,8 +115,8 @@ func TestBuilderBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Parent(0) != 1 || tr.Parent(2) != 0 || tr.Parent(1) != -1 {
-		t.Errorf("parents = %v", tr.Parents())
+	if tr.Root() != 1 || tr.Parent(0) != 1 || tr.Parent(2) != 0 || tr.Parent(1) != -1 {
+		t.Errorf("root = %d, parents = %v", tr.Root(), tr.Parents())
 	}
 	if err := tr.Validate(2); err != nil {
 		t.Error(err)
