@@ -14,9 +14,9 @@ import (
 // Bisections. Every input repeats some of its points, in runs long enough
 // to exhaust float resolution inside a 2-D, 3-D or square cell, so there
 // the coincident-point fallback, which wires in slice order, decides some
-// parents. A d-D cell does not test degenerate (its polar-angle split
-// stalls a few ulps wide), so in d-D a run ends as a chain of
-// representatives, one per level. As with tree_identity.golden, never
+// parents. A d-D cell tests degenerate once no axis's split point lies
+// strictly inside it, which for a polar angle a few ulps wide can happen
+// while its midpoint still does. As with tree_identity.golden, never
 // regenerate it to make a failure go away.
 const inCellGolden = "testdata/incell_identity.golden"
 
@@ -109,4 +109,32 @@ func inCellLines(t *testing.T) []string {
 // radius that differs by a single bit from the committed fingerprint.
 func TestInCellIdentityGolden(t *testing.T) {
 	checkGolden(t, inCellGolden, inCellLines(t))
+}
+
+// TestBuildNDCoincidentRunHeight bounds the tree height of 3-D BuildND
+// builds whose input holds one run of 4,200 coincident receivers among
+// 12,500. Once the
+// in-cell Bisection narrows a cell to the run's point it must hand the run
+// to the k-ary fallback; a cell that never tests degenerate instead peels
+// one coincident point per level, down to the recursion's depth cap, and
+// leaves a chain thousands of levels tall.
+func TestBuildNDCoincidentRunHeight(t *testing.T) {
+	const n, run, maxHeight = 12_500, 4_200, 200
+	recv := omtree.NewRand(n+35).UniformBallDN(n, 3, 1)
+	for i := n / 3; i < n/3+run; i++ {
+		recv[i] = recv[n/3]
+	}
+	for _, deg := range []int{0, 2} {
+		var opts []omtree.Option
+		if deg > 0 {
+			opts = append(opts, omtree.WithMaxOutDegree(deg))
+		}
+		res, err := omtree.BuildND(make(omtree.Vec, 3), recv, opts...)
+		if err != nil {
+			t.Fatalf("deg=%d: %v", deg, err)
+		}
+		if h := res.Tree.Height(); h > maxHeight {
+			t.Errorf("deg=%d: height %d, want <= %d", deg, h, maxHeight)
+		}
+	}
 }

@@ -6,10 +6,10 @@ import (
 	"omtree/internal/geom"
 )
 
-// maxDepth caps geometric recursion. A 2-D, 3-D or square cell halves
-// every axis per level, so float64 resolution is exhausted (and Degenerate
-// fires) long before this. A d-D cell's polar-angle split can stall a few
-// ulps wide, so there the cap is what ends a long run of coincident points.
+// maxDepth caps geometric recursion. Every cell shape splits each axis
+// strictly inside its interval per level, or tests Degenerate once no axis
+// would shrink, so float64 resolution is exhausted (and Degenerate fires)
+// long before this.
 const maxDepth = 4096
 
 // partition2 reorders idx so that elements with pred false come first,

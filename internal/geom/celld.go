@@ -175,17 +175,18 @@ func (c CellD) SubcellIndex(h Hyperspherical) int {
 }
 
 // Degenerate reports whether no axis of the cell can be split further at
-// floating-point resolution.
+// floating-point resolution: on every axis the point the cell is split at
+// (SplitRadial's midpoint, AngularSplitPoint's equal-measure point) is not
+// strictly inside the interval, so neither half would be smaller. A polar
+// angle a few ulps wide can have its arithmetic midpoint inside while its
+// equal-measure point lands on an endpoint; such an axis no longer shrinks.
 func (c CellD) Degenerate() bool {
-	flat := func(lo, hi float64) bool {
-		m := (lo + hi) / 2
-		return !(m > lo && m < hi)
-	}
-	if !flat(c.RMin, c.RMax) || !flat(c.ThetaMin, c.ThetaMax) {
+	inside := func(s, lo, hi float64) bool { return s > lo && s < hi }
+	if inside((c.RMin+c.RMax)/2, c.RMin, c.RMax) || inside(c.AngularSplitPoint(0), c.ThetaMin, c.ThetaMax) {
 		return false
 	}
 	for m := range c.PhiMin {
-		if !flat(c.PhiMin[m], c.PhiMax[m]) {
+		if inside(c.AngularSplitPoint(m+1), c.PhiMin[m], c.PhiMax[m]) {
 			return false
 		}
 	}

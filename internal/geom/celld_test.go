@@ -135,6 +135,31 @@ func TestCellDDegenerate(t *testing.T) {
 	if !pt.Degenerate() {
 		t.Error("point cell not reported degenerate")
 	}
+	// A polar angle a few ulps wide whose arithmetic midpoint is still
+	// inside, but whose equal-measure split lands on its lower end: the axis
+	// no longer shrinks, so with R and theta flat the cell is degenerate.
+	stalled := CellD{
+		RMin: 1, RMax: 1, ThetaMin: 2, ThetaMax: 2,
+		PhiMin: []float64{0.29999999999999993}, PhiMax: []float64{0.30000000000000027},
+	}
+	if m := (stalled.PhiMin[0] + stalled.PhiMax[0]) / 2; !(m > stalled.PhiMin[0] && m < stalled.PhiMax[0]) {
+		t.Fatalf("midpoint %v not inside the stalled interval", m)
+	}
+	if s := stalled.AngularSplitPoint(1); s > stalled.PhiMin[0] && s < stalled.PhiMax[0] {
+		t.Fatalf("split point %v inside the stalled interval", s)
+	}
+	if !stalled.Degenerate() {
+		t.Error("cell whose polar split stalls not reported degenerate")
+	}
+	// The same interval on Phi[1] of a 4-D cell with Phi[0] still open is
+	// not degenerate.
+	open := CellD{
+		RMin: 1, RMax: 1, ThetaMin: 2, ThetaMax: 2,
+		PhiMin: []float64{0.5, 0.29999999999999993}, PhiMax: []float64{0.6, 0.30000000000000027},
+	}
+	if open.Degenerate() {
+		t.Error("cell with an open polar axis reported degenerate")
+	}
 }
 
 func TestCellDCloneIndependence(t *testing.T) {
