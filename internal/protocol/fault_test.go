@@ -539,3 +539,63 @@ func TestReliableJoinCountsAsLosslessPlane(t *testing.T) {
 		}
 	}
 }
+
+// TestReliableRestartCountsAsLosslessPlane is the restart counterpart of
+// TestReliableJoinCountsAsLosslessPlane: 30 abrupt failures, each followed
+// by a Restart of the failed member, report the same per-restart messages,
+// the same attempts and the same parents with no transport attached as
+// through a plane that never loses, duplicates or delays a message.
+func TestReliableRestartCountsAsLosslessPlane(t *testing.T) {
+	pts := rng.New(6).UniformDiskN(3000, 1)
+	session := func(lossless bool) (*Overlay, []int, int) {
+		t.Helper()
+		o, err := New(sessionConfig(SuggestK(len(pts))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lossless {
+			plane, err := faultplane.New(faultplane.Scenario{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := o.SetTransport(plane, DefaultFaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, p := range pts {
+			if _, _, err := o.Join(p); err != nil {
+				t.Fatalf("join %d: %v", i, err)
+			}
+		}
+		attempts := o.Stats.Attempts
+		msgs := make([]int, 30)
+		for i := range msgs {
+			id := 1 + i*97%len(pts)
+			if err := o.FailAbrupt(id); err != nil {
+				t.Fatal(err)
+			}
+			st, err := o.Restart(id)
+			if err != nil {
+				t.Fatalf("restart %d: %v", id, err)
+			}
+			msgs[i] = st.Messages
+		}
+		return o, msgs, o.Stats.Attempts - attempts
+	}
+	reliable, relMsgs, relAttempts := session(false)
+	plane, planeMsgs, planeAttempts := session(true)
+	for i := range relMsgs {
+		if relMsgs[i] != planeMsgs[i] {
+			t.Errorf("restart %d: %d messages reliable, %d through the lossless plane", i, relMsgs[i], planeMsgs[i])
+		}
+	}
+	if relAttempts != planeAttempts {
+		t.Errorf("restart attempts: reliable %d, lossless plane %d", relAttempts, planeAttempts)
+	}
+	for i := range reliable.nodes {
+		if reliable.nodes[i].parent != plane.nodes[i].parent {
+			t.Fatalf("node %d: parent %d reliable, %d through the lossless plane",
+				i, reliable.nodes[i].parent, plane.nodes[i].parent)
+		}
+	}
+}

@@ -892,9 +892,7 @@ func (o *Overlay) Restart(id int) (OpStats, error) {
 		o.Stats.JoinMessages += st.Messages
 		return st, fmt.Errorf("protocol: overlay out of capacity")
 	}
-	if o.transport == nil {
-		st.Messages += 2 // member query + handshake
-	} else if !o.exchange(int32(id), parent, &st) {
+	if !o.exchange(int32(id), parent, &st) {
 		outcome = "refused"
 		o.Stats.JoinMessages += st.Messages
 		return st, fmt.Errorf("protocol: restart could not reach a parent")
