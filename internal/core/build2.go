@@ -103,8 +103,8 @@ func Build2(source geom.Point2, receivers []geom.Point2, opts ...Option) (*Resul
 			}
 			return pi.Dist(pj)
 		},
-		search: func(polars []geom.Polar, scale float64, kMax int) (grid.PolarGrid, int, error) {
-			k := grid.MaxFeasibleKAnalytic(polars, scale, kMax)
+		search: func(polars []geom.Polar, scale float64, kMax, workers int) (grid.PolarGrid, int, error) {
+			k := grid.MaxFeasibleKAnalyticPar(polars, scale, kMax, workers)
 			return grid.PolarGrid{K: k, Scale: scale}, k, nil
 		},
 		classify:  classify2,

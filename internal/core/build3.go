@@ -112,8 +112,8 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 			}
 			return pi.Dist(pj)
 		},
-		search: func(sph []geom.Spherical, scale float64, kMax int) (grid.SphereGrid3, int, error) {
-			k := grid.MaxFeasibleK3Analytic(sph, scale, kMax)
+		search: func(sph []geom.Spherical, scale float64, kMax, workers int) (grid.SphereGrid3, int, error) {
+			k := grid.MaxFeasibleK3AnalyticPar(sph, scale, kMax, workers)
 			return grid.SphereGrid3{K: k, Scale: scale}, k, nil
 		},
 		classify:  classify3,

@@ -108,8 +108,8 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 			}
 			return pi.Dist(pj)
 		},
-		search: func(hs []geom.Hyperspherical, scale float64, kMax int) (*grid.GridD, int, error) {
-			g, err := grid.MaxFeasibleKDAnalytic(d, hs, scale, kMax)
+		search: func(hs []geom.Hyperspherical, scale float64, kMax, workers int) (*grid.GridD, int, error) {
+			g, err := grid.MaxFeasibleKDAnalytic(d, hs, scale, kMax, workers)
 			if err != nil {
 				return nil, 0, err
 			}

@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"omtree/internal/geom"
@@ -288,7 +289,7 @@ func TestMaxFeasibleKDAnalyticMatchesTrial(t *testing.T) {
 		d := len(s.pts[0].Phi) + 2
 		for _, kMax := range []int{1, 3, 4, DefaultKMax(len(s.pts))} {
 			want, errW := MaxFeasibleKD(d, s.pts, s.scale, kMax)
-			got, errG := MaxFeasibleKDAnalytic(d, s.pts, s.scale, kMax)
+			got, errG := MaxFeasibleKDAnalytic(d, s.pts, s.scale, kMax, 1)
 			if (errW == nil) != (errG == nil) {
 				t.Fatalf("%s kMax=%d: error mismatch %v vs %v", name, kMax, errW, errG)
 			}
@@ -335,7 +336,7 @@ func TestForcedDepthMatchesOracle(t *testing.T) {
 		d := len(s.pts[0].Phi) + 2
 		forced(name, len(s.pts),
 			func(k int) int {
-				g, err := MaxFeasibleKDAnalytic(d, s.pts, s.scale, k)
+				g, err := MaxFeasibleKDAnalytic(d, s.pts, s.scale, k, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -352,16 +353,16 @@ func TestForcedDepthMatchesOracle(t *testing.T) {
 	for _, keep := range []float64{0.1, 0.5, 1} {
 		pts, slots, _, scale := subsetFixture(uint64(keep*100), 3000, keep)
 		forced(fmt.Sprintf("slots keep=%v", keep), len(slots),
-			func(k int) int { return MaxFeasibleKAnalyticSlots(pts, slots, scale, k) },
+			func(k int) int { return MaxFeasibleKAnalyticSlots(pts, slots, scale, k, 1) },
 			func(k int) bool { return PolarGrid{K: k, Scale: scale}.InteriorOccupiedSlots(pts, slots) })
 	}
 }
 
 func TestMaxFeasibleKDAnalyticErrors(t *testing.T) {
-	if _, err := MaxFeasibleKDAnalytic(1, nil, 1, 5); err == nil {
+	if _, err := MaxFeasibleKDAnalytic(1, nil, 1, 5, 1); err == nil {
 		t.Error("dimension 1 accepted")
 	}
-	if _, err := MaxFeasibleKDAnalytic(3, nil, 1, 40); err == nil {
+	if _, err := MaxFeasibleKDAnalytic(3, nil, 1, 40, 1); err == nil {
 		t.Error("kMax 40 accepted (trial loop would fail to materialize)")
 	}
 }
@@ -373,6 +374,81 @@ func TestAnalyticOutOfDiskPoints(t *testing.T) {
 	for _, kMax := range []int{1, 3, 6} {
 		if got, want := MaxFeasibleKAnalytic(pts, 1, kMax), MaxFeasibleK(pts, 1, kMax); got != want {
 			t.Errorf("kMax=%d: analytic %d, trial %d", kMax, got, want)
+		}
+	}
+}
+
+// TestMarkChunksCoversEveryPoint checks the split marking pass on its own:
+// every index of [0, n) is marked once, into the merged bitmap, for chunks
+// shorter than a bitmap word and for more workers than points.
+func TestMarkChunksCoversEveryPoint(t *testing.T) {
+	for n := 0; n <= 130; n++ {
+		for w := 1; w <= 7; w++ {
+			b := newOccBits(9) // depth 1: 256 bits
+			var calls atomic.Int32
+			markChunks(b, n, w, func(part *occBits, lo, hi int) {
+				calls.Add(1)
+				if lo >= hi && n > 0 {
+					t.Errorf("n=%d w=%d: empty chunk [%d, %d)", n, w, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					part.mark(1, i)
+				}
+			})
+			if c := int(calls.Load()); c < 1 || c > w {
+				t.Errorf("n=%d w=%d: %d chunks", n, w, c)
+			}
+			for i := 0; i < 256; i++ {
+				if got := b.bits[1][i>>6]&(1<<uint(i&63)) != 0; got != (i < n) {
+					t.Fatalf("n=%d w=%d: bit %d marked %v", n, w, i, got)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelSearchMatchesSerial checks that splitting the marking pass
+// across 1 to 7 workers returns the serial depth in every dimension and
+// over slot subsets. The sets include fewer points than workers, chunks
+// shorter than a bitmap word, and a designed set whose answer hits the
+// estimated cap and escalates.
+func TestParallelSearchMatchesSerial(t *testing.T) {
+	polar, balls3, ballsD := polarSets(), ballSets3(), ballSetsD()
+	escalating := designedOccupancy(10)
+	for w := 1; w <= 7; w++ {
+		for name, s := range polar {
+			for _, kMax := range []int{3, 9, DefaultKMax(len(s.pts))} {
+				if got, want := MaxFeasibleKAnalyticPar(s.pts, s.scale, kMax, w), MaxFeasibleKAnalytic(s.pts, s.scale, kMax); got != want {
+					t.Errorf("%s kMax=%d workers=%d: %d, serial %d", name, kMax, w, got, want)
+				}
+			}
+		}
+		if got := MaxFeasibleKAnalyticPar(escalating, 1, 12, w); got != MaxFeasibleKAnalytic(escalating, 1, 12) || got < 10 {
+			t.Errorf("escalating set workers=%d: %d, serial %d", w, got, MaxFeasibleKAnalytic(escalating, 1, 12))
+		}
+		for n, s := range balls3 {
+			kMax := DefaultKMax(n)
+			if got, want := MaxFeasibleK3AnalyticPar(s.pts, s.scale, kMax, w), MaxFeasibleK3Analytic(s.pts, s.scale, kMax); got != want {
+				t.Errorf("3-D n=%d workers=%d: %d, serial %d", n, w, got, want)
+			}
+		}
+		for name, s := range ballsD {
+			d, kMax := len(s.pts[0].Phi)+2, DefaultKMax(len(s.pts))
+			got, err := MaxFeasibleKDAnalytic(d, s.pts, s.scale, kMax, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := MaxFeasibleKDAnalytic(d, s.pts, s.scale, kMax, 1)
+			if got.K != want.K {
+				t.Errorf("%s workers=%d: K=%d, serial %d", name, w, got.K, want.K)
+			}
+		}
+		for _, keep := range []float64{0.01, 0.5, 1} {
+			pts, slots, _, scale := subsetFixture(uint64(keep*100)+7, 3000, keep)
+			kMax := DefaultKMax(len(slots))
+			if got, want := MaxFeasibleKAnalyticSlots(pts, slots, scale, kMax, w), MaxFeasibleKAnalyticSlots(pts, slots, scale, kMax, 1); got != want {
+				t.Errorf("slots keep=%v workers=%d: %d, serial %d", keep, w, got, want)
+			}
 		}
 	}
 }

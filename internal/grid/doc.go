@@ -23,7 +23,8 @@
 // slot-subset counterparts) selects the deepest grid whose interior cells
 // (rings 1..k-1 — ring 0 is covered by the source, and the outermost ring is
 // exempted by the paper's property 3) are all occupied, from an
-// occupancy-lemma estimate and one verification pass; capped at a pinned
+// occupancy-lemma estimate and one verification pass, which the worker-count
+// forms split across goroutines without changing the answer; capped at a pinned
 // depth k, the same search tells whether k is feasible. The downward trial
 // loops that define the answer (MaxFeasibleK and friends, one occupancy
 // scan per candidate depth) live in the package's tests as the oracles the

@@ -54,7 +54,7 @@ func TestSubsetMatchesDense(t *testing.T) {
 			if got, want := MaxFeasibleKSlots(pts, slots, scale, kMax), MaxFeasibleK(dense, scale, kMax); got != want {
 				t.Fatalf("MaxFeasibleKSlots: got %d, want %d", got, want)
 			}
-			if got, want := MaxFeasibleKAnalyticSlots(pts, slots, scale, kMax), MaxFeasibleKAnalytic(dense, scale, kMax); got != want {
+			if got, want := MaxFeasibleKAnalyticSlots(pts, slots, scale, kMax, 1), MaxFeasibleKAnalytic(dense, scale, kMax); got != want {
 				t.Fatalf("MaxFeasibleKAnalyticSlots: got %d, want %d", got, want)
 			}
 			// The two subset searches must also agree with each other at any
@@ -63,7 +63,7 @@ func TestSubsetMatchesDense(t *testing.T) {
 				if cap < 1 {
 					continue
 				}
-				if got, want := MaxFeasibleKAnalyticSlots(pts, slots, scale, cap), MaxFeasibleKSlots(pts, slots, scale, cap); got != want {
+				if got, want := MaxFeasibleKAnalyticSlots(pts, slots, scale, cap, 1), MaxFeasibleKSlots(pts, slots, scale, cap); got != want {
 					t.Fatalf("analytic vs trial at kMax=%d: got %d, want %d", cap, got, want)
 				}
 			}
@@ -82,11 +82,11 @@ func TestSubsetEmptyAndSingle(t *testing.T) {
 	if got := MaxFeasibleKSlots(pts, nil, 0.5, 5); got != 1 {
 		t.Errorf("empty subset: trial k = %d, want 1", got)
 	}
-	if got := MaxFeasibleKAnalyticSlots(pts, nil, 0.5, 5); got != 1 {
+	if got := MaxFeasibleKAnalyticSlots(pts, nil, 0.5, 5, 1); got != 1 {
 		t.Errorf("empty subset: analytic k = %d, want 1", got)
 	}
 	one := []int32{1}
-	if got := MaxFeasibleKAnalyticSlots(pts, one, 0.5, 8); got != MaxFeasibleKSlots(pts, one, 0.5, 8) {
+	if got := MaxFeasibleKAnalyticSlots(pts, one, 0.5, 8, 1); got != MaxFeasibleKSlots(pts, one, 0.5, 8) {
 		t.Errorf("single subset: analytic %d != trial", got)
 	}
 }

@@ -142,3 +142,88 @@ func BenchmarkMultiGroupBuild(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkGroupRebuild measures one large group's rebuilds: a
+// 60,000-member group on a 200,000-host clustered substrate (a fifth of
+// the hosts uniform on the disk, the rest in four Gaussian clusters),
+// capped at 8 rings like the largest group of perfbench's groups workload.
+// At this size a rebuild runs on the build pipeline's worker pool, which
+// BenchmarkMultiGroupBuild's 1,500-member groups stay below.
+//
+//   - full: the group's first build, over members joined untimed.
+//   - churn: 1% of the members leave and as many hosts join, then the
+//     group rebuilds incrementally. Each iteration starts from the same
+//     built membership: the churn is undone and rebuilt untimed.
+func BenchmarkGroupRebuild(b *testing.B) {
+	const (
+		hosts   = 200_000
+		members = 60_000
+		churn   = members / 100
+		stride  = 7919 // prime to hosts: j*stride % hosts is distinct for j < hosts
+	)
+	r := rng.New(44)
+	pts := append(r.UniformDiskN(hosts/5, 1), r.ClusteredDiskN(hosts-hosts/5, 1, []rng.Cluster{
+		{Center: geom.Point2{X: 0.1, Y: 0.05}, Sigma: 0.12, Weight: 3},
+		{Center: geom.Point2{X: -0.45, Y: 0.3}, Sigma: 0.06, Weight: 1},
+		{Center: geom.Point2{X: 0.5, Y: -0.35}, Sigma: 0.05, Weight: 1},
+		{Center: geom.Point2{X: -0.3, Y: -0.5}, Sigma: 0.15, Weight: 2},
+	})...)
+	sub, err := multigroup.NewSubstrate(pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	host := func(j int) int { return j * stride % hosts }
+	newGroup := func(b *testing.B) *multigroup.GroupTree {
+		g, err := sub.NewGroup(multigroup.GroupConfig{Source: []float64{0, 0}, MaxOutDegree: 6, KMax: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < members; j++ {
+			if err := g.Join(host(j)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return g
+	}
+	build := func(b *testing.B, g *multigroup.GroupTree) {
+		if _, _, err := g.Build(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	newGroup(b) // warm the source's polar view
+
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			g := newGroup(b)
+			b.StartTimer()
+			build(b, g)
+		}
+	})
+
+	b.Run("churn", func(b *testing.B) {
+		g := newGroup(b)
+		build(b, g)
+		step := func(leave, join func(int) error) {
+			for j := 0; j < churn; j++ {
+				if err := leave(host(j)); err != nil {
+					b.Fatal(err)
+				}
+				if err := join(host(members + j)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(g.Leave, g.Join)
+			build(b, g)
+			b.StopTimer()
+			step(g.Join, g.Leave)
+			build(b, g)
+			b.StartTimer()
+		}
+	})
+}
