@@ -220,7 +220,8 @@ func BuildND(source Vec, receivers []Vec, opts ...Option) (*Result, error) {
 type BuildState = core.BuildState
 
 // NewBuildState returns an empty retained build rooted at source, ready
-// for Add/Remove/Rebuild cycles.
+// for Add/Remove/Rebuild cycles. It takes Build's options, WithParallelism
+// included: every Rebuild fans out over that many workers.
 var NewBuildState = core.NewBuildState
 
 // Multi-group types (see internal/multigroup): many multicast groups over
