@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -401,5 +402,43 @@ func TestBuildStateRepresentativesFollowChurn(t *testing.T) {
 				h.checkChurn(fmt.Sprintf("round %d", round))
 			}
 		})
+	}
+}
+
+// TestCellBelowMatchesDeeperGrid checks the shortcut a full rebuild counts
+// the depth-k+1 populations with: from a point's ring in the depth-k grid,
+// cellBelow names the same depth-k+1 cell as a lookup in that grid, also on
+// and one ulp either side of every dividing circle and of segment borders.
+func TestCellBelowMatchesDeeperGrid(t *testing.T) {
+	r := rng.New(48)
+	for k := 1; k <= 12; k++ {
+		for _, scale := range []float64{1, 0.37, 3e5} {
+			g, g1 := grid.PolarGrid{K: k, Scale: scale}, grid.PolarGrid{K: k + 1, Scale: scale}
+			radii := []float64{0, scale}
+			for i := 0; i <= k+1; i++ {
+				c := g1.CircleRadius(i)
+				radii = append(radii, math.Nextafter(c, 0), c, math.Nextafter(c, scale))
+			}
+			for range 100 {
+				radii = append(radii, scale*r.Float64())
+			}
+			m := float64(grid.CellsInRing(k + 1))
+			thetas := []float64{0, math.Nextafter(geom.TwoPi, 0)}
+			for range 40 {
+				b := float64(r.Intn(int(m))) * geom.TwoPi / m
+				thetas = append(thetas, math.Nextafter(b, 0), b, math.Nextafter(b, geom.TwoPi), geom.TwoPi*r.Float64())
+			}
+			for _, rad := range radii {
+				if rad > scale {
+					continue
+				}
+				for _, th := range thetas {
+					p := geom.Polar{R: rad, Theta: th}
+					if got, want := cellBelow(g1, g.RingOf(rad), p), g1.CellOf(p); got != want {
+						t.Fatalf("k=%d scale=%v r=%v theta=%v: cell %d, the depth-%d grid says %d", k, scale, rad, th, got, k+1, want)
+					}
+				}
+			}
+		}
 	}
 }

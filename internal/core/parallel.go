@@ -3,10 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"omtree/internal/bisect"
+	"omtree/internal/par"
 	"omtree/internal/tree"
 )
 
@@ -52,80 +51,6 @@ func (s *parentSink) MustAttach(child, parent int) {
 	s.parents[child] = int32(parent)
 }
 
-// parRange splits [0, n) into one contiguous chunk per worker and runs fn
-// for each chunk, concurrently when workers > 1. fn receives the chunk index
-// (for per-worker accumulators) and its half-open range.
-func parRange(workers, n int, fn func(w, lo, hi int)) {
-	shards := shardsOf(workers, n)
-	if shards == 1 {
-		fn(0, 0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}()
-	}
-	wg.Wait()
-}
-
-// shardsOf returns the number of contiguous chunks parRange splits n items
-// into: one per worker, the last possibly short, fewer when n is small.
-func shardsOf(workers, n int) int {
-	if workers <= 1 || n == 0 {
-		return 1
-	}
-	chunk := (n + workers - 1) / workers
-	return (n + chunk - 1) / chunk
-}
-
-// cellBlock sizes the work units of parCells: large enough to amortize the
-// atomic fetch, small enough to balance rings whose cells differ wildly in
-// population.
-const cellBlock = 32
-
-// parCells runs fn(w, c) for every cell id in [0, numCells), distributing
-// blocks of cells over the worker pool through an atomic cursor; w is the
-// worker index (for per-worker accumulators). Per-cell work is proportional
-// to cell population, which varies by orders of magnitude across rings, so
-// dynamic block distribution balances far better than contiguous
-// pre-partitioning.
-func parCells(workers, numCells int, fn func(w, c int)) {
-	if workers <= 1 {
-		for c := 0; c < numCells; c++ {
-			fn(0, c)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(cellBlock)) - cellBlock
-				if lo >= numCells {
-					return
-				}
-				hi := lo + cellBlock
-				if hi > numCells {
-					hi = numCells
-				}
-				for c := lo; c < hi; c++ {
-					fn(w, c)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // convertCoords fills coords[i+1] = conv(receivers[i]) across the worker
 // pool and returns the largest radius. The chunked maximum equals the serial
 // maximum exactly — float64 max is association-independent — so the grid
@@ -136,7 +61,7 @@ func parCells(workers, numCells int, fn func(w, c int)) {
 func convertCoords[P, C any](workers int, receivers []P, coords []C, conv func(P) C, radius func(C) float64) (float64, error) {
 	maxR := make([]float64, workers)
 	bad := make([]int, workers)
-	parRange(workers, len(receivers), func(w, lo, hi int) {
+	par.Range(workers, len(receivers), func(w, lo, hi int) {
 		var m float64
 		for i := lo; i < hi; i++ {
 			c := conv(receivers[i])
@@ -203,8 +128,8 @@ func bucketCells[C, G any](workers, numCells int, nodes []int32, coords []C, g G
 		return nodes[i]
 	}
 	cellOf := make([]int32, n)
-	tallies := make([]cellTally, shardsOf(workers, n))
-	parRange(workers, n, func(w, lo, hi int) {
+	tallies := make([]cellTally, par.Shards(workers, n))
+	par.Range(workers, n, func(w, lo, hi int) {
 		t := cellTally{
 			count: make([]int32, numCells),
 			score: make([]float64, numCells),
@@ -234,7 +159,7 @@ func bucketCells[C, G any](workers, numCells int, nodes []int32, coords []C, g G
 	}
 
 	order := make([]int32, n)
-	parRange(workers, n, func(w, lo, hi int) {
+	par.Range(workers, n, func(w, lo, hi int) {
 		off := tallies[w].count
 		for i := lo; i < hi; i++ {
 			c := cellOf[i]

@@ -5,6 +5,7 @@ import (
 
 	"omtree/internal/bisect"
 	"omtree/internal/grid"
+	"omtree/internal/par"
 )
 
 // connector abstracts the dimension-specific pieces of the core wiring: the
@@ -50,18 +51,18 @@ func wireCells(sink bisect.Attacher, k int, g cellGroups, reps []int32, conn con
 	in = in.wiring()
 	numCells := grid.NumCells(k)
 	if workers == 1 || !in.obs.Enabled() {
-		parCells(workers, numCells, func(_, c int) {
+		par.Cells(workers, numCells, func(_, c int) {
 			wireCell(sink, k, c, g, reps, conn, variant, in)
 		})
 		return
 	}
 	// Per-worker busy time and cell counts feed the utilization and skew
-	// gauges. Each worker writes only its own slot; parCells's WaitGroup
+	// gauges. Each worker writes only its own slot; par.Cells's WaitGroup
 	// publishes the slices to this goroutine.
 	wireStart := time.Now()
 	busyNs := make([]int64, workers)
 	cellCnt := make([]int64, workers)
-	parCells(workers, numCells, func(w, c int) {
+	par.Cells(workers, numCells, func(w, c int) {
 		t0 := time.Now()
 		wireCell(sink, k, c, g, reps, conn, variant, in)
 		busyNs[w] += int64(time.Since(t0))
