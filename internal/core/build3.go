@@ -14,54 +14,97 @@ import (
 // 10").
 const naturalDegree3D = 10
 
-// conn3 adapts the 3-D grid and Bisection context to the wiring interface.
-type conn3 struct {
-	ctx *bisect.Ctx3
-	g   grid.SphereGrid3
+// grid3 is a 3-D grid with the factors of its cells' arc centers. A cell's
+// angular box is the product of a theta interval and a u interval (see
+// grid.ShellSplits), so the center of its arc at any radius comes from one
+// factor pair per axis: the theta midpoint's sine and cosine, and the cosine
+// and sine of the polar-angle midpoint. They are computed once per grid, for
+// every interval of every shell, through the trigonometry the per-cell form
+// used, and fed through geom.Spherical.ToPoint's arithmetic, so each center
+// keeps the bits it had when computed from the cell per receiver.
+type grid3 struct {
+	grid.SphereGrid3
+	// By theta interval i of n splits, at index grid.CellID(n, i).
+	sinTheta, cosTheta []float64
+	// By u interval i of n splits, at index grid.CellID(n, i): cos and sin
+	// of the middle of its polar-angle interval (its arc-length midpoint,
+	// not that of the u interval, so the generic BuildD path agrees
+	// exactly).
+	cosPhi, sinPhi []float64
 }
 
-// newConn3 returns the 3-D connector wiring into a.
-func newConn3(g grid.SphereGrid3, sph []geom.Spherical, a bisect.Attacher) connector {
-	return &conn3{ctx: &bisect.Ctx3{B: a, Pts: sph}, g: g}
+func newGrid3(g grid.SphereGrid3) *grid3 {
+	nTheta, nU := grid.ShellSplits(g.K)
+	g3 := &grid3{SphereGrid3: g}
+	g3.sinTheta = make([]float64, grid.NumCells(nTheta))
+	g3.cosTheta = make([]float64, len(g3.sinTheta))
+	for n := 0; n <= nTheta; n++ {
+		for i := 0; i < grid.CellsInRing(n); i++ {
+			lo, hi := g.ThetaSpan(n, i)
+			id := grid.CellID(n, i)
+			g3.sinTheta[id], g3.cosTheta[id] = math.Sincos((lo + hi) / 2)
+		}
+	}
+	g3.cosPhi = make([]float64, grid.NumCells(nU))
+	g3.sinPhi = make([]float64, len(g3.cosPhi))
+	for n := 0; n <= nU; n++ {
+		for i := 0; i < grid.CellsInRing(n); i++ {
+			lo, hi := g.USpan(n, i)
+			id := grid.CellID(n, i)
+			u := math.Cos((math.Acos(clampUnit(hi)) + math.Acos(clampUnit(lo))) / 2)
+			g3.cosPhi[id], g3.sinPhi[id] = u, geom.SinOfCos(u)
+		}
+	}
+	return g3
 }
 
-// arcCenter3 is the point at radius r in the middle of cell's angular box:
-// the middle of the polar-angle interval (its arc-length midpoint, not that
-// of the u interval, so the generic BuildD path agrees exactly) and of the
-// azimuth interval.
-func arcCenter3(cell geom.ShellCell, r float64) geom.Point3 {
-	phiMid := (math.Acos(clampUnit(cell.UMax)) + math.Acos(clampUnit(cell.UMin))) / 2
-	return geom.Spherical{
-		R:     r,
-		Theta: (cell.ThetaMin + cell.ThetaMax) / 2,
-		U:     math.Cos(phiMid),
-	}.ToPoint()
+// arcCenter is the point at radius r in the middle of cell (shell, j)'s
+// angular box.
+func (g *grid3) arcCenter(shell, j int, r float64) geom.Point3 {
+	nTheta, nU := grid.ShellSplits(shell)
+	ti, ui := grid.AxisIndices(shell, j)
+	t, u := grid.CellID(nTheta, ti), grid.CellID(nU, ui)
+	return geom.SphericalPoint(r, g.cosPhi[u], g.sinPhi[u], g.sinTheta[t], g.cosTheta[t])
 }
 
-// repScore3 ranks p as the representative of cell: the squared distance to
-// the center of the cell's inner (spherical) arc. Full builds and repOf
-// share it, as in 2-D.
-func repScore3(p geom.Spherical, cell geom.ShellCell) float64 {
-	return p.ToPoint().Dist2(arcCenter3(cell, cell.RMin))
+// repScore ranks p as the representative of cell (shell, j): the squared
+// distance to the center of the cell's inner (spherical) arc. Full builds
+// and repOf share it, as in 2-D.
+func (g *grid3) repScore(p geom.Spherical, shell, j int) float64 {
+	var rMin float64
+	if shell > 0 {
+		rMin = g.SphereRadius(shell - 1)
+	}
+	return p.ToPoint().Dist2(g.arcCenter(shell, j, rMin))
 }
 
 // classify3 returns p's cell in g and p's representative score there.
-func classify3(g grid.SphereGrid3, p geom.Spherical) (int32, float64) {
+func classify3(g *grid3, p geom.Spherical) (int32, float64) {
 	shell := g.ShellOf(p.R)
 	j := g.SegIndexOf(shell, p.Theta, p.U)
-	return int32(grid.CellID(shell, j)), repScore3(p, g.Cell(shell, j))
+	return int32(grid.CellID(shell, j)), g.repScore(p, shell, j)
+}
+
+// conn3 adapts the 3-D grid and Bisection context to the wiring interface.
+type conn3 struct {
+	ctx *bisect.Ctx3
+	g   *grid3
+}
+
+// newConn3 returns the 3-D connector wiring into a.
+func newConn3(g *grid3, sph []geom.Spherical, a bisect.Attacher) connector {
+	return &conn3{ctx: &bisect.Ctx3{B: a, Pts: sph}, g: g}
 }
 
 func (c *conn3) repScore(cellID int, id int32) float64 {
 	shell, j := grid.RingIdx(cellID)
-	return repScore3(c.ctx.Pts[id], c.g.Cell(shell, j))
+	return c.g.repScore(c.ctx.Pts[id], shell, j)
 }
 
 // relayScore is the squared distance to the center of the cell's outer arc.
 func (c *conn3) relayScore(cellID int, id int32) float64 {
 	shell, j := grid.RingIdx(cellID)
-	cell := c.g.Cell(shell, j)
-	return c.ctx.Pts[id].ToPoint().Dist2(arcCenter3(cell, cell.RMax))
+	return c.ctx.Pts[id].ToPoint().Dist2(c.g.arcCenter(shell, j, c.g.SphereRadius(shell)))
 }
 
 func (c *conn3) pointDist2(a, b int32) float64 {
@@ -96,7 +139,7 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 	if !source.IsFinite() {
 		return nil, fmt.Errorf("core: source %v: %w", source, ErrNonFinite)
 	}
-	return build(receivers, opts, dimension[geom.Point3, geom.Spherical, grid.SphereGrid3]{
+	return build(receivers, opts, dimension[geom.Point3, geom.Spherical, *grid3]{
 		dim:     3,
 		natural: naturalDegree3D,
 		origin:  geom.Spherical{U: 1},
@@ -112,9 +155,9 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 			}
 			return pi.Dist(pj)
 		},
-		search: func(sph []geom.Spherical, scale float64, kMax, workers int) (grid.SphereGrid3, int, error) {
+		search: func(sph []geom.Spherical, scale float64, kMax, workers int) (*grid3, int, error) {
 			k := grid.MaxFeasibleK3AnalyticPar(sph, scale, kMax, workers)
-			return grid.SphereGrid3{K: k, Scale: scale}, k, nil
+			return newGrid3(grid.SphereGrid3{K: k, Scale: scale}), k, nil
 		},
 		classify:  classify3,
 		connector: newConn3,

@@ -137,11 +137,11 @@ func TestElectionMatchesPerCellScan3D(t *testing.T) {
 	}
 	for _, k := range []int{4, 8} {
 		g := grid.SphereGrid3{K: k, Scale: scale}
-		conn := &conn3{ctx: &bisect.Ctx3{Pts: sph}, g: g}
+		conn := &conn3{ctx: &bisect.Ctx3{Pts: sph}, g: newGrid3(g)}
 		checkElection(t, "3-D", len(pts), g.NumCells(),
 			func(i int) int32 { return int32(g.CellOf(sph[i+1])) },
 			func(w int) (cellGroups, []cellTally) {
-				return bucketCells(w, g.NumCells(), nil, sph, g, classify3)
+				return bucketCells(w, g.NumCells(), nil, sph, conn.g, classify3)
 			}, conn)
 	}
 }

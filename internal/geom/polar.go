@@ -29,7 +29,11 @@ func (c Polar) ToPoint() Point2 {
 
 // NormalizeAngle maps an angle (radians) into [0, 2*pi).
 func NormalizeAngle(a float64) float64 {
-	a = math.Mod(a, TwoPi)
+	// math.Mod returns an angle inside (-2*pi, 2*pi), such as every Atan2
+	// result, unchanged.
+	if !(a > -TwoPi && a < TwoPi) {
+		a = math.Mod(a, TwoPi)
+	}
 	if a < 0 {
 		a += TwoPi
 	}
@@ -75,12 +79,22 @@ func (p Point3) SphericalAround(origin Point3) Spherical {
 
 // ToPoint converts spherical coordinates back to a Cartesian point.
 func (c Spherical) ToPoint() Point3 {
-	sinPhi := math.Sqrt(math.Max(0, 1-c.U*c.U))
 	s, cos := math.Sincos(c.Theta)
+	return SphericalPoint(c.R, c.U, SinOfCos(c.U), s, cos)
+}
+
+// SinOfCos returns sin(phi) for u = cos(phi), phi in [0, pi]: the factor
+// by which ToPoint scales the azimuth plane.
+func SinOfCos(u float64) float64 { return math.Sqrt(math.Max(0, 1-u*u)) }
+
+// SphericalPoint is ToPoint's arithmetic for a caller holding the factors
+// already: the point at radius r whose polar angle has cosine u and sine
+// sinPhi, and whose azimuth has sine sinTheta and cosine cosTheta.
+func SphericalPoint(r, u, sinPhi, sinTheta, cosTheta float64) Point3 {
 	return Point3{
-		X: c.R * sinPhi * cos,
-		Y: c.R * sinPhi * s,
-		Z: c.R * c.U,
+		X: r * sinPhi * cosTheta,
+		Y: r * sinPhi * sinTheta,
+		Z: r * u,
 	}
 }
 

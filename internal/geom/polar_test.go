@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +35,41 @@ func TestNormalizeAngleRangeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// oracleNormalizeAngle is NormalizeAngle's former body, which always took
+// math.Mod.
+func oracleNormalizeAngle(a float64) float64 {
+	a = math.Mod(a, TwoPi)
+	if a < 0 {
+		a += TwoPi
+	}
+	if a >= TwoPi {
+		a = 0
+	}
+	return a
+}
+
+// TestNormalizeAngleMatchesMod checks that skipping math.Mod inside
+// (-2*pi, 2*pi) moves no bit: on +-0, +-pi, +-2*pi and the floats beside
+// them, NaN, the infinities, +-7 and +-1e300, and on 2^20 Atan2 results.
+func TestNormalizeAngleMatchesMod(t *testing.T) {
+	in := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 7, -7, 1e300, -1e300}
+	for _, a := range []float64{0, math.Pi, TwoPi} {
+		for _, v := range []float64{a, math.Copysign(a, -1)} {
+			in = append(in, math.Nextafter(v, math.Inf(-1)), v, math.Nextafter(v, math.Inf(1)))
+		}
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 1<<20; i++ {
+		in = append(in, math.Atan2(r.NormFloat64(), r.NormFloat64()))
+	}
+	for _, a := range in {
+		if got, want := NormalizeAngle(a), oracleNormalizeAngle(a); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NormalizeAngle(%v) = %v (%#x), math.Mod gives %v (%#x)",
+				a, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
 

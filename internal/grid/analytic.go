@@ -197,15 +197,7 @@ func foldPairsOr(words []uint64, nbits int) []uint64 {
 
 // compactPairsOr ORs adjacent bit pairs of x and packs the 32 results into
 // the low half of the return value (bit t = bit 2t | bit 2t+1).
-func compactPairsOr(x uint64) uint64 {
-	x = (x | x>>1) & 0x5555555555555555
-	x = (x ^ x>>1) & 0x3333333333333333
-	x = (x ^ x>>2) & 0x0f0f0f0f0f0f0f0f
-	x = (x ^ x>>4) & 0x00ff00ff00ff00ff
-	x = (x ^ x>>8) & 0x0000ffff0000ffff
-	x = (x ^ x>>16) & 0x00000000ffffffff
-	return x
-}
+func compactPairsOr(x uint64) uint64 { return compactEven(x | x>>1) }
 
 // marker marks points [lo, hi) of a search's input in b: each point of
 // ring 1..cap-1 of the depth-cap grid, at its depth and finest-resolution

@@ -9,7 +9,11 @@
 //     cbrt(2) so each shell doubles the enclosed volume, and shell cells are
 //     split alternately along the azimuth and the cosine of the polar angle
 //     (both midpoint splits in (theta, u) space, where the surface measure is
-//     uniform).
+//     uniform). A cell is the product of a theta interval and a u interval;
+//     each axis's boundaries, computed as the split walk computes them, sit
+//     in a table per grid depth, built on first use and shared, so a point's
+//     angular index and a cell's bounds are exact lookups. Grids deeper than
+//     the tables walk the split levels.
 //   - GridD: the general d-dimensional grid — shell radii grow by 2^(1/d)
 //     and cells split cycling through the d-1 angular axes, with polar-angle
 //     splits placed at equal-measure points of the sin^p weights.

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -161,9 +162,196 @@ func oracleRingNaN0(scale float64, k, d int, r float64) int {
 	return oracleRing(scale, k, d, r)
 }
 
+// oracleSegIndex3 is SphereGrid3.SegIndexOf's former body, the walk down
+// the shell's split levels, kept as the oracle for its boundary tables.
+func oracleSegIndex3(shell int, theta, u float64) int {
+	tLo, tHi := 0.0, geom.TwoPi
+	uLo, uHi := -1.0, 1.0
+	j := 0
+	for l := 1; l <= shell; l++ {
+		if l%2 == 1 {
+			mid := (tLo + tHi) / 2
+			if theta >= mid {
+				j = 2*j + 1
+				tLo = mid
+			} else {
+				j = 2 * j
+				tHi = mid
+			}
+		} else {
+			mid := (uLo + uHi) / 2
+			if u < mid {
+				j = 2*j + 1
+				uHi = mid
+			} else {
+				j = 2 * j
+				uLo = mid
+			}
+		}
+	}
+	return j
+}
+
+// oracleCell3 is SphereGrid3.Cell's former body: the bounds recovered by
+// walking the index bits, most significant first.
+func oracleCell3(g SphereGrid3, shell, idx int) geom.ShellCell {
+	cell := geom.ShellCell{
+		RMax:     g.SphereRadius(shell),
+		ThetaMin: 0, ThetaMax: geom.TwoPi,
+		UMin: -1, UMax: 1,
+	}
+	if shell > 0 {
+		cell.RMin = g.SphereRadius(shell - 1)
+	}
+	for l := 1; l <= shell; l++ {
+		bit := (idx >> uint(shell-l)) & 1
+		if l%2 == 1 {
+			mid := (cell.ThetaMin + cell.ThetaMax) / 2
+			if bit == 1 {
+				cell.ThetaMin = mid
+			} else {
+				cell.ThetaMax = mid
+			}
+		} else {
+			mid := (cell.UMin + cell.UMax) / 2
+			if bit == 1 {
+				cell.UMax = mid
+			} else {
+				cell.UMin = mid
+			}
+		}
+	}
+	return cell
+}
+
+func sameShellCell(a, b geom.ShellCell) bool {
+	x := [...]float64{a.RMin, a.RMax, a.ThetaMin, a.ThetaMax, a.UMin, a.UMax}
+	y := [...]float64{b.RMin, b.RMax, b.ThetaMin, b.ThetaMax, b.UMin, b.UMax}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// walkBounds returns the boundaries n midpoint splits put on [lo, hi],
+// ascending, each the midpoint of the interval it splits, as the walk
+// computes it.
+func walkBounds(n int, lo, hi float64) []float64 {
+	if n == 0 {
+		return []float64{lo, hi}
+	}
+	mid := (lo + hi) / 2
+	b := walkBounds(n-1, lo, mid)
+	return append(b[:len(b)-1], walkBounds(n-1, mid, hi)...)
+}
+
+// probeAxis returns the values to classify on one angular axis: every
+// boundary in bounds and the floats on either side of it, plus values
+// beyond the axis, the infinities and NaN.
+func probeAxis(bounds []float64) []float64 {
+	vs := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		-math.SmallestNonzeroFloat64, -1.5, -7, 7, 1e300, -1e300, math.MaxFloat64,
+	}
+	for _, b := range bounds {
+		vs = append(vs, math.Nextafter(b, math.Inf(-1)), b, math.Nextafter(b, math.Inf(1)))
+	}
+	return vs
+}
+
+// sphereLookupMismatch compares SegIndexOf with the walk at (theta, u),
+// and the Cell of the index found with the walk's cell, bit for bit. It
+// describes the first difference, or returns "" when there is none.
+func sphereLookupMismatch(g SphereGrid3, shell int, theta, u float64) string {
+	idx := g.SegIndexOf(shell, theta, u)
+	if want := oracleSegIndex3(shell, theta, u); idx != want {
+		return fmt.Sprintf("K=%d shell %d theta=%v (%#x) u=%v (%#x): index %d, walk %d",
+			g.K, shell, theta, math.Float64bits(theta), u, math.Float64bits(u), idx, want)
+	}
+	if got, want := g.Cell(shell, idx), oracleCell3(g, shell, idx); !sameShellCell(got, want) {
+		return fmt.Sprintf("K=%d cell (%d, %d): %+v, walk %+v", g.K, shell, idx, got, want)
+	}
+	return ""
+}
+
+// TestSphereLookupMatchesWalk checks the table-driven SegIndexOf and Cell
+// against the walk at every shell of every depth up to MaxK, so the tables
+// (depths up to maxTableK) and the walk past them are both covered. In a
+// tabulated grid each shell is probed on every boundary either axis has at
+// that shell and the floats beside it, each paired with probes of the other
+// axis in turn (all pairs while both lists are short); a deeper grid, which
+// the walk serves, on the boundaries of the first 6 levels of each axis, as
+// are the shells just outside each grid.
+func TestSphereLookupMatchesWalk(t *testing.T) {
+	var thetaProbes, uProbes [maxTableK/2 + 2][]float64
+	for n := range thetaProbes {
+		thetaProbes[n] = probeAxis(walkBounds(n, 0, geom.TwoPi))
+		uProbes[n] = probeAxis(walkBounds(n, -1, 1))
+	}
+	for k := 0; k <= MaxK; k++ {
+		g := SphereGrid3{K: k, Scale: 1}
+		for shell := 0; shell <= k; shell++ {
+			nTheta, nU := ShellSplits(shell)
+			if k > maxTableK {
+				nTheta, nU = min(nTheta, 6), min(nU, 6)
+			}
+			thetas, us := thetaProbes[nTheta], uProbes[nU]
+			check := func(th, u float64) {
+				if msg := sphereLookupMismatch(g, shell, th, u); msg != "" {
+					t.Fatal(msg)
+				}
+			}
+			if len(thetas)*len(us) <= 1<<14 {
+				for _, th := range thetas {
+					for _, u := range us {
+						check(th, u)
+					}
+				}
+				continue
+			}
+			for i, th := range thetas {
+				check(th, us[i%len(us)])
+			}
+			for i, u := range us {
+				check(thetas[i%len(thetas)], u)
+			}
+		}
+		// Shells outside the grid's have no table rows; they are walked.
+		for _, shell := range []int{-1, k + 1} {
+			nTheta, nU := ShellSplits(max(shell, 0))
+			thetas, us := thetaProbes[min(nTheta, 6)], uProbes[min(nU, 6)]
+			for i, th := range thetas {
+				u := us[i%len(us)]
+				if got, want := g.SegIndexOf(shell, th, u), oracleSegIndex3(shell, th, u); got != want {
+					t.Fatalf("K=%d shell %d theta=%v u=%v: index %d, walk %d", k, shell, th, u, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSphereCellMatchesWalk compares Cell with the walk on every cell of
+// shells 0..12, at every depth that has them.
+func TestSphereCellMatchesWalk(t *testing.T) {
+	for k := 0; k <= MaxK; k++ {
+		g := SphereGrid3{K: k, Scale: 0.7}
+		for shell := 0; shell <= min(k, 12); shell++ {
+			for idx := 0; idx < CellsInRing(shell); idx++ {
+				if got, want := g.Cell(shell, idx), oracleCell3(g, shell, idx); !sameShellCell(got, want) {
+					t.Fatalf("K=%d cell (%d, %d): %+v, walk %+v", k, shell, idx, got, want)
+				}
+			}
+		}
+	}
+}
+
 // FuzzCellOf checks the table-driven classifiers against the Exp2/Log2
 // oracles on arbitrary radii, scales, angles and depths: the cell CellOf
 // returns must sit in the oracle's ring, at the angular index of that ring.
+// The 3-D angular lookup and its cell bounds are checked against the walk
+// at every shell, on any direction at all.
 func FuzzCellOf(f *testing.F) {
 	f.Add(uint8(12), 1.0, 0.5, 1.0, 0.3)
 	f.Add(uint8(1), 1.0, 1.0, 0.0, -1.0)
@@ -171,12 +359,21 @@ func FuzzCellOf(f *testing.F) {
 	f.Add(uint8(20), math.Inf(1), 3.0, 3.0, 0.0)
 	f.Add(uint8(7), 2.0, math.NaN(), 1.0, 0.5)
 	f.Add(uint8(30), 1.0, 5e-324, 2.0, -0.5)
+	f.Add(uint8(17), 1.0, 0.5, math.NaN(), math.Inf(-1))
+	f.Add(uint8(29), 1.0, 0.5, -0.25, 1.5)
 	f.Fuzz(func(t *testing.T, kb uint8, scale, r, theta, u float64) {
+		k := 1 + int(kb)%MaxK
+		g3 := SphereGrid3{K: k, Scale: 1}
+		for shell := 0; shell <= k; shell++ {
+			if msg := sphereLookupMismatch(g3, shell, theta, u); msg != "" {
+				t.Fatal(msg)
+			}
+		}
+
 		if !(scale > 0) || math.IsNaN(theta) || math.IsInf(theta, 0) || !(u >= -1 && u <= 1) {
 			return // outside what the grids and the coordinate types produce
 		}
 		theta = geom.NormalizeAngle(theta)
-		k := 1 + int(kb)%MaxK
 
 		g2 := PolarGrid{K: k, Scale: scale}
 		want := oracleRingNaN0(scale, k, 2, r)
@@ -184,10 +381,11 @@ func FuzzCellOf(f *testing.F) {
 			t.Fatalf("2-D k=%d scale=%v r=%v theta=%v: cell (%d, %d), oracle ring %d", k, scale, r, theta, ring, idx, want)
 		}
 
-		g3 := SphereGrid3{K: k, Scale: scale}
+		g3.Scale = scale
 		want = oracleRingNaN0(scale, k, 3, r)
-		if ring, idx := RingIdx(g3.CellOf(geom.Spherical{R: r, Theta: theta, U: u})); ring != want || idx != g3.SegIndexOf(want, theta, u) {
-			t.Fatalf("3-D k=%d scale=%v r=%v: cell (%d, %d), oracle shell %d", k, scale, r, ring, idx, want)
+		if ring, idx := RingIdx(g3.CellOf(geom.Spherical{R: r, Theta: theta, U: u})); ring != want || idx != oracleSegIndex3(want, theta, u) {
+			t.Fatalf("3-D k=%d scale=%v r=%v: cell (%d, %d), oracle shell %d at index %d",
+				k, scale, r, ring, idx, want, oracleSegIndex3(want, theta, u))
 		}
 
 		d, kd := 3+int(kb)%4, 1+int(kb)%28

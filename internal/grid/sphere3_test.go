@@ -1,7 +1,9 @@
 package grid
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"omtree/internal/geom"
@@ -147,5 +149,41 @@ func TestSphereAssign(t *testing.T) {
 	shell, _ := RingIdx(ids[1])
 	if shell != 3 {
 		t.Errorf("outer shell = %d", shell)
+	}
+}
+
+// TestSphereSplitsConcurrentFirstUse has several goroutines build one
+// depth's boundary tables at once, as concurrent builds may, and classify
+// with them: every index must be the walk's, and the race detector checks
+// how the tables are published.
+func TestSphereSplitsConcurrentFirstUse(t *testing.T) {
+	const k = 17
+	sphereSplitsByK[k].Store(nil)
+	r := rng.New(19)
+	sph := make([]geom.Spherical, 2000)
+	for i := range sph {
+		sph[i] = r.UniformBall3(1).ToSpherical()
+	}
+	errs := make([]string, 4)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g := SphereGrid3{K: k, Scale: 1}
+			for _, c := range sph {
+				shell := g.ShellOf(c.R)
+				if got, want := g.SegIndexOf(shell, c.Theta, c.U), oracleSegIndex3(shell, c.Theta, c.U); got != want {
+					errs[w] = fmt.Sprintf("goroutine %d: %+v in shell %d: index %d, walk %d", w, c, shell, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != "" {
+			t.Error(e)
+		}
 	}
 }
