@@ -172,6 +172,36 @@ func BenchmarkFig8(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildND times whole d-dimensional builds on the dimension
+// sweep's inputs (uniform unit balls, omt-experiments -dims) at d = 4 and 5,
+// at the natural out-degree 2^d + 2 and at degree 2. Sizes stop at 20,000:
+// the d-D grid and in-cell Bisection are what it measures, and those show
+// at that size.
+func BenchmarkBuildND(b *testing.B) {
+	for _, d := range []int{4, 5} {
+		for _, n := range []int{2000, 20000} {
+			for _, deg := range []int{1<<uint(d) + 2, 2} {
+				b.Run(fmt.Sprintf("d=%d/n=%d/deg=%d", d, n, deg), func(b *testing.B) {
+					recv := omtree.NewRand(uint64(n)+uint64(d)).UniformBallDN(n, d, 1)
+					src := make(omtree.Vec, d)
+					var last *omtree.Result
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						res, err := omtree.BuildND(src, recv, omtree.WithMaxOutDegree(deg))
+						if err != nil {
+							b.Fatal(err)
+						}
+						last = res
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(last.K), "rings")
+					b.ReportMetric(last.Radius, "delay")
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkBuildParallel measures the parallel build pipeline across worker
 // counts (ISSUE: n in {10k, 100k, 1M} x workers {1, 4, 8}; 1M rides behind
 // OMT_BENCH_FULL with the other large sizes). Speedup is bounded by the

@@ -80,14 +80,14 @@ check_cover ./internal/stats 89
 check_cover ./internal/tree 89
 
 echo "== benchmarks, one iteration each =="
-# The scripts/bench.sh package set plus the root Table I and Figure 8
-# builds, run once each: a benchmark whose set-up breaks or panics fails
+# The scripts/bench.sh package set plus the root Table I, Figure 8 and
+# d-D builds, run once each: a benchmark whose set-up breaks or panics fails
 # the gate here. Timings are not judged; `ci.sh bench` is the regression
 # gate.
 go test -run '^$' -bench . -benchtime 1x \
     ./internal/protocol ./internal/obs/trace ./internal/obs/flight \
     ./internal/grid ./internal/tree ./internal/multigroup ./internal/bisect
-go test -run '^$' -bench '^Benchmark(Table1|Fig8)$' -benchtime 1x .
+go test -run '^$' -bench '^Benchmark(Table1|Fig8|BuildND)$' -benchtime 1x .
 
 # Golden files (cmd/omt-sim and cmd/omt-experiments CLI output;
 # internal/protocol trace timelines) are compared byte-for-byte by the

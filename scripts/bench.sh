@@ -16,15 +16,15 @@
 #                  of every build, the shared-substrate overhead, the
 #                  per-round sampling cost and every build's wiring must
 #                  not slow down; the default set also runs the
-#                  root package's end-to-end BenchmarkTable1 and
-#                  BenchmarkFig8 builds, 2-D and 3-D, and only those root
-#                  benchmarks, as the other figure ones are slow)
+#                  root package's end-to-end BenchmarkTable1, BenchmarkFig8
+#                  and BenchmarkBuildND builds, 2-D, 3-D and d-D, and only
+#                  those root benchmarks, as the other figure ones are slow)
 #   BENCH_PATTERN  -bench regexp (default: all benchmarks in BENCH_PKGS)
 #   BENCH_COUNT    -count repetitions (default 1; use 5+ for a decision)
 #
 # The snapshot is a JSON array of {name, ns_per_op, allocs_per_op, n}, one
-# entry per benchmark run; the root rows are named Table1/n=.../deg=...
-# and Fig8/n=.../deg=.... Compare a fresh snapshot against the committed
+# entry per benchmark run; the root rows are named Table1/n=.../deg=...,
+# Fig8/n=.../deg=... and BuildND/d=.../n=.../deg=.... Compare a fresh snapshot against the committed
 # BENCH_baseline.json to spot regressions; see EXPERIMENTS.md for the
 # regression workflow and the <2% budget on the protocol benchmarks.
 set -eu
@@ -40,7 +40,7 @@ OUT=${1:-BENCH_$(date +%Y%m%d).json}
     # shellcheck disable=SC2086  # PKGS is a deliberate word list
     go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" $PKGS
     if [ -z "${BENCH_PKGS:-}" ]; then
-        go test -run '^$' -bench '^Benchmark(Table1|Fig8)$' -benchmem -count "$COUNT" .
+        go test -run '^$' -bench '^Benchmark(Table1|Fig8|BuildND)$' -benchmem -count "$COUNT" .
     fi
 } \
     | tee /dev/stderr \
