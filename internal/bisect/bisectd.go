@@ -19,16 +19,30 @@ type CtxD struct {
 // near ranks id against the local source src by radius: |R - R_src|.
 func (c *CtxD) near(id, src int32) float64 { return math.Abs(c.Pts[id].R - c.Pts[src].R) }
 
-// subcellBuckets partitions idx into the 2^d Subcells of cell, ordered by
-// the CellD subcell index convention.
-func (c *CtxD) subcellBuckets(idx []int32, cell geom.CellD) [][]int32 {
-	m := 1 << uint(cell.Dim())
-	buckets := make([][]int32, m)
+// subcellBuckets partitions idx into the 2^d sub-cells of the step that
+// cuts a cell at cuts, ordered by the CellD sub-cell index convention.
+func (c *CtxD) subcellBuckets(idx []int32, cuts []float64) [][]int32 {
+	buckets := make([][]int32, 1<<uint(len(cuts)))
 	for _, id := range idx {
-		q := cell.SubcellIndex(c.Pts[id])
+		q := geom.SubcellOf(c.Pts[id], cuts)
 		buckets[q] = append(buckets[q], id)
 	}
 	return buckets
+}
+
+// cutsFor returns where a recursion step over idx cuts cell, or nil when
+// the step is a leaf: idx holds at most leaf points, depth is past
+// maxDepth, or the cell can no longer be split. The cuts are computed once
+// per step, after the size check, and serve the bucketing, the sub-cells
+// and the degeneracy test.
+func cutsFor(idx []int32, leaf int, cell geom.CellD, depth int) []float64 {
+	if len(idx) <= leaf || depth > maxDepth {
+		return nil
+	}
+	if cuts := cell.Cuts(); !cell.Degenerate(cuts) {
+		return cuts
+	}
+	return nil
 }
 
 // ConnectFull runs the natural out-degree-2^d Bisection over the points idx
@@ -40,18 +54,17 @@ func (c *CtxD) ConnectFull(idx []int32, src int32, cell geom.CellD) {
 }
 
 func (c *CtxD) connectFull(idx []int32, src int32, cell geom.CellD, depth int) {
-	if len(idx) <= 1 || cell.Degenerate() || depth > maxDepth {
+	cuts := cutsFor(idx, 1, cell, depth)
+	if cuts == nil {
 		AttachKary(c.B, idx, src, 1<<uint(cell.Dim()))
 		return
 	}
-	buckets := c.subcellBuckets(idx, cell)
-	subcells := cell.Subcells()
-	for q, bucket := range buckets {
+	for q, bucket := range c.subcellBuckets(idx, cuts) {
 		if len(bucket) > 0 {
 			rep, rest := takeRep(bucket, src, c.near)
 			c.B.MustAttach(int(rep), int(src))
 			if len(rest) > 0 {
-				c.connectFull(rest, rep, subcells[q], depth+1)
+				c.connectFull(rest, rep, cell.Subcell(cuts, q), depth+1)
 			}
 		}
 	}
@@ -64,13 +77,12 @@ func (c *CtxD) Connect2(idx []int32, src int32, cell geom.CellD) {
 }
 
 func (c *CtxD) connect2(idx []int32, src int32, cell geom.CellD, depth int) {
-	if len(idx) <= 2 || cell.Degenerate() || depth > maxDepth {
+	cuts := cutsFor(idx, 2, cell, depth)
+	if cuts == nil {
 		AttachKary(c.B, idx, src, 2)
 		return
 	}
-	buckets := c.subcellBuckets(idx, cell)
-	subcells := cell.Subcells()
-	relay(c.B, buckets, 0, src, c.near, func(rest []int32, rep int32, q int) {
-		c.connect2(rest, rep, subcells[q], depth+1)
+	relay(c.B, c.subcellBuckets(idx, cuts), 0, src, c.near, func(rest []int32, rep int32, q int) {
+		c.connect2(rest, rep, cell.Subcell(cuts, q), depth+1)
 	})
 }

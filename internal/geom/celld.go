@@ -6,11 +6,12 @@ import "math"
 // radial interval, an azimuth interval, and one interval per polar angle.
 // Dimension d = len(PhiMin) + 2.
 //
-// Cells are split one axis at a time (the Polar_Grid axis-cycling rule for
-// d >= 3). Splits along Theta and R are arithmetic midpoints; splits along
-// Phi[m] are equal-measure points of the sin^(m+1) weight, computed with
-// SinPowerSplit, so that the two halves of a cell always carry equal surface
-// measure.
+// The grid cuts a cell one angular axis at a time (the Polar_Grid
+// axis-cycling rule for d >= 3), and a Bisection step cuts every axis at
+// once. Either way an axis is cut where AxisCut says: Theta at its
+// midpoint, Phi[m] at the equal-measure point of the sin^(m+1) weight, so
+// that the two halves of a cell always carry equal surface measure; a
+// Bisection step cuts R at its arithmetic midpoint.
 type CellD struct {
 	RMin, RMax         float64
 	ThetaMin, ThetaMax float64
@@ -54,139 +55,93 @@ func (c CellD) Contains(h Hyperspherical) bool {
 	return true
 }
 
-// clone returns a deep copy (the Phi slices are shared between split
-// siblings otherwise).
-func (c CellD) clone() CellD {
-	out := c
-	out.PhiMin = append([]float64(nil), c.PhiMin...)
-	out.PhiMax = append([]float64(nil), c.PhiMax...)
-	return out
-}
-
-// AngularSplitPoint returns the equal-measure split point of angular axis
-// `axis`, where axis 0 is Theta and axis m+1 is Phi[m].
-func (c CellD) AngularSplitPoint(axis int) float64 {
+// AxisCut returns where a d-dimensional cell whose angular axis `axis` (0
+// = Theta, m+1 = Phi[m]) spans [lo, hi] is cut along that axis: Theta at
+// its midpoint, Phi[m] at the equal-measure point of its sin^(m+1) weight.
+// The grid's angular tables and the in-cell Bisection both cut here.
+func AxisCut(axis int, lo, hi float64) float64 {
 	if axis == 0 {
-		return (c.ThetaMin + c.ThetaMax) / 2
+		return (lo + hi) / 2
 	}
-	m := axis - 1
-	return SinPowerSplit(m+1, c.PhiMin[m], c.PhiMax[m])
+	return SinPowerSplit(axis, lo, hi)
 }
 
-// SplitAngular splits the cell into two equal-measure halves along the given
-// angular axis (0 = Theta, m+1 = Phi[m]). The low half comes first.
-func (c CellD) SplitAngular(axis int) (lo, hi CellD) {
-	s := c.AngularSplitPoint(axis)
-	lo, hi = c.clone(), c.clone()
-	if axis == 0 {
-		lo.ThetaMax, hi.ThetaMin = s, s
-		return lo, hi
-	}
-	m := axis - 1
-	lo.PhiMax[m], hi.PhiMin[m] = s, s
-	return lo, hi
-}
-
-// AngularSideOf reports which half of an angular split the point falls into:
-// false for the low half, true for the high half (half-open split).
-func (c CellD) AngularSideOf(axis int, h Hyperspherical) bool {
-	s := c.AngularSplitPoint(axis)
-	if axis == 0 {
-		return h.Theta >= s
-	}
-	return h.Phi[axis-1] >= s
-}
-
-// SplitRadial splits the cell at the arithmetic radial midpoint. The inner
-// half comes first.
-func (c CellD) SplitRadial() (inner, outer CellD) {
-	m := (c.RMin + c.RMax) / 2
-	inner, outer = c.clone(), c.clone()
-	inner.RMax, outer.RMin = m, m
-	return inner, outer
-}
-
-// Subcells splits the cell along every axis once — the radial axis at its
-// midpoint and each angular axis at its equal-measure point — yielding the
-// 2^d sub-cells used by the d-dimensional Bisection step. Bit 0 of the index
-// selects the upper theta half, bit m+1 the upper Phi[m] half, and the top
-// bit (bit d-1) the outer radial half. For d = 2 this reproduces
-// RingSegment.Quarters up to index order, and for d = 3, ShellCell.Octants.
-func (c CellD) Subcells() []CellD {
+// Cuts returns where one Bisection step cuts the cell, one value per
+// sub-cell index bit: cuts[a] on angular axis a (AxisCut) and cuts[d-1] at
+// the radial midpoint. Sub-cell q lies on the upper side of every cut whose
+// bit q sets, and on the lower side of the others. For d = 2 the sub-cells
+// are RingSegment.Quarters, and for d = 3, ShellCell.Octants, up to index
+// order.
+func (c CellD) Cuts() []float64 {
 	d := c.Dim()
-	cells := []CellD{c.clone()}
-	for axis := 0; axis < d-1; axis++ {
-		next := make([]CellD, 0, len(cells)*2)
-		for _, cc := range cells {
-			lo, hi := cc.SplitAngular(axis)
-			next = append(next, lo, hi)
-		}
-		cells = next
+	cuts := make([]float64, d)
+	cuts[0] = AxisCut(0, c.ThetaMin, c.ThetaMax)
+	for m := range c.PhiMin {
+		cuts[m+1] = AxisCut(m+1, c.PhiMin[m], c.PhiMax[m])
 	}
-	next := make([]CellD, 0, len(cells)*2)
-	for _, cc := range cells {
-		in, out := cc.SplitRadial()
-		next = append(next, in, out)
-	}
-	// Reorder so that index bits follow the documented convention: the split
-	// order above interleaves halves as (cell, axis-bit) pairs with the most
-	// recent split in the lowest stride. Rebuild into bit-indexed order.
-	ordered := make([]CellD, len(next))
-	n := len(next)
-	for i := range n {
-		// After splitting axes 0..d-2 then radial, element i has bit layout
-		// where axis a contributes bit at stride 2^(d-1-a-1)... Easier: the
-		// loop structure doubles the slice each time appending (lo,hi), so
-		// the *last* split varies fastest. Radial was last => bit 0 of i is
-		// radial. Convert: documented index j has theta at bit 0, phi m at
-		// bit m+1, radial at bit d-1.
-		j := 0
-		if i&1 != 0 { // radial (split last, fastest-varying)
-			j |= 1 << (d - 1)
-		}
-		rest := i >> 1
-		// Angular axis d-2 split second-to-last, ..., axis 0 split first
-		// (slowest-varying).
-		for a := d - 2; a >= 0; a-- {
-			if rest&1 != 0 {
-				j |= 1 << a
-			}
-			rest >>= 1
-		}
-		ordered[j] = next[i]
-	}
-	return ordered
+	cuts[d-1] = (c.RMin + c.RMax) / 2
+	return cuts
 }
 
-// SubcellIndex returns which Subcells entry the point h falls into, using
-// half-open splits consistent with the Subcells index convention.
-func (c CellD) SubcellIndex(h Hyperspherical) int {
-	d := c.Dim()
-	j := 0
-	for axis := 0; axis < d-1; axis++ {
-		if c.AngularSideOf(axis, h) {
-			j |= 1 << axis
+// SubcellOf returns the index of the sub-cell of cuts holding h: bit a set
+// when h's coordinate on angular axis a is at least cuts[a], bit d-1 when
+// h.R is at least cuts[d-1]. A value on a cut goes to the upper side, and
+// NaN to the lower one.
+func SubcellOf(h Hyperspherical, cuts []float64) int {
+	q := 0
+	if h.Theta >= cuts[0] {
+		q = 1
+	}
+	for m, phi := range h.Phi {
+		if phi >= cuts[m+1] {
+			q |= 2 << uint(m)
 		}
 	}
-	if h.R >= (c.RMin+c.RMax)/2 {
-		j |= 1 << (d - 1)
+	if h.R >= cuts[len(cuts)-1] {
+		q |= 1 << uint(len(cuts)-1)
 	}
-	return j
+	return q
+}
+
+// Subcell returns sub-cell q of the step that cuts the cell at cuts.
+func (c CellD) Subcell(cuts []float64, q int) CellD {
+	s := CellD{
+		RMin: c.RMin, RMax: c.RMax,
+		ThetaMin: c.ThetaMin, ThetaMax: c.ThetaMax,
+		PhiMin: append([]float64(nil), c.PhiMin...),
+		PhiMax: append([]float64(nil), c.PhiMax...),
+	}
+	side(q&1 != 0, cuts[0], &s.ThetaMin, &s.ThetaMax)
+	for m := range s.PhiMin {
+		side(q>>uint(m+1)&1 != 0, cuts[m+1], &s.PhiMin[m], &s.PhiMax[m])
+	}
+	d := c.Dim()
+	side(q>>uint(d-1)&1 != 0, cuts[d-1], &s.RMin, &s.RMax)
+	return s
+}
+
+// side narrows the interval [*lo, *hi] to its part above cut when upper is
+// set, and to its part below cut otherwise.
+func side(upper bool, cut float64, lo, hi *float64) {
+	if upper {
+		*lo = cut
+	} else {
+		*hi = cut
+	}
 }
 
 // Degenerate reports whether no axis of the cell can be split further at
-// floating-point resolution: on every axis the point the cell is split at
-// (SplitRadial's midpoint, AngularSplitPoint's equal-measure point) is not
-// strictly inside the interval, so neither half would be smaller. A polar
+// floating-point resolution: no cut of cuts (the cell's Cuts) is strictly
+// inside its axis's interval, so neither side would be smaller. A polar
 // angle a few ulps wide can have its arithmetic midpoint inside while its
 // equal-measure point lands on an endpoint; such an axis no longer shrinks.
-func (c CellD) Degenerate() bool {
+func (c CellD) Degenerate(cuts []float64) bool {
 	inside := func(s, lo, hi float64) bool { return s > lo && s < hi }
-	if inside((c.RMin+c.RMax)/2, c.RMin, c.RMax) || inside(c.AngularSplitPoint(0), c.ThetaMin, c.ThetaMax) {
+	if inside(cuts[len(cuts)-1], c.RMin, c.RMax) || inside(cuts[0], c.ThetaMin, c.ThetaMax) {
 		return false
 	}
 	for m := range c.PhiMin {
-		if inside(c.AngularSplitPoint(m+1), c.PhiMin[m], c.PhiMax[m]) {
+		if inside(cuts[m+1], c.PhiMin[m], c.PhiMax[m]) {
 			return false
 		}
 	}

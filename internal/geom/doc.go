@@ -15,6 +15,6 @@
 //     equal-measure splits are midpoint splits.
 //   - d-dimensional hyperspherical coordinates are (R, Theta, Phi[0..d-3])
 //     where Phi[m] in [0, pi] carries surface measure proportional to
-//     sin(Phi[m])^(d-2-m) d Phi[m]; equal-measure splits along Phi[m] are
-//     computed by inverting the corresponding incomplete sine-power integral.
+//     sin(Phi[m])^(m+1) d Phi[m]; AxisCut places the equal-measure cut along
+//     Phi[m] by inverting the corresponding incomplete sine-power integral.
 package geom

@@ -320,14 +320,9 @@ func MaxFeasibleK3AnalyticPar(sphericals []geom.Spherical, scale float64, kMax, 
 
 // MaxFeasibleKDAnalytic is MaxFeasibleKAnalytic over the d-dimensional
 // grid, returning the grid itself, with its marking pass split across
-// workers. It materializes one grid, at the capped resolution; a shallower
-// answer shares that grid's angular tables, which are identical for every
-// depth (levels do not depend on K).
+// workers. It builds the grid at the capped resolution, and again at the
+// answer when that is shallower.
 func MaxFeasibleKDAnalytic(d int, hs []geom.Hyperspherical, scale float64, kMax, workers int) (*GridD, error) {
-	if kMax > 28 {
-		// Too deep to materialize: fail as constructing that grid does.
-		return NewGridD(d, kMax, scale)
-	}
 	var ref *GridD
 	var err error
 	k := searchK(len(hs), kMax, workers, func(cap int) marker {
@@ -345,10 +340,8 @@ func MaxFeasibleKDAnalytic(d int, hs []geom.Hyperspherical, scale float64, kMax,
 	switch {
 	case err != nil:
 		return nil, err
-	case ref == nil: // kMax <= 1: no pass ran
-		return NewGridD(d, 1, scale)
-	case k == ref.K:
+	case ref != nil && k == ref.K:
 		return ref, nil
 	}
-	return &GridD{D: d, K: k, Scale: scale, exp2: ref.exp2[:k+1], levels: ref.levels[:k+1]}, nil
+	return NewGridD(d, k, scale) // kMax <= 1, when no pass ran, or a shallower answer
 }

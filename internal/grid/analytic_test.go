@@ -362,8 +362,23 @@ func TestMaxFeasibleKDAnalyticErrors(t *testing.T) {
 	if _, err := MaxFeasibleKDAnalytic(1, nil, 1, 5, 1); err == nil {
 		t.Error("dimension 1 accepted")
 	}
-	if _, err := MaxFeasibleKDAnalytic(3, nil, 1, 40, 1); err == nil {
-		t.Error("kMax 40 accepted (trial loop would fail to materialize)")
+	// A cap deeper than any grid NewGridD builds is no error: n points fill
+	// no grid deeper than log2(n+2), and the search stops there.
+	for name, s := range ballSetsD() {
+		d := len(s.pts[0].Phi) + 2
+		want, err := MaxFeasibleKDAnalytic(d, s.pts, s.scale, DefaultKMax(len(s.pts)), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kMax := range []int{29, 40, MaxK + 1} {
+			got, err := MaxFeasibleKDAnalytic(d, s.pts, s.scale, kMax, 1)
+			if err != nil {
+				t.Fatalf("%s kMax=%d: %v", name, kMax, err)
+			}
+			if got.K != want.K {
+				t.Errorf("%s kMax=%d: K=%d, default cap gives %d", name, kMax, got.K, want.K)
+			}
+		}
 	}
 }
 

@@ -16,7 +16,12 @@
 //     the tables walk the split levels.
 //   - GridD: the general d-dimensional grid — shell radii grow by 2^(1/d)
 //     and cells split cycling through the d-1 angular axes, with polar-angle
-//     splits placed at equal-measure points of the sin^p weights.
+//     splits placed at equal-measure points of the sin^p weights
+//     (geom.AxisCut, which the in-cell Bisection cuts by too). A cut depends
+//     only on the interval of its own axis, so a cell is the product of one
+//     interval per axis; each axis's boundaries sit in a table built with
+//     the grid, which a point's angular index descends and a cell's bounds
+//     read.
 //
 // All three share the cell numbering: ring/shell i holds 2^i cells, cell j
 // of ring i is aligned with cells 2j and 2j+1 of ring i+1, and the global

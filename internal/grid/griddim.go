@@ -12,44 +12,30 @@ import (
 // twice the volume of the previous one) and angular cells formed by
 // repeatedly splitting the full angular space in equal-measure halves,
 // cycling through the d-1 angular axes (azimuth first, then each polar
-// angle). Polar-angle splits land at equal-measure points of the sin^p
-// weight, computed once per cell at construction; point assignment then
+// angle): split level l of a shell cuts axis l mod (d-1), where
+// geom.AxisCut puts it. A cut depends only on the interval of its own axis,
+// so a cell is the product of one interval per axis, and each axis's
+// boundaries sit in a table built once per grid; point assignment then
 // costs O(K) comparisons.
 type GridD struct {
 	D, K  int
 	Scale float64
 
-	exp2   []float64 // exp2[j] = 2^(-j/D), j in [0, K]: radius K-j over Scale
-	levels []levelD
+	exp2 []float64    // exp2[j] = 2^(-j/D), j in [0, K]: radius K-j over Scale
+	axes []axisSplits // axes[a]: the boundaries shell K's splits put on angular axis a
 }
 
-// levelD holds the angular boxes at one subdivision level and the split
-// values taking them to the next level.
-type levelD struct {
-	axis   int       // angular axis split to produce the next level
-	splits []float64 // split value per box; len 2^level (empty at level K)
-	boxes  []angBox  // box per cell; len 2^level
-}
+// maxAxisSplits is the most splits NewGridD puts on one angular axis: a
+// table of 2^maxAxisSplits + 1 boundaries. With one angular axis (d = 2)
+// it caps the grid depth at 28.
+const maxAxisSplits = 28
 
-// angBox is the angular part of a cell: intervals per angular axis, axis 0
-// being theta and axis m+1 being Phi[m].
-type angBox struct {
-	lo, hi []float64
-}
+// axisSplitsD returns how many of the first `levels` split levels of a
+// d-dimensional grid cut angular axis a: the levels a, a + (d-1), ...
+func axisSplitsD(levels, d, a int) int { return (levels + d - 2 - a) / (d - 1) }
 
-func (b angBox) clone() angBox {
-	return angBox{
-		lo: append([]float64(nil), b.lo...),
-		hi: append([]float64(nil), b.hi...),
-	}
-}
-
-// axisOf returns the angular axis used to split level l into level l+1,
-// cycling through the axes.
-func axisOf(l, d int) int { return l % (d - 1) }
-
-// NewGridD builds the grid, precomputing all angular boxes and split values
-// for levels 0..K. Cost is O(2^K) split computations.
+// NewGridD builds the grid and its angular tables. Cost is O(2^(K/(d-1)))
+// split computations per angular axis.
 func NewGridD(d, k int, scale float64) (*GridD, error) {
 	if d < 2 {
 		return nil, fmt.Errorf("grid: GridD needs dimension >= 2, got %d", d)
@@ -57,40 +43,21 @@ func NewGridD(d, k int, scale float64) (*GridD, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("grid: GridD needs k >= 1, got %d", k)
 	}
-	if k > 28 {
-		return nil, fmt.Errorf("grid: GridD k = %d too deep to materialize", k)
+	if k > MaxK || axisSplitsD(k, d, 0) > maxAxisSplits {
+		return nil, fmt.Errorf("grid: GridD k = %d too deep for dimension %d", k, d)
 	}
 	if !(scale > 0) || math.IsInf(scale, 0) || math.IsNaN(scale) {
 		return nil, fmt.Errorf("grid: GridD needs positive finite scale, got %v", scale)
 	}
-	g := &GridD{D: d, K: k, Scale: scale, exp2: exp2Powers(d, k), levels: make([]levelD, k+1)}
-
-	full := angBox{lo: make([]float64, d-1), hi: make([]float64, d-1)}
-	full.hi[0] = geom.TwoPi
-	for m := 1; m < d-1; m++ {
-		full.hi[m] = math.Pi
-	}
-	g.levels[0] = levelD{boxes: []angBox{full}}
-
-	for l := 0; l < k; l++ {
-		axis := axisOf(l, d)
-		cur := &g.levels[l]
-		cur.axis = axis
-		cur.splits = make([]float64, len(cur.boxes))
-		next := levelD{boxes: make([]angBox, 0, 2*len(cur.boxes))}
-		for j, box := range cur.boxes {
-			var split float64
-			if axis == 0 {
-				split = (box.lo[0] + box.hi[0]) / 2
-			} else {
-				split = geom.SinPowerSplit(axis, box.lo[axis], box.hi[axis])
-			}
-			cur.splits[j] = split
-			lo, hi := box.clone(), box.clone()
-			lo.hi[axis], hi.lo[axis] = split, split
-			next.boxes = append(next.boxes, lo, hi)
+	g := &GridD{D: d, K: k, Scale: scale, exp2: exp2Powers(d, k), axes: make([]axisSplits, d-1)}
+	for a := range g.axes {
+		hi := math.Pi
+		if a == 0 {
+			hi = geom.TwoPi
 		}
-		g.levels[l+1] = next
+		g.axes[a] = newAxisSplits(axisSplitsD(k, d, a), 0, hi, func(lo, hi float64) float64 {
+			return geom.AxisCut(a, lo, hi)
+		})
 	}
 	return g, nil
 }
@@ -110,24 +77,25 @@ func (g *GridD) SphereRadius(i int) float64 {
 // lands in shell 0).
 func (g *GridD) ShellOf(r float64) int { return ringOf(r, g.Scale, g.K, g.D, g.exp2) }
 
-// angularValue extracts the coordinate of h along an angular axis.
-func angularValue(h geom.Hyperspherical, axis int) float64 {
-	if axis == 0 {
-		return h.Theta
-	}
-	return h.Phi[axis-1]
-}
-
-// SegIndexOf returns the angular cell index of h within the given shell by
-// walking the precomputed split values.
+// SegIndexOf returns the angular cell index of h within the given shell:
+// the index the walk down the shell's split levels reaches. Each axis's
+// part of the walk descends its table, and the bit its c-th split gives is
+// bit c(d-1)+a of the walk, most significant first.
 func (g *GridD) SegIndexOf(shell int, h geom.Hyperspherical) int {
 	j := 0
-	for l := 0; l < shell; l++ {
-		lv := &g.levels[l]
-		if angularValue(h, lv.axis) >= lv.splits[j] {
-			j = 2*j + 1
-		} else {
-			j = 2 * j
+	for a := range g.axes {
+		x := h.Theta
+		if a > 0 {
+			x = h.Phi[a-1]
+		}
+		t := &g.axes[a]
+		lo, step := 0, 1<<uint(t.depth)
+		for bit := shell - 1 - a; bit >= 0; bit -= g.D - 1 {
+			step >>= 1
+			if x >= t.b[lo+step] {
+				lo += step
+				j |= 1 << uint(bit)
+			}
 		}
 	}
 	return j
@@ -152,32 +120,47 @@ func (g *GridD) Cell(shell, idx int) geom.CellD {
 	if idx < 0 || idx >= m {
 		panic(fmt.Sprintf("grid: cell index %d out of [0, %d)", idx, m))
 	}
-	box := g.levels[shell].boxes[idx]
 	cell := geom.CellD{
-		RMax:     g.SphereRadius(shell),
-		ThetaMin: box.lo[0], ThetaMax: box.hi[0],
-		PhiMin: append([]float64(nil), box.lo[1:]...),
-		PhiMax: append([]float64(nil), box.hi[1:]...),
+		RMax:   g.SphereRadius(shell),
+		PhiMin: make([]float64, g.D-2),
+		PhiMax: make([]float64, g.D-2),
 	}
 	if shell > 0 {
 		cell.RMin = g.SphereRadius(shell - 1)
 	}
+	cell.ThetaMin, cell.ThetaMax = g.span(shell, idx, 0)
+	for m := range cell.PhiMin {
+		cell.PhiMin[m], cell.PhiMax[m] = g.span(shell, idx, m+1)
+	}
 	return cell
+}
+
+// span returns the interval of angular axis a that cell (shell, idx)
+// spans: the one its bits at axis a's split levels select.
+func (g *GridD) span(shell, idx, a int) (lo, hi float64) {
+	n, i := 0, 0
+	for bit := shell - 1 - a; bit >= 0; bit -= g.D - 1 {
+		n, i = n+1, i<<1|idx>>uint(bit)&1
+	}
+	return g.axes[a].span(n, i)
 }
 
 // MaxArc returns the largest angular detour across any cell of the given
 // shell: R_shell * max over cells of the summed angular widths. This is the
-// d-dimensional Delta_i.
+// d-dimensional Delta_i. Every combination of one interval per axis is a
+// cell, and float addition is monotone in each term, so the maximum is the
+// sum of each axis's widest interval.
 func (g *GridD) MaxArc(shell int) float64 {
 	var maxAngle float64
-	for _, box := range g.levels[shell].boxes {
-		var a float64
-		for m := range box.lo {
-			a += box.hi[m] - box.lo[m]
+	for a := range g.axes {
+		t := &g.axes[a]
+		n := axisSplitsD(shell, g.D, a)
+		var w float64
+		for i := 0; i < 1<<uint(n); i++ {
+			lo, hi := t.span(n, i)
+			w = max(w, hi-lo)
 		}
-		if a > maxAngle {
-			maxAngle = a
-		}
+		maxAngle += w
 	}
 	return g.SphereRadius(shell) * maxAngle
 }

@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"omtree/internal/geom"
@@ -118,8 +119,9 @@ func TestShellOfMatchesOracle(t *testing.T) {
 }
 
 // shellGridD returns a GridD carrying exactly what ShellOf reads. NewGridD
-// would also materialize 2^k angular boxes, which ShellOf never touches;
-// the table is the one NewGridD fills.
+// would also build the angular tables, up to 2^14 polar cuts at d = 3 and
+// k = 28, which ShellOf never touches; the radius table is the one NewGridD
+// fills.
 func shellGridD(d, k int, scale float64) *GridD {
 	return &GridD{D: d, K: k, Scale: scale, exp2: exp2Powers(d, k)}
 }
@@ -131,15 +133,12 @@ func TestGridDShellOfMatchesOracle(t *testing.T) {
 				sameRing(t, "GridD.ShellOf", s, k, d, shellGridD(d, k, s).ShellOf)
 			}
 		}
-		// The constructed grids, and the prefix grids the analytic search
-		// cuts from them, classify the same way.
+		// A constructed grid classifies the same way.
 		g, err := NewGridD(d, 9, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameRing(t, "NewGridD.ShellOf", 2, 9, d, g.ShellOf)
-		cut := &GridD{D: d, K: 5, Scale: 2, exp2: g.exp2[:6], levels: g.levels[:6]}
-		sameRing(t, "prefix GridD.ShellOf", 2, 5, d, cut.ShellOf)
 	}
 }
 
@@ -347,11 +346,238 @@ func TestSphereCellMatchesWalk(t *testing.T) {
 	}
 }
 
+// oracleGridD is GridD's former body, kept as the oracle for its angular
+// tables: every angular box of every level materialized, with the split
+// value taking each box to the next level. Levels do not depend on the
+// grid's depth, so one oracle of depth k serves every shell up to k.
+type oracleGridD struct {
+	d      int
+	levels []oracleLevelD
+}
+
+// oracleLevelD holds the angular boxes at one subdivision level and the
+// split values taking them to the next level.
+type oracleLevelD struct {
+	axis   int       // angular axis split to produce the next level
+	splits []float64 // split value per box; len 2^level (empty at level K)
+	boxes  []oracleBox
+}
+
+// oracleBox is the angular part of a cell: intervals per angular axis, axis
+// 0 being theta and axis m+1 being Phi[m].
+type oracleBox struct {
+	lo, hi []float64
+}
+
+func (b oracleBox) clone() oracleBox {
+	return oracleBox{
+		lo: append([]float64(nil), b.lo...),
+		hi: append([]float64(nil), b.hi...),
+	}
+}
+
+func newOracleGridD(d, k int) *oracleGridD {
+	o := &oracleGridD{d: d, levels: make([]oracleLevelD, k+1)}
+	full := oracleBox{lo: make([]float64, d-1), hi: make([]float64, d-1)}
+	full.hi[0] = geom.TwoPi
+	for m := 1; m < d-1; m++ {
+		full.hi[m] = math.Pi
+	}
+	o.levels[0] = oracleLevelD{boxes: []oracleBox{full}}
+	for l := 0; l < k; l++ {
+		axis := l % (d - 1)
+		cur := &o.levels[l]
+		cur.axis = axis
+		cur.splits = make([]float64, len(cur.boxes))
+		next := oracleLevelD{boxes: make([]oracleBox, 0, 2*len(cur.boxes))}
+		for j, box := range cur.boxes {
+			var split float64
+			if axis == 0 {
+				split = (box.lo[0] + box.hi[0]) / 2
+			} else {
+				split = geom.SinPowerSplit(axis, box.lo[axis], box.hi[axis])
+			}
+			cur.splits[j] = split
+			lo, hi := box.clone(), box.clone()
+			lo.hi[axis], hi.lo[axis] = split, split
+			next.boxes = append(next.boxes, lo, hi)
+		}
+		o.levels[l+1] = next
+	}
+	return o
+}
+
+func (o *oracleGridD) segIndexOf(shell int, h geom.Hyperspherical) int {
+	j := 0
+	for l := 0; l < shell; l++ {
+		lv := &o.levels[l]
+		x := h.Theta
+		if lv.axis > 0 {
+			x = h.Phi[lv.axis-1]
+		}
+		if x >= lv.splits[j] {
+			j = 2*j + 1
+		} else {
+			j = 2 * j
+		}
+	}
+	return j
+}
+
+// cell is the oracle's Cell of g's cell (shell, idx): g's radii around the
+// oracle's box.
+func (o *oracleGridD) cell(g *GridD, shell, idx int) geom.CellD {
+	box := o.levels[shell].boxes[idx]
+	cell := geom.CellD{
+		RMax:     g.SphereRadius(shell),
+		ThetaMin: box.lo[0], ThetaMax: box.hi[0],
+		PhiMin: append([]float64(nil), box.lo[1:]...),
+		PhiMax: append([]float64(nil), box.hi[1:]...),
+	}
+	if shell > 0 {
+		cell.RMin = g.SphereRadius(shell - 1)
+	}
+	return cell
+}
+
+// upperBound is GridD.UpperBound through the oracle's MaxArc, the maximum
+// over every box of the shell.
+func (o *oracleGridD) upperBound(g *GridD, arcCoeff float64) float64 {
+	maxArc := func(shell int) float64 {
+		var maxAngle float64
+		for _, box := range o.levels[shell].boxes {
+			var a float64
+			for m := range box.lo {
+				a += box.hi[m] - box.lo[m]
+			}
+			if a > maxAngle {
+				maxAngle = a
+			}
+		}
+		return g.SphereRadius(shell) * maxAngle
+	}
+	var inner float64
+	for i := 1; i <= g.K-1; i++ {
+		inner += maxArc(i)
+	}
+	return g.Scale + arcCoeff*maxArc(0) + inner
+}
+
+func sameCellD(a, b geom.CellD) bool {
+	x := append([]float64{a.RMin, a.RMax, a.ThetaMin, a.ThetaMax}, append(a.PhiMin, a.PhiMax...)...)
+	y := append([]float64{b.RMin, b.RMax, b.ThetaMin, b.ThetaMax}, append(b.PhiMin, b.PhiMax...)...)
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// gridDLookupMismatch compares g's SegIndexOf with the oracle's at h, and
+// the Cell of the index found with the oracle's cell, bit for bit. It
+// describes the first difference, or returns "" when there is none.
+func gridDLookupMismatch(g *GridD, o *oracleGridD, shell int, h geom.Hyperspherical) string {
+	idx := g.SegIndexOf(shell, h)
+	if want := o.segIndexOf(shell, h); idx != want {
+		return fmt.Sprintf("d=%d K=%d shell %d theta=%v phi=%v: index %d, oracle %d",
+			g.D, g.K, shell, h.Theta, h.Phi, idx, want)
+	}
+	if got, want := g.Cell(shell, idx), o.cell(g, shell, idx); !sameCellD(got, want) {
+		return fmt.Sprintf("d=%d K=%d cell (%d, %d): %+v, oracle %+v", g.D, g.K, shell, idx, got, want)
+	}
+	return ""
+}
+
+// oracleGridsD holds one depth-14 oracle per dimension 2..6, built on first
+// use.
+var oracleGridsD = sync.OnceValue(func() map[int]*oracleGridD {
+	m := make(map[int]*oracleGridD)
+	for d := 2; d <= 6; d++ {
+		m[d] = newOracleGridD(d, 14)
+	}
+	return m
+})
+
+// axisBoundsD returns the distinct bounds the boxes of a shell of o have on
+// angular axis a.
+func axisBoundsD(o *oracleGridD, shell, a int) []float64 {
+	var bs []float64
+	seen := make(map[float64]bool)
+	for _, box := range o.levels[shell].boxes {
+		for _, b := range [2]float64{box.lo[a], box.hi[a]} {
+			if !seen[b] {
+				seen[b] = true
+				bs = append(bs, b)
+			}
+		}
+	}
+	return bs
+}
+
+// TestGridDLookupMatchesOracle checks the table-driven GridD against the
+// materialized levels at d = 2..6, at every shell of every depth 1..14: the
+// angular index and cell bounds on every boundary each axis has at that
+// shell and the floats beside it, with NaN, the infinities and angles
+// outside [0, 2pi) and [0, pi], each paired with the other axes' probes in
+// turn; the bounds of every cell of the shell; and UpperBound(2) and
+// UpperBound(4).
+func TestGridDLookupMatchesOracle(t *testing.T) {
+	for d := 2; d <= 6; d++ {
+		o := oracleGridsD()[d]
+		for k := 1; k <= 14; k++ {
+			g, err := NewGridD(d, k, 0.7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []float64{2, 4} {
+				if got, want := g.UpperBound(c), o.upperBound(g, c); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("d=%d K=%d UpperBound(%v) = %v, oracle %v", d, k, c, got, want)
+				}
+			}
+			for shell := 0; shell <= k; shell++ {
+				probes := make([][]float64, d-1)
+				for a := range probes {
+					probes[a] = probeAxis(axisBoundsD(o, shell, a))
+				}
+				for a, ps := range probes {
+					for i, x := range ps {
+						h := geom.Hyperspherical{R: 0.5, Phi: make([]float64, d-2)}
+						for b := range probes {
+							v := probes[b][(i+b)%len(probes[b])]
+							if b == a {
+								v = x
+							}
+							if b == 0 {
+								h.Theta = v
+							} else {
+								h.Phi[b-1] = v
+							}
+						}
+						if msg := gridDLookupMismatch(g, o, shell, h); msg != "" {
+							t.Fatal(msg)
+						}
+					}
+				}
+				for idx := 0; idx < CellsInRing(shell); idx++ {
+					if got, want := g.Cell(shell, idx), o.cell(g, shell, idx); !sameCellD(got, want) {
+						t.Fatalf("d=%d K=%d cell (%d, %d): %+v, oracle %+v", d, k, shell, idx, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzCellOf checks the table-driven classifiers against the Exp2/Log2
 // oracles on arbitrary radii, scales, angles and depths: the cell CellOf
 // returns must sit in the oracle's ring, at the angular index of that ring.
-// The 3-D angular lookup and its cell bounds are checked against the walk
-// at every shell, on any direction at all.
+// The 3-D angular lookup and its cell bounds are checked against the walk,
+// and the d-D ones against the materialized levels, at every shell, on any
+// direction at all.
 func FuzzCellOf(f *testing.F) {
 	f.Add(uint8(12), 1.0, 0.5, 1.0, 0.3)
 	f.Add(uint8(1), 1.0, 1.0, 0.0, -1.0)
@@ -366,6 +592,22 @@ func FuzzCellOf(f *testing.F) {
 		g3 := SphereGrid3{K: k, Scale: 1}
 		for shell := 0; shell <= k; shell++ {
 			if msg := sphereLookupMismatch(g3, shell, theta, u); msg != "" {
+				t.Fatal(msg)
+			}
+		}
+
+		d, kd := 2+int(kb)%5, 1+int(kb)%14
+		gd, err := NewGridD(d, kd, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The polar angles take the fuzzed u and theta in turn, any float.
+		h := geom.Hyperspherical{R: r, Theta: theta, Phi: make([]float64, d-2)}
+		for m := range h.Phi {
+			h.Phi[m] = [2]float64{u, theta}[m%2]
+		}
+		for shell := 0; shell <= kd; shell++ {
+			if msg := gridDLookupMismatch(gd, oracleGridsD()[d], shell, h); msg != "" {
 				t.Fatal(msg)
 			}
 		}
@@ -388,7 +630,7 @@ func FuzzCellOf(f *testing.F) {
 				k, scale, r, ring, idx, want, oracleSegIndex3(want, theta, u))
 		}
 
-		d, kd := 3+int(kb)%4, 1+int(kb)%28
+		d, kd = 3+int(kb)%4, 1+int(kb)%28
 		want = oracleRingNaN0(scale, kd, d, r)
 		if got := shellGridD(d, kd, scale).ShellOf(r); got != want {
 			t.Fatalf("GridD d=%d k=%d scale=%v r=%v: shell %d, oracle %d", d, kd, scale, r, got, want)

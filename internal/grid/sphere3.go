@@ -91,9 +91,9 @@ func compactEven(x uint64) uint64 {
 // walking the split levels.
 const maxTableK = 30
 
-// axisSplits holds the boundaries that depth midpoint splits put on one
-// angular axis [lo, hi]: b[0] = lo, b[2^depth] = hi, and each inner
-// boundary the midpoint (b[i-h] + b[i+h]) / 2 of the interval it splits,
+// axisSplits holds the boundaries that depth splits put on one angular
+// axis [lo, hi]: b[0] = lo, b[2^depth] = hi, and each inner boundary
+// cut(b[i-h], b[i+h]), the split rule applied to the interval it splits,
 // computed as the walk computes it. So the bounds the walk reaches after
 // n <= depth splits are entries of b at stride 2^(depth-n), and b ascends.
 type axisSplits struct {
@@ -103,17 +103,20 @@ type axisSplits struct {
 	perUnit float64 // 2^depth / (hi - lo): the index guess's factor
 }
 
-func newAxisSplits(depth int, lo, hi float64) axisSplits {
+func newAxisSplits(depth int, lo, hi float64, cut func(lo, hi float64) float64) axisSplits {
 	n := 1 << depth
 	b := make([]float64, n+1)
 	b[0], b[n] = lo, hi
 	for h := n / 2; h > 0; h /= 2 {
 		for i := h; i < n; i += 2 * h {
-			b[i] = (b[i-h] + b[i+h]) / 2
+			b[i] = cut(b[i-h], b[i+h])
 		}
 	}
 	return axisSplits{depth: depth, b: b, lo: lo, perUnit: float64(n) / (hi - lo)}
 }
+
+// midpoint is SphereGrid3's split rule on both axes.
+func midpoint(lo, hi float64) float64 { return (lo + hi) / 2 }
 
 // atMost returns how many inner boundaries are at most x, none for NaN:
 // the index of x's interval when x >= mid takes the upper half, as on the
@@ -173,8 +176,8 @@ func (g SphereGrid3) splits() *sphereSplits {
 	}
 	nTheta, nU := ShellSplits(g.K)
 	slot.CompareAndSwap(nil, &sphereSplits{
-		theta: newAxisSplits(nTheta, 0, geom.TwoPi),
-		u:     newAxisSplits(nU, -1, 1),
+		theta: newAxisSplits(nTheta, 0, geom.TwoPi, midpoint),
+		u:     newAxisSplits(nU, -1, 1, midpoint),
 	})
 	return slot.Load()
 }

@@ -1,6 +1,10 @@
 package grid
 
-import "omtree/internal/geom"
+import (
+	"math/bits"
+
+	"omtree/internal/geom"
+)
 
 // The downward trial loops: the definition of the grid depth, kept as the
 // oracles the analytic searches are checked against. Each candidate depth
@@ -101,9 +105,11 @@ func MaxFeasibleK3(sphericals []geom.Spherical, scale float64, kMax int) int {
 }
 
 // MaxFeasibleKD is the d-dimensional trial loop, returning the grid; like
-// the analytic search it fails when a candidate grid cannot be built.
+// the analytic search it fails when a candidate grid cannot be built, and
+// like it, it starts no deeper than log2(n+2), past which n points leave an
+// interior cell empty.
 func MaxFeasibleKD(d int, hs []geom.Hyperspherical, scale float64, kMax int) (*GridD, error) {
-	for k := max(kMax, 1); ; k-- {
+	for k := max(min(kMax, bits.Len(uint(len(hs)+2))-1), 1); ; k-- {
 		g, err := NewGridD(d, k, scale)
 		if err != nil {
 			return nil, err

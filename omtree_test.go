@@ -1,7 +1,9 @@
 package omtree_test
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,6 +68,64 @@ func TestFacade3DAndND(t *testing.T) {
 	}
 	_ = omtree.Dist3D(omtree.Point3{}, recv3)
 	_ = omtree.DistND(make(omtree.Vec, 4), recvD)
+}
+
+// TestFacadeBuildNDDeepKMax checks that a depth cap deeper than any grid
+// the input can fill changes nothing in d-D: n points fill no grid deeper
+// than log2(n+2), so BuildND and a 4-D group return the default-cap tree,
+// as Build and Build3D do.
+func TestFacadeBuildNDDeepKMax(t *testing.T) {
+	same := func(name string, got, want *omtree.Result) {
+		t.Helper()
+		if got.K != want.K || math.Float64bits(got.Radius) != math.Float64bits(want.Radius) ||
+			!slices.Equal(got.Tree.Parents(), want.Tree.Parents()) {
+			t.Errorf("%s: K=%d radius=%v, default cap K=%d radius=%v", name, got.K, got.Radius, want.K, want.Radius)
+		}
+	}
+	r := omtree.NewRand(26)
+	recv3 := r.UniformBallDN(1000, 3, 1)
+	want, err := omtree.BuildND(make(omtree.Vec, 3), recv3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kMax := range []int{29, 40} {
+		got, err := omtree.BuildND(make(omtree.Vec, 3), recv3, omtree.WithKMax(kMax))
+		if err != nil {
+			t.Fatalf("BuildND WithKMax(%d): %v", kMax, err)
+		}
+		same(fmt.Sprintf("BuildND WithKMax(%d)", kMax), got, want)
+	}
+
+	hosts := r.UniformBallDN(1000, 4, 1)
+	axes := make([][]float64, 4)
+	for a := range axes {
+		axes[a] = make([]float64, len(hosts))
+		for h, p := range hosts {
+			axes[a][h] = p[a]
+		}
+	}
+	sub, err := omtree.NewSubstrateND(axes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := sub.NewGroup(omtree.GroupConfig{Source: make([]float64, 4), KMax: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := range hosts {
+		if err := g.Join(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _, err := g.Build()
+	if err != nil {
+		t.Fatalf("4-D group with KMax 29: %v", err)
+	}
+	want, err = omtree.BuildND(make(omtree.Vec, 4), hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("4-D group KMax 29", got, want)
 }
 
 func TestFacadeBisection(t *testing.T) {
