@@ -72,6 +72,17 @@ func (c *conn2) connectBinary(idx []int32, src int32, cellID int) {
 	c.ctx.Connect2(idx, src, c.g.Segment(ring, j))
 }
 
+// edges2 is the 2-D cell pass's edge-length loop: edge[v] is the distance
+// from pts[parent[v]] to pts[v] for every v whose parent is in range (the
+// proof reports the others).
+func edges2(pts []geom.Point2, parent []int32, edge []float64) {
+	for v, p := range parent {
+		if uint(p) < uint(len(pts)) {
+			edge[v] = pts[p].Dist(pts[v])
+		}
+	}
+}
+
 // Build2 runs Algorithm Polar_Grid over planar receivers with the given
 // source. Node 0 of the resulting tree is the source and node i >= 1 is
 // receivers[i-1]. The default (no options) builds the natural out-degree-6
@@ -91,23 +102,16 @@ func Build2(source geom.Point2, receivers []geom.Point2, opts ...Option) (*Resul
 	return build(receivers, opts, dimension[geom.Point2, geom.Polar, grid.PolarGrid]{
 		dim:     2,
 		natural: naturalDegree2D,
+		source:  source,
 		convert: func(p geom.Point2) geom.Polar { return p.PolarAround(source) },
 		radius:  func(c geom.Polar) float64 { return c.R },
-		dist: func(i, j int) float64 {
-			pi, pj := source, source
-			if i > 0 {
-				pi = receivers[i-1]
-			}
-			if j > 0 {
-				pj = receivers[j-1]
-			}
-			return pi.Dist(pj)
-		},
+		edges:   edges2,
 		search: func(polars []geom.Polar, scale float64, kMax, workers int) (grid.PolarGrid, int, error) {
 			k := grid.MaxFeasibleKAnalyticPar(polars, scale, kMax, workers)
 			return grid.PolarGrid{K: k, Scale: scale}, k, nil
 		},
 		classify:  classify2,
+		scratch:   &scratch2,
 		connector: newConn2,
 	})
 }

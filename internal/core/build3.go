@@ -121,6 +121,15 @@ func (c *conn3) connectBinary(idx []int32, src int32, cellID int) {
 	c.ctx.Connect2(idx, src, c.g.Cell(shell, j))
 }
 
+// edges3 is the 3-D cell pass's edge-length loop (see edges2).
+func edges3(pts []geom.Point3, parent []int32, edge []float64) {
+	for v, p := range parent {
+		if uint(p) < uint(len(pts)) {
+			edge[v] = pts[p].Dist(pts[v])
+		}
+	}
+}
+
 func clampUnit(x float64) float64 {
 	if x < -1 {
 		return -1
@@ -142,24 +151,17 @@ func Build3(source geom.Point3, receivers []geom.Point3, opts ...Option) (*Resul
 	return build(receivers, opts, dimension[geom.Point3, geom.Spherical, *grid3]{
 		dim:     3,
 		natural: naturalDegree3D,
+		source:  source,
 		origin:  geom.Spherical{U: 1},
 		convert: func(p geom.Point3) geom.Spherical { return p.SphericalAround(source) },
 		radius:  func(c geom.Spherical) float64 { return c.R },
-		dist: func(i, j int) float64 {
-			pi, pj := source, source
-			if i > 0 {
-				pi = receivers[i-1]
-			}
-			if j > 0 {
-				pj = receivers[j-1]
-			}
-			return pi.Dist(pj)
-		},
+		edges:   edges3,
 		search: func(sph []geom.Spherical, scale float64, kMax, workers int) (*grid3, int, error) {
 			k := grid.MaxFeasibleK3AnalyticPar(sph, scale, kMax, workers)
 			return newGrid3(grid.SphereGrid3{K: k, Scale: scale}), k, nil
 		},
 		classify:  classify3,
+		scratch:   &scratch3,
 		connector: newConn3,
 	})
 }

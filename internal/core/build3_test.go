@@ -139,16 +139,7 @@ func TestArcCentersMatchPerReceiverForm(t *testing.T) {
 			origin:  geom.Spherical{U: 1},
 			convert: func(p geom.Point3) geom.Spherical { return p.ToSpherical() },
 			radius:  func(c geom.Spherical) float64 { return c.R },
-			dist: func(i, j int) float64 {
-				var pi, pj geom.Point3
-				if i > 0 {
-					pi = pts[i-1]
-				}
-				if j > 0 {
-					pj = pts[j-1]
-				}
-				return pi.Dist(pj)
-			},
+			edges:   edges3,
 			search: func(sph []geom.Spherical, scale float64, kMax, workers int) (grid.SphereGrid3, int, error) {
 				k := grid.MaxFeasibleK3AnalyticPar(sph, scale, kMax, workers)
 				return grid.SphereGrid3{K: k, Scale: scale}, k, nil
@@ -162,6 +153,7 @@ func TestArcCentersMatchPerReceiverForm(t *testing.T) {
 			connector: func(g grid.SphereGrid3, sph []geom.Spherical, a bisect.Attacher) connector {
 				return &perCellConn3{ctx: &bisect.Ctx3{B: a, Pts: sph}, g: g}
 			},
+			scratch: &scratch3,
 		})
 		if err != nil {
 			t.Fatal(err)

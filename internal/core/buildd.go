@@ -9,15 +9,21 @@ import (
 )
 
 // connD adapts the d-dimensional grid and Bisection context to the wiring
-// interface.
+// interface. Each worker wires through its own connD, which keeps the
+// outer-arc center of the cell it last scored relays in and the Cartesian
+// form of the points it compares.
 type connD struct {
 	ctx *bisect.CtxD
 	g   *grid.GridD
+
+	relayCell   int      // the cell relayCenter belongs to
+	relayCenter geom.Vec // nil until the first relay score
+	a, b        geom.Vec
 }
 
 // newConnD returns the d-dimensional connector wiring into a.
 func newConnD(g *grid.GridD, hs []geom.Hyperspherical, a bisect.Attacher) connector {
-	return &connD{ctx: &bisect.CtxD{B: a, Pts: hs}, g: g}
+	return &connD{ctx: &bisect.CtxD{B: a, Pts: hs}, g: g, a: make(geom.Vec, g.D), b: make(geom.Vec, g.D)}
 }
 
 // arcCenterD is the point at radius r in the middle of every angular
@@ -53,15 +59,20 @@ func (c *connD) repScore(cellID int, id int32) float64 {
 	return repScoreD(c.ctx.Pts[id], c.g.Cell(shell, j))
 }
 
-// relayScore is the squared distance to the center of the cell's outer arc.
+// relayScore is the squared distance to the center of the cell's outer
+// arc. wireBinaryCell scores a cell's members one after another, so the
+// center is computed once per cell.
 func (c *connD) relayScore(cellID int, id int32) float64 {
-	shell, j := grid.RingIdx(cellID)
-	cell := c.g.Cell(shell, j)
-	return c.ctx.Pts[id].ToVec().Dist2(arcCenterD(cell, cell.RMax))
+	if c.relayCenter == nil || c.relayCell != cellID {
+		shell, j := grid.RingIdx(cellID)
+		cell := c.g.Cell(shell, j)
+		c.relayCell, c.relayCenter = cellID, arcCenterD(cell, cell.RMax)
+	}
+	return c.ctx.Pts[id].VecInto(c.a).Dist2(c.relayCenter)
 }
 
 func (c *connD) pointDist2(a, b int32) float64 {
-	return c.ctx.Pts[a].ToVec().Dist2(c.ctx.Pts[b].ToVec())
+	return c.ctx.Pts[a].VecInto(c.a).Dist2(c.ctx.Pts[b].VecInto(c.b))
 }
 
 func (c *connD) connectNatural(idx []int32, src int32, cellID int) {
@@ -72,6 +83,15 @@ func (c *connD) connectNatural(idx []int32, src int32, cellID int) {
 func (c *connD) connectBinary(idx []int32, src int32, cellID int) {
 	shell, j := grid.RingIdx(cellID)
 	c.ctx.Connect2(idx, src, c.g.Cell(shell, j))
+}
+
+// edgesD is the d-dimensional cell pass's edge-length loop (see edges2).
+func edgesD(pts []geom.Vec, parent []int32, edge []float64) {
+	for v, p := range parent {
+		if uint(p) < uint(len(pts)) {
+			edge[v] = pts[p].Dist(pts[v])
+		}
+	}
 }
 
 // BuildD runs Algorithm Polar_Grid in general dimension d >= 2 (§IV-B).
@@ -95,19 +115,11 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 	return build(receivers, opts, dimension[geom.Vec, geom.Hyperspherical, *grid.GridD]{
 		dim:     d,
 		natural: 1<<uint(d) + 2,
+		source:  source,
 		origin:  geom.Hyperspherical{Phi: make([]float64, d-2)},
 		convert: func(p geom.Vec) geom.Hyperspherical { return p.Sub(source).ToHyperspherical() },
 		radius:  func(c geom.Hyperspherical) float64 { return c.R },
-		dist: func(i, j int) float64 {
-			pi, pj := source, source
-			if i > 0 {
-				pi = receivers[i-1]
-			}
-			if j > 0 {
-				pj = receivers[j-1]
-			}
-			return pi.Dist(pj)
-		},
+		edges:   edgesD,
 		search: func(hs []geom.Hyperspherical, scale float64, kMax, workers int) (*grid.GridD, int, error) {
 			g, err := grid.MaxFeasibleKDAnalytic(d, hs, scale, kMax, workers)
 			if err != nil {
@@ -116,6 +128,7 @@ func BuildD(source geom.Vec, receivers []geom.Vec, opts ...Option) (*Result, err
 			return g, g.K, nil
 		},
 		classify:  classifyD,
+		scratch:   &scratchD,
 		connector: newConnD,
 	})
 }

@@ -12,7 +12,6 @@ import (
 	"omtree/internal/obs"
 	"omtree/internal/obs/flight"
 	"omtree/internal/obs/trace"
-	"omtree/internal/par"
 	"omtree/internal/tree"
 )
 
@@ -42,8 +41,8 @@ import (
 // builds one per source and lends it to every group rooted there — and the
 // state then only ever writes its private membership. All remaining
 // per-group cell state is copy-on-write with respect to the retained build:
-// rebuilds copy a cell's member list into scratch before the wiring
-// permutes it, and only dirty cells' retained state is touched at all.
+// rebuilds wire a cell in scratch, never in its member list, and only the
+// rewired cells' retained parents are written at all.
 //
 // What the state holds is sized by its members, not by its slot universe
 // (DESIGN.md §2g): membership is one bit per slot with a rank index, and the
@@ -412,12 +411,11 @@ func (s *BuildState) Rebuild() (*Result, bool, error) {
 }
 
 // rebuildFull reconstructs everything from the slot membership with the
-// pipeline's stages — grid choice, classifier, bucketing and election,
-// wiring — keeping only the slot bookkeeping of its own. It runs on the
+// pipeline's stages — grid choice, classifier, bucketing and election, the
+// cell pass — keeping only the slot bookkeeping of its own. It runs on the
 // workers a one-shot build of the membership would: the k search,
-// bucketing, wiring and edge lengths fan out over them; the scale, the
-// member lists with the depth-k+1 counts, and the export are single passes
-// too light to split.
+// bucketing and the cell pass fan out over them; the scale and the member
+// lists with the depth-k+1 counts are single passes too light to split.
 func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	workers := s.o.effectiveWorkers(s.n, parallelBuildThreshold)
 	in.obs.Gauge("build/workers").Set(float64(workers))
@@ -503,17 +501,14 @@ func (s *BuildState) rebuildFull(in instr) (*Result, error) {
 	if cap(s.parent) < len(slots)+1 {
 		s.parent = make([]int32, len(slots)+1)
 	}
-	s.parent, s.wired = unwired(s.parent[:len(slots)+1]), slots
-	sink := &slotSink{live: &s.live, parents: s.parent}
+	s.parent, s.wired = s.parent[:len(slots)+1], slots
+	s.parent[0] = tree.NoParent
 	endReps := in.phase("build/reps")
 	s.reps = electReps(tallies)
 	endReps()
-	// The wiring permutes groups.order in place; the member lists above are
-	// already copied out of it.
-	wireCells(sink, k, groups, s.reps, newConn2(g, pts, sink), s.variant, workers, in)
 	s.built, s.needFull = true, false
 	clear(s.dirty)
-	return s.exportResult(in, res, workers)
+	return s.wire(in, res, workers, nil)
 }
 
 // cellBelow returns g1.CellOf(p) for the grid g1 one ring deeper than the
@@ -538,79 +533,41 @@ const churnParallelThreshold = 4096
 // rebuildIncremental applies the dirty cells' pending representatives,
 // re-electing only those marked repRescan, and re-runs the wiring for the
 // cells whose wiring can have changed: the dirty cells and the parent of
-// each whose representative changed. Every other cell's edges are left
-// exactly as the previous build wired them. The wiring and the edge
-// lengths run on the worker pool once the rewired cells hold
+// each whose representative changed. Every other cell keeps exactly the
+// edges the previous build wired, which the cell pass loads and measures
+// again. The pass runs on the worker pool once the rewired cells hold
 // churnParallelThreshold members.
 func (s *BuildState) rebuildIncremental(in instr) (*Result, error) {
-	sink := &slotSink{live: &s.live}
-	conn := newConn2(s.g, s.geo.pts, sink)
 	endReps := in.phase("build/reps")
-	cells, inSet := s.applyReps(conn)
+	cells, rewire := s.applyReps(newConn2(s.g, s.geo.pts, nil))
 	endReps()
 
 	endMark := in.phase("build/dirty")
 	s.carryOver(s.live.reindex(s.n))
-	sink.parents = s.parent
-	// Reset exactly the parents the rewiring will reassign: those of the
-	// nodes a rewired cell attaches. A cell attaches its members, except its
-	// representative, which its parent cell attaches, and the
-	// representatives of its child cells.
-	reset := func(sl int32) { s.parent[s.live.rank(int(sl))] = unattachedNode }
 	rewired := 0
 	for _, c := range cells {
 		rewired += len(s.members[c])
-		ring, idx := grid.RingIdx(c)
-		kept := int32(-1) // c's representative, unless its parent rewires
-		if ring > 0 && !inSet[grid.CellID(ring-1, grid.ParentCell(idx))] {
-			kept = s.reps[c]
-		}
-		for _, sl := range s.members[c] {
-			if sl != kept {
-				reset(sl)
-			}
-		}
-		if ring < s.k {
-			c1, c2 := grid.ChildCells(idx)
-			for _, ch := range [2]int{grid.CellID(ring+1, c1), grid.CellID(ring+1, c2)} {
-				if r := s.reps[ch]; r >= 0 && !inSet[ch] {
-					reset(r)
-				}
-			}
-		}
 	}
 	endMark()
 	in.obs.Gauge("build/dirty_cells").Set(float64(len(cells)))
 	workers := s.o.effectiveWorkers(rewired, churnParallelThreshold)
 	in.obs.Gauge("build/workers").Set(float64(workers))
-
-	endWire := in.phase("build/wire")
-	in = in.wiring()
-	// Each worker copies a cell's members into its own scratch, which the
-	// wiring permutes; distinct cells attach distinct nodes.
-	scratch := make([][]int32, workers)
-	par.Cells(workers, len(cells), func(w, i int) {
-		c := cells[i]
-		scratch[w] = append(scratch[w][:0], s.members[c]...)
-		wireCellMembers(sink, s.k, c, scratch[w], s.reps, conn, s.variant, in)
-	})
-	endWire()
 	clear(s.dirty)
 	res := &Result{Dim: 2, Variant: s.variant, MaxOutDegree: s.degCap, Scale: s.scale}
-	return s.exportResult(in, res, workers)
+	return s.wire(in, res, workers, rewire)
 }
 
 // applyReps installs each dirty cell's pending representative, re-electing
 // the cells marked repRescan, and returns the cells whose wiring can have
-// changed, ascending, with their set. A cell's wiring depends only on its
-// members, its representative and its child cells' representatives, so
-// these are the dirty cells plus the parent of each dirty cell whose
+// changed, ascending, and a mark for each. A cell's wiring depends only on
+// its members, its representative and its child cells' representatives,
+// so these are the dirty cells plus the parent of each dirty cell whose
 // representative changed; a clean cell keeps its members and so its
 // representative.
-func (s *BuildState) applyReps(conn connector) ([]int, map[int]bool) {
-	inSet := make(map[int]bool, 2*len(s.dirty))
+func (s *BuildState) applyReps(conn connector) ([]int, []bool) {
+	rewire := make([]bool, len(s.reps))
 	for c, rep := range s.dirty {
-		inSet[c] = true
+		rewire[c] = true
 		if c == 0 {
 			continue // the source anchors ring 0
 		}
@@ -619,16 +576,17 @@ func (s *BuildState) applyReps(conn connector) ([]int, map[int]bool) {
 		}
 		if rep != s.reps[c] {
 			ring, idx := grid.RingIdx(c)
-			inSet[grid.CellID(ring-1, grid.ParentCell(idx))] = true
+			rewire[grid.CellID(ring-1, grid.ParentCell(idx))] = true
 		}
 		s.reps[c] = rep
 	}
-	cells := make([]int, 0, len(inSet))
-	for c := range inSet {
-		cells = append(cells, c)
+	var cells []int
+	for c, marked := range rewire {
+		if marked {
+			cells = append(cells, c)
+		}
 	}
-	sort.Ints(cells)
-	return cells, inSet
+	return cells, rewire
 }
 
 // carryOver moves the last build's parent entries to the node ids of slots,
@@ -662,66 +620,25 @@ func (s *BuildState) carryOver(slots []int32) {
 	s.wired = slots
 }
 
-// slotSink is the wiring sink of a BuildState. Wiring runs in slot space;
-// the sink files each child under its node id, its rank among the live
-// slots, and records the parent as a slot. Like parentSink it catches a
-// node attached twice.
-type slotSink struct {
-	live    *slotSet
-	parents []int32 // node id -> parent slot
-}
-
-var _ bisect.Attacher = (*slotSink)(nil)
-
-func (s *slotSink) MustAttach(child, parent int) {
-	i := s.live.rank(child)
-	if s.parents[i] != unattachedNode {
-		panic(fmt.Sprintf("core: slot %d attached twice (wiring bug)", child))
-	}
-	s.parents[i] = int32(parent)
-}
-
-// exportResult maps the wired parent slots to node ids — a live slot's node
-// id is its rank — for the exported tree, then runs the pipeline's metrics
-// phase, which validates and measures it, its edge lengths on the given
-// workers. Nothing it allocates is sized by the slot universe.
-func (s *BuildState) exportResult(in instr, res *Result, workers int) (*Result, error) {
-	endExp := in.phase("build/export")
-	slots := s.wired
-	parents := make([]int32, len(slots)+1)
+// wire runs the cell pass over the state's cells on the given workers,
+// wiring the cells rewire marks (every cell when it is nil) and measuring
+// the others from their retained parents; a wired cell's parents land in
+// s.parent as slots. The result's tree numbers nodes by rank among the
+// live slots. Nothing it allocates is sized by the slot universe.
+func (s *BuildState) wire(in instr, res *Result, workers int, rewire []bool) (*Result, error) {
+	parents := make([]int32, len(s.wired)+1)
 	parents[0] = tree.NoParent
-	for i, sl := range slots {
-		p := s.parent[i+1]
-		if p < 0 {
-			endExp()
-			return nil, fmt.Errorf("core: incomplete wiring (bug): slot %d unattached", sl)
-		}
-		if !s.live.has(int(p)) {
-			endExp()
-			return nil, fmt.Errorf("core: incomplete wiring (bug): slot %d attached to departed slot %d", sl, p)
-		}
-		parents[i+1] = s.live.rank(int(p))
+	g := s.g
+	p := &cellPass[geom.Point2, geom.Polar]{
+		k: s.k, variant: s.variant, degCap: s.degCap,
+		lists: s.members, reps: s.reps, coords: s.geo.pts,
+		source: s.geo.source, points: s.geo.hosts, live: &s.live, edges: edges2,
+		conn: func(c []geom.Polar, a bisect.Attacher) connector {
+			return newConn2(g, c, a)
+		},
+		rewire: rewire, parents: parents, slotParents: s.parent, scratch: &scratch2,
 	}
-	reps := make([]int32, len(s.reps))
-	for c, r := range s.reps {
-		reps[c] = -1
-		if r >= 0 {
-			reps[c] = s.live.rank(int(r))
-		}
-	}
-	endExp()
-
-	err := measure(in, res, parents, workers, func(i, j int) float64 {
-		pi, pj := s.geo.source, s.geo.source
-		if i > 0 {
-			pi = s.geo.pos(slots[i-1])
-		}
-		if j > 0 {
-			pj = s.geo.pos(slots[j-1])
-		}
-		return pi.Dist(pj)
-	}, reps, s.k, s.g)
-	if err != nil {
+	if err := p.finish(in, res, p.run(workers, in), g); err != nil {
 		return nil, err
 	}
 	s.cert = Certificate{Bound: res.Bound, Radius: res.Radius}

@@ -78,8 +78,8 @@ func WithKMax(k int) Option {
 
 // WithParallelism sets the number of worker goroutines of the build
 // pipeline: coordinate conversion, the k search's marking pass, the
-// sharded cell-bucketing pass, representative selection, per-cell wiring
-// and the metrics phase all fan out over this many workers, in one-shot
+// sharded cell-bucketing pass, representative selection and the per-cell
+// wiring and measuring all fan out over this many workers, in one-shot
 // builds and in the stages of BuildState rebuilds that share them. n == 1
 // forces the serial path; n <= 0 (the default) uses runtime.GOMAXPROCS(0),
 // falling back to the serial path below a small problem-size threshold

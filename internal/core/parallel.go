@@ -4,52 +4,13 @@ import (
 	"fmt"
 	"math"
 
-	"omtree/internal/bisect"
 	"omtree/internal/par"
-	"omtree/internal/tree"
 )
 
 // parallelBuildThreshold is the receiver count below which the automatic
 // worker selection stays serial: under a few thousand points the whole build
 // takes well under a millisecond and goroutine fan-out only adds overhead.
 const parallelBuildThreshold = 2048
-
-// unattachedNode mirrors the tree.Builder sentinel for nodes not yet wired
-// into a build's parent array.
-const unattachedNode int32 = -2
-
-// parentSink is the attachment sink of every build, one-shot and
-// incremental: a bare parent array shared by every worker. It is lock-free
-// by construction — the wiring attaches each node exactly once, from the one
-// cell responsible for it, so concurrent MustAttach calls always target
-// distinct entries. Structural validation (spanning, acyclicity, degree
-// caps) runs once over the finished array, in the metrics phase's walk
-// (measure). BuildState wires through its own slot-keyed sink (slotSink).
-type parentSink struct {
-	parents []int32
-}
-
-var _ bisect.Attacher = (*parentSink)(nil)
-
-// unwired resets parents to a tree rooted at node 0 with nothing attached
-// yet and returns it.
-func unwired(parents []int32) []int32 {
-	for i := range parents {
-		parents[i] = unattachedNode
-	}
-	parents[0] = tree.NoParent
-	return parents
-}
-
-// MustAttach wires child under parent. The double-attach check involves no
-// synchronization: only the single MustAttach call for a given child ever
-// writes (or reads) that child's entry after initialization.
-func (s *parentSink) MustAttach(child, parent int) {
-	if s.parents[child] != unattachedNode {
-		panic(fmt.Sprintf("core: node %d attached twice (wiring bug)", child))
-	}
-	s.parents[child] = int32(parent)
-}
 
 // convertCoords fills coords[i+1] = conv(receivers[i]) across the worker
 // pool and returns the largest radius. The chunked maximum equals the serial

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"omtree/internal/bisect"
 	"omtree/internal/geom"
 	"omtree/internal/grid"
 	"omtree/internal/invariant"
@@ -269,25 +270,132 @@ func TestConcurrentParallelBuilds(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMeasureReportsBrokenWiring: a wiring bug — a node left unattached, a
-// parent past the end, a cycle, a node over the degree cap — surfaces from
-// the metrics phase as an error at any worker count, never as an index panic
-// in the parallel edge-length pass.
-func TestMeasureReportsBrokenWiring(t *testing.T) {
-	pos := []float64{0, 1, 2, 3}
-	dist := func(i, j int) float64 { return pos[j] - pos[i] } // indexes like a build's dist
-	g := grid.PolarGrid{K: 1, Scale: 1}
-	for _, parents := range [][]int32{
-		{tree.NoParent, 0, unattachedNode, 1},
-		{tree.NoParent, 0, 9, 1},
-		{tree.NoParent, 2, 3, 1},
-		{tree.NoParent, 0, 0, 0},
-	} {
-		for _, workers := range []int{1, 2} {
-			res := &Result{MaxOutDegree: 2}
-			err := measure(instr{}, res, append([]int32(nil), parents...), workers, dist, nil, 1, g)
-			if err == nil || !strings.Contains(err.Error(), "incomplete wiring (bug)") {
-				t.Errorf("parents %v, %d workers: err = %v", parents, workers, err)
+// brokenConn wires every cell as its connector does except cell target,
+// whose in-cell Bisection breaks the wiring in the way fault names. Ids are
+// the cell's local ids: its members and its local source first, its child
+// cells' representatives right after them, from len(idx)+1 on.
+type brokenConn struct {
+	connector
+	a      bisect.Attacher
+	target int
+	fault  string
+}
+
+func (c *brokenConn) connectNatural(idx []int32, src int32, cellID int) {
+	if cellID != c.target {
+		c.connector.connectNatural(idx, src, cellID)
+		return
+	}
+	switch c.fault {
+	case "unattached":
+		c.connector.connectNatural(idx[1:], src, cellID)
+	case "out of range":
+		c.connector.connectNatural(idx[1:], src, cellID)
+		c.a.MustAttach(int(idx[0]), 1<<20)
+	case "cycle":
+		c.connector.connectNatural(idx[2:], src, cellID)
+		c.a.MustAttach(int(idx[0]), int(idx[1]))
+		c.a.MustAttach(int(idx[1]), int(idx[0]))
+	case "over the cap":
+		for _, v := range idx {
+			c.a.MustAttach(int(v), int(src))
+		}
+	case "another cell":
+		c.connector.connectNatural(idx[1:], src, cellID)
+		c.a.MustAttach(int(idx[0]), len(idx)+1)
+	}
+}
+
+// brokenWiringFaults are the ways TestCellProofReportsBrokenWiring breaks a
+// cell: a member left unattached, a parent out of range, a cycle, a node
+// over the degree cap, and a member hung under a node of another cell.
+var brokenWiringFaults = []string{"unattached", "out of range", "cycle", "over the cap", "another cell"}
+
+// TestCellProofReportsBrokenWiring: a wiring bug in one cell surfaces from
+// that cell's proof as an incomplete-wiring error, with the same text at 1,
+// 2 and 8 workers, and never hangs the cells that wait for it. It breaks a
+// ring-1 cell of a one-shot build through a faulty connector, and a
+// BuildState's retained parents of the same cell before a rebuild that
+// measures every cell from them.
+func TestCellProofReportsBrokenWiring(t *testing.T) {
+	recv := rng.New(59).UniformDiskN(4000, 1)
+	const target = 1 // ring 1: every cell below it waits for it
+	opts := func(workers int) []Option {
+		return []Option{WithKMax(6), WithParallelism(workers)}
+	}
+	oneShot := func(workers int, fault string) error {
+		_, err := build(recv, opts(workers), dimension[geom.Point2, geom.Polar, grid.PolarGrid]{
+			dim:     2,
+			natural: naturalDegree2D,
+			convert: func(p geom.Point2) geom.Polar { return p.ToPolar() },
+			radius:  func(c geom.Polar) float64 { return c.R },
+			edges:   edges2,
+			search: func(polars []geom.Polar, scale float64, kMax, workers int) (grid.PolarGrid, int, error) {
+				k := grid.MaxFeasibleKAnalyticPar(polars, scale, kMax, workers)
+				return grid.PolarGrid{K: k, Scale: scale}, k, nil
+			},
+			classify: classify2,
+			connector: func(g grid.PolarGrid, c []geom.Polar, a bisect.Attacher) connector {
+				return &brokenConn{connector: newConn2(g, c, a), a: a, target: target, fault: fault}
+			},
+			scratch: &scratch2,
+		})
+		return err
+	}
+	retained := func(workers int, fault string) error {
+		s, err := NewBuildState(geom.Point2{}, opts(workers)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range recv {
+			s.Add(i+1, p)
+		}
+		if _, _, err := s.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		members, rep := s.members[target], s.reps[target]
+		var others []int32
+		for _, sl := range members {
+			if sl != rep {
+				others = append(others, sl)
+			}
+		}
+		at := func(sl int32) *int32 { return &s.parent[s.live.rank(int(sl))] }
+		switch fault {
+		case "unattached":
+			*at(others[0]) = unattachedNode
+		case "out of range":
+			*at(others[0]) = -7
+		case "cycle":
+			*at(others[0]), *at(others[1]) = others[1], others[0]
+		case "over the cap":
+			for _, sl := range others {
+				*at(sl) = rep
+			}
+		case "another cell":
+			*at(others[0]) = s.members[target+1][0]
+		}
+		s.last = nil // rebuild with every cell clean
+		_, full, err := s.Rebuild()
+		if full {
+			t.Fatalf("%s: the rebuild ran full", fault)
+		}
+		return err
+	}
+	for _, fault := range brokenWiringFaults {
+		for name, run := range map[string]func(int, string) error{"one-shot": oneShot, "retained": retained} {
+			var serial string
+			for _, workers := range []int{1, 2, 8} {
+				err := run(workers, fault)
+				if err == nil || !strings.Contains(err.Error(), "incomplete wiring (bug)") {
+					t.Errorf("%s %s, %d workers: err = %v", name, fault, workers, err)
+					continue
+				}
+				if workers == 1 {
+					serial = err.Error()
+				} else if err.Error() != serial {
+					t.Errorf("%s %s, %d workers: %v, serial %s", name, fault, workers, err, serial)
+				}
 			}
 		}
 	}

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"omtree/internal/bisect"
 	"omtree/internal/grid"
-	"omtree/internal/par"
 	"omtree/internal/tree"
 )
 
@@ -18,17 +18,20 @@ type boundGrid interface {
 // dimension is what one Euclidean dimension brings to a Polar_Grid build;
 // build runs the same phase sequence for all of them. P is the caller's
 // point type and C the coordinates around the source that grid G
-// classifies. The per-point and per-node hooks are plain function values,
+// classifies. The per-point and per-cell hooks are plain function values,
 // never methods of a type parameter, which the hot loops would otherwise
 // reach through an extra indirection.
 type dimension[P, C any, G boundGrid] struct {
 	dim     int
 	natural int // out-degree of the natural variant
-	origin  C   // the source's own coordinates: node 0
+	source  P   // the caller's source point: node 0
+	origin  C   // the source's own coordinates
 	convert func(P) C
 	radius  func(C) float64
-	// dist is the delay between two nodes of the Result's numbering.
-	dist func(i, j int) float64
+	// edges is the cell pass's edge-length loop over the caller's points
+	// (edges2, edges3, edgesD): delays come from the points the caller
+	// gave, never from the converted coordinates.
+	edges func(pts []P, parent []int32, edge []float64)
 	// search is the analytic k search over the receivers' coordinates,
 	// capped at kMax and run on the given number of workers: the deepest
 	// feasible grid and its depth.
@@ -36,14 +39,14 @@ type dimension[P, C any, G boundGrid] struct {
 	// classify returns a point's cell and its representative score there.
 	classify  func(G, C) (int32, float64)
 	connector func(G, []C, bisect.Attacher) connector
+	scratch   *sync.Pool // the cell pass's scratch for P and C
 }
 
 // build runs Algorithm Polar_Grid's phases in order — convert, grid,
 // bucketing, reps, wire, metrics — for every dimension and worker count: a
 // serial build is the one-worker case of the same bucketing and wiring.
-// Every build wires into a parentSink, and the metrics phase validates the
-// finished array once (spanning, acyclic, within the degree cap) in the walk
-// that sums its delays.
+// The wire phase proves and measures each cell as it wires it (cellPass),
+// so the metrics phase only reduces the per-cell results.
 func build[P, C any, G boundGrid](receivers []P, opts []Option, d dimension[P, C, G]) (*Result, error) {
 	o := buildOptions(opts)
 	variant, degCap, err := variantFor(o.maxOutDegree, d.natural)
@@ -91,43 +94,57 @@ func build[P, C any, G boundGrid](receivers []P, opts []Option, d dimension[P, C
 	reps := electReps(tallies)
 	endReps()
 
-	sink := &parentSink{parents: unwired(make([]int32, n+1))}
-	wireCells(sink, k, groups, reps, d.connector(g, coords, sink), variant, workers, in)
-	if err := measure(in, res, sink.parents, workers, d.dist, reps, k, g); err != nil {
+	parents := make([]int32, n+1)
+	parents[0] = tree.NoParent
+	p := &cellPass[P, C]{
+		k: k, variant: variant, degCap: degCap,
+		groups: groups, reps: reps, coords: coords,
+		source: d.source, points: receivers, edges: d.edges,
+		conn: func(c []C, a bisect.Attacher) connector {
+			return d.connector(g, c, a)
+		},
+		parents: parents, scratch: d.scratch,
+	}
+	if err := p.finish(in, res, p.run(workers, in), g); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// measure is the metrics phase every build ends with. It fills each node's
-// parent-edge length across the worker pool, then one tree walk over the
-// wired parents validates the tree (spanning, acyclic, within the degree
-// cap) and sums those lengths into delays; the tree takes ownership of
-// parents. From the delays come the radius and the core delay over the
-// representatives' node ids (-1 for an empty cell), next to k and the eq. 7
-// bound of grid g. dist must be safe to call from several goroutines.
-func measure[G boundGrid](in instr, res *Result, parents []int32, workers int, dist tree.DistFunc, reps []int32, k int, g G) error {
+// finish is the metrics phase every build ends with, after its cell pass
+// ran on the workers' scratch in pool: the radius, the largest delay any
+// worker measured; the core delay, the largest representative delay; k
+// and the eq. 7 bound of grid g; and the tree over the proven parents. Or
+// the error of the lowest broken cell, the same at any worker count. It
+// hands the scratch back to the pass's pool.
+func (p *cellPass[P, C]) finish(in instr, res *Result, pool []*cellScratch[P, C], g boundGrid) error {
 	endMetrics := in.phase("build/metrics")
 	defer endMetrics()
-	n := len(parents)
-	delays := make([]float64, n)
-	par.Range(workers, n, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			// A parent outside [0, n) is the root's marker or a wiring bug,
-			// which the walk reports.
-			if p := parents[v]; p >= 0 && int(p) < n {
-				delays[v] = dist(int(p), v)
-			}
+	var err error
+	var radius, core float64
+	errCell := 0
+	for _, sc := range pool {
+		if sc.err != nil && (err == nil || sc.errCell < errCell) {
+			err, errCell = sc.err, sc.errCell
 		}
-	})
-	t, err := tree.FromParentsDelays(0, parents, res.MaxOutDegree, delays)
-	if err != nil {
-		return fmt.Errorf("core: incomplete wiring (bug): %w", err)
+		if sc.radius > radius {
+			radius = sc.radius
+		}
+		sc.conn, sc.radius, sc.err, sc.busyNs, sc.cellCnt = nil, 0, nil, 0, 0
+		p.scratch.Put(sc)
 	}
-	res.Tree = t
-	res.K = k
-	res.Radius = maxOf(delays)
-	res.CoreDelay = coreDelay(delays, reps)
+	if err != nil {
+		return err
+	}
+	for c, rep := range p.reps {
+		if c > 0 && rep >= 0 && p.repDelay[c] > core {
+			core = p.repDelay[c]
+		}
+	}
+	res.Tree = tree.FromProven(0, p.parents)
+	res.K = p.k
+	res.Radius = radius
+	res.CoreDelay = core
 	res.Bound = g.UpperBound(arcCoeff(res.Variant))
 	return nil
 }

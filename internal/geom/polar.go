@@ -141,8 +141,13 @@ func (v Vec) ToHyperspherical() Hyperspherical {
 // ToVec converts hyperspherical coordinates back to a Cartesian vector of
 // dimension len(Phi)+2.
 func (h Hyperspherical) ToVec() Vec {
+	return h.VecInto(make(Vec, len(h.Phi)+2))
+}
+
+// VecInto is ToVec writing into v, which must have dimension len(Phi)+2,
+// and returning it.
+func (h Hyperspherical) VecInto(v Vec) Vec {
 	d := len(h.Phi) + 2
-	v := make(Vec, d)
 	prod := h.R
 	for m := d - 3; m >= 0; m-- {
 		s, c := math.Sincos(h.Phi[m])

@@ -56,34 +56,6 @@ func BenchmarkDelays(b *testing.B) {
 	}
 }
 
-// BenchmarkFromParentsDelays times the walk a build hands its wired parent
-// array to: a 100k tree whose ids are a random relabeling of the attachment
-// order (build results number nodes in input order), with no child
-// adjacency built. Each iteration restores the edge lengths the walk
-// rewrites into delays.
-func BenchmarkFromParentsDelays(b *testing.B) {
-	const n = 100000
-	r := rng.New(n)
-	id := r.Perm(n)
-	parents := make([]int32, n)
-	parents[id[0]] = NoParent
-	for i := 1; i < n; i++ {
-		parents[id[i]] = int32(id[r.Intn(i)])
-	}
-	lengths := make([]float64, n)
-	for v := range lengths {
-		lengths[v] = r.Float64()
-	}
-	edge := make([]float64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(edge, lengths)
-		if _, err := FromParentsDelays(id[0], parents, 0, edge); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkValidate(b *testing.B) {
 	t := benchTree(b, 100000)
 	b.ResetTimer()

@@ -8,11 +8,11 @@
 // One walk over the parent array both proves a tree (one root, parents in
 // range, every node reaching the root, the degree cap) and, given each
 // node's parent-edge length, turns those lengths into delays from the root:
-// Validate, FromParents, FromParentsDelays and Delays all run it, so a
-// build measures its radius in the pass that validates it. Child adjacency
-// is built only on the first call that needs it (Children, BFSOrder,
-// Depths and the metrics over them); call Prepare before sharing a tree
-// across goroutines.
+// Validate, FromParents and Delays all run it. A Polar_Grid build does not:
+// it proves and measures each grid cell while wiring it, and hands the
+// proven array to FromProven. Child adjacency is built only on the first
+// call that needs it (Children, BFSOrder, Depths and the metrics over
+// them); call Prepare before sharing a tree across goroutines.
 //
 // Node identifiers are dense integers in [0, N); geometry is intentionally
 // kept out of this package — metrics accept an edge-length callback so that
@@ -169,9 +169,6 @@ func walk(root int, parent []int32, maxOutDegree int, edge []float64) error {
 	}
 	if root < 0 || root >= n {
 		return fmt.Errorf("tree: root %d out of range [0, %d)", root, n)
-	}
-	if edge != nil && len(edge) != n {
-		return fmt.Errorf("tree: %d edge lengths for %d nodes", len(edge), n)
 	}
 	// The root's own entry is checked too, so after this loop it is the one
 	// NoParent entry.
@@ -424,19 +421,22 @@ func (b *Builder) Build() (*Tree, error) {
 // The tree takes ownership of parents instead of copying it: the caller
 // must not modify the array afterwards.
 func FromParents(root int, parents []int32, maxOutDegree int) (*Tree, error) {
-	return FromParentsDelays(root, parents, maxOutDegree, nil)
-}
-
-// FromParentsDelays is FromParents that also measures the tree in the same
-// walk. On entry edge[v] holds the length of v's parent edge (the root's
-// entry is ignored); on success it holds v's delay from the root, bit for
-// bit what Delays returns for the same edge lengths. On error edge holds
-// partial sums. A nil edge validates only.
-func FromParentsDelays(root int, parents []int32, maxOutDegree int, edge []float64) (*Tree, error) {
-	if err := walk(root, parents, maxOutDegree, edge); err != nil {
+	if err := walk(root, parents, maxOutDegree, nil); err != nil {
 		return nil, err
 	}
 	return &Tree{root: int32(root), parent: parents}, nil
+}
+
+// FromProven wraps a parent array its caller has already proven a spanning
+// tree rooted at root, without walking it again. Package core's builds are
+// its callers: each proves every grid cell as it wires it (each member
+// reaches the cell's representative inside the cell, no cycle, no node over
+// the degree cap, and only a representative hangs under a node of another
+// cell, its parent cell's), which proves the whole array, and fails the
+// build otherwise. Anything else must use FromParents. The tree takes
+// ownership of parents.
+func FromProven(root int, parents []int32) *Tree {
+	return &Tree{root: int32(root), parent: parents}
 }
 
 // AvgDelay returns the mean sender-to-receiver delay over all nodes except

@@ -67,18 +67,6 @@ func bfsDelays(tr *Tree, dist DistFunc) []float64 {
 	return delays
 }
 
-// edgeLengths returns every node's parent-edge length, the input of
-// FromParentsDelays; the root's entry is left 0.
-func edgeLengths(parents []int32, dist DistFunc) []float64 {
-	edge := make([]float64, len(parents))
-	for v, p := range parents {
-		if p >= 0 && int(p) < len(parents) {
-			edge[v] = dist(int(p), v)
-		}
-	}
-	return edge
-}
-
 func sameFloats(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -310,26 +298,7 @@ func TestValidateRejectsBadTrees(t *testing.T) {
 			if _, err := FromParents(tc.root, tc.parents, 0); err == nil {
 				t.Errorf("FromParents accepted %v", tc.parents)
 			}
-			edge := edgeLengths(tc.parents, unitDist)
-			if _, err := FromParentsDelays(tc.root, tc.parents, 0, edge); err == nil {
-				t.Errorf("FromParentsDelays accepted %v", tc.parents)
-			}
 		})
-	}
-}
-
-func TestFromParentsDelaysEdgeLength(t *testing.T) {
-	parents := []int32{-1, 0, 1}
-	if _, err := FromParentsDelays(0, parents, 0, make([]float64, 2)); err == nil {
-		t.Error("accepted 2 edge lengths for 3 nodes")
-	}
-	// The root's entry is ignored: its delay is 0 whatever it held.
-	edge := []float64{9, 2, 3}
-	if _, err := FromParentsDelays(0, parents, 0, edge); err != nil {
-		t.Fatal(err)
-	}
-	if want := []float64{0, 2, 5}; !sameFloats(edge, want) {
-		t.Errorf("delays = %v, want %v", edge, want)
 	}
 }
 
@@ -395,14 +364,8 @@ func TestRandomTreePropertyQuick(t *testing.T) {
 		if err := tr.Validate(0); err != nil {
 			return false
 		}
-		// Delays and the fused walk both reproduce the breadth-first
-		// oracle bit for bit.
-		want := bfsDelays(tr, oddDist)
-		if !sameFloats(tr.Delays(oddDist), want) {
-			return false
-		}
-		edge := edgeLengths(tr.Parents(), oddDist)
-		if _, err := FromParentsDelays(tr.Root(), tr.Parents(), 0, edge); err != nil || !sameFloats(edge, want) {
+		// Delays reproduces the breadth-first oracle bit for bit.
+		if !sameFloats(tr.Delays(oddDist), bfsDelays(tr, oddDist)) {
 			return false
 		}
 		// With unit distances, delay == depth for every node.

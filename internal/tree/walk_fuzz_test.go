@@ -36,11 +36,11 @@ func encodeParents(parents ...int32) []byte {
 	return data
 }
 
-// FuzzFromParents drives the walk every build trusts with arbitrary small
-// parent arrays, roots and degree caps. FromParentsDelays must accept an
-// input exactly when invariant.CheckParents finds no violation, must then
-// return the delays of a breadth-first oracle bit for bit (as must Delays
-// on the accepted tree), and must never panic.
+// FuzzFromParents drives the walk with arbitrary small parent arrays, roots
+// and degree caps. FromParents must accept an input exactly when
+// invariant.CheckParents finds no violation, Delays on the accepted tree
+// must return the delays of a breadth-first oracle bit for bit, and
+// neither may panic.
 func FuzzFromParents(f *testing.F) {
 	f.Add(encodeParents(-1, 0, 1, 2), int64(0), int8(0))           // chain
 	f.Add(encodeParents(-1, 0, 0, 0, 0), int64(0), int8(3))        // star over the cap
@@ -55,13 +55,7 @@ func FuzzFromParents(f *testing.F) {
 		root, deg := int(root64), int(deg8)
 		violations := invariant.CheckParents(parents, len(parents), root, deg, nil, 0)
 
-		edge := make([]float64, len(parents))
-		for v, p := range parents {
-			if p >= 0 && int(p) < len(parents) {
-				edge[v] = fuzzDist(int(p), v)
-			}
-		}
-		tr, err := tree.FromParentsDelays(root, parents, deg, edge)
+		tr, err := tree.FromParents(root, parents, deg)
 		if (err == nil) != (len(violations) == 0) {
 			t.Fatalf("parents %v root %d cap %d: walk error %v, invariant violations %v",
 				parents, root, deg, err, violations)
@@ -70,11 +64,6 @@ func FuzzFromParents(f *testing.F) {
 			return
 		}
 		want := oracleDelays(parents, root)
-		for v := range want {
-			if math.Float64bits(edge[v]) != math.Float64bits(want[v]) {
-				t.Fatalf("parents %v: delay of %d is %v, oracle %v", parents, v, edge[v], want[v])
-			}
-		}
 		for v, d := range tr.Delays(fuzzDist) {
 			if math.Float64bits(d) != math.Float64bits(want[v]) {
 				t.Fatalf("parents %v: Delays of %d is %v, oracle %v", parents, v, d, want[v])
