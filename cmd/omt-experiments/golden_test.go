@@ -39,29 +39,45 @@ func TestGoldenOutput(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
+		// manifest also goldens the run's -json manifest as <name>_json.
+		manifest bool
 	}{
 		// -workers 1 pins the per-size progress lines to size order; trial
 		// results themselves are order-independent at any worker count.
 		{"figures", []string{"-fig4", "-fig5", "-fig6", "-workers", "1",
-			"-sizes", "100,300", "-trials", "2", "-seed", "7"}},
+			"-sizes", "100,300", "-trials", "2", "-seed", "7"}, false},
 		{"churn_faults", []string{"-churn", "-faults", "-workers", "1",
-			"-sizes", "100,300", "-trials", "2", "-seed", "7"}},
+			"-sizes", "100,300", "-trials", "2", "-seed", "7"}, false},
 		{"partition", []string{"-faults", "-partition", "-workers", "1",
-			"-sizes", "100", "-trials", "2", "-seed", "7"}},
+			"-sizes", "100", "-trials", "2", "-seed", "7"}, false},
 		{"drift", []string{"-drift", "-workers", "1",
-			"-sizes", "100", "-trials", "2", "-seed", "7"}},
+			"-sizes", "100", "-trials", "2", "-seed", "7"}, false},
 		{"groups", []string{"-groups", "-workers", "1",
-			"-trials", "2", "-seed", "7"}},
+			"-trials", "2", "-seed", "7"}, false},
 		{"recovery", []string{"-recovery", "-workers", "1",
-			"-trials", "2", "-seed", "7"}},
+			"-trials", "2", "-seed", "7"}, false},
+		{"sections", []string{"-dims", "-repairs", "-baselines", "-workers", "1",
+			"-sizes", "100,300", "-trials", "2", "-seed", "7"}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			args := tc.args
+			jsonPath := filepath.Join(t.TempDir(), "manifest.json")
+			if tc.manifest {
+				args = append(args[:len(args):len(args)], "-json", jsonPath)
+			}
 			var out bytes.Buffer
-			if err := run(tc.args, &out); err != nil {
+			if err := run(args, &out); err != nil {
 				t.Fatal(err)
 			}
 			checkGolden(t, tc.name, out.Bytes())
+			if tc.manifest {
+				data, err := os.ReadFile(jsonPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, tc.name+"_json", data)
+			}
 		})
 	}
 }
