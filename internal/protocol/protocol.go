@@ -504,6 +504,7 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 	endOp := o.beginOp("protocol/join", id, "cell="+strconv.Itoa(int(cell)))
 	joined := false
 	defer func() {
+		o.Stats.JoinMessages += st.Messages
 		switch {
 		case joined && st.Degraded:
 			endOp("degraded")
@@ -528,13 +529,11 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 			o.alive++
 			o.Stats.Joins++
 			o.Stats.DegradedJoins++
-			o.Stats.JoinMessages += st.Messages
 			o.trackDrift(id, p)
 			joined = true
 			return int(id), st, nil
 		}
 		o.dropJoiner(id)
-		o.Stats.JoinMessages += st.Messages
 		return 0, st, fmt.Errorf("protocol: join could not reach the source")
 	}
 	ring, idx := grid.RingIdx(int(cell))
@@ -556,7 +555,6 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 			parent := o.descendParent(p, o.residual, &st)
 			if parent < 0 || !o.exchange(id, parent, &st) {
 				o.dropJoiner(id)
-				o.Stats.JoinMessages += st.Messages
 				return 0, st, fmt.Errorf("protocol: join could not reach a parent")
 			}
 			o.attach(id, parent)
@@ -595,7 +593,6 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 		}
 		if !ok {
 			o.dropJoiner(id)
-			o.Stats.JoinMessages += st.Messages
 			return 0, st, fmt.Errorf("protocol: join could not reach a parent")
 		}
 		o.attach(id, parent)
@@ -605,7 +602,6 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 	o.members[cell] = append(o.members[cell], id)
 	o.alive++
 	o.Stats.Joins++
-	o.Stats.JoinMessages += st.Messages
 	o.trackDrift(id, p)
 	joined = true
 	return int(id), st, nil

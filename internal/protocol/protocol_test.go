@@ -3,6 +3,7 @@ package protocol
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -375,6 +376,34 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if o.Stats.Leaves != 1 || o.Stats.LeaveMessages == 0 {
 		t.Errorf("leave stats: %+v", o.Stats)
+	}
+}
+
+// TestRefusedJoinCountsMessages: a join refused because the overlay has no
+// capacity left still spent its messages, and they land in JoinMessages
+// like every other exit's.
+func TestRefusedJoinCountsMessages(t *testing.T) {
+	o, err := New(Config{Source: geom.Point2{}, Scale: 1, K: 1, MaxOutDegree: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := o.Join(geom.Point2{X: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.FailAbrupt(id); err != nil {
+		t.Fatal(err)
+	}
+	before := o.Stats.JoinMessages
+	_, st, err := o.Join(geom.Point2{X: 0.02})
+	if err == nil || !strings.Contains(err.Error(), "out of capacity") {
+		t.Fatalf("err = %v, want an out-of-capacity refusal", err)
+	}
+	if st.Messages == 0 {
+		t.Fatal("the refused join reports no messages")
+	}
+	if got := o.Stats.JoinMessages - before; got != st.Messages {
+		t.Errorf("JoinMessages moved by %d, the refused join sent %d", got, st.Messages)
 	}
 }
 
