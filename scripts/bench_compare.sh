@@ -19,7 +19,10 @@
 # when any shared benchmark's ns/op exceeds baseline * (1 + tolerance).
 #
 # ns/op on a shared CI box is noisy; re-run with BENCH_COUNT=5 (see
-# scripts/bench.sh) before treating a small overshoot as real.
+# scripts/bench.sh) before treating a small overshoot as real. A name with
+# several rows on one side (BENCH_COUNT > 1) is judged by the median of its
+# rows, on both sides and in the flight-recorder gate below; a name with
+# one row is its own median.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,13 +61,26 @@ awk -v tol="$TOL" -v basefile="$BASE" -v snapfile="$SNAP" '
         pname = name; pns = ns + 0
         return 1
     }
+    # median returns the median of rows[name, 1..n].
+    function median(rows, name, n,   a, i, j, t) {
+        for (i = 1; i <= n; i++) a[i] = rows[name, i]
+        for (i = 2; i <= n; i++) {
+            t = a[i]
+            for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]
+            a[j + 1] = t
+        }
+        if (n % 2) return a[(n + 1) / 2]
+        return (a[n / 2] + a[n / 2 + 1]) / 2
+    }
     BEGIN {
         while ((getline line < basefile) > 0)
-            if (parse(line)) base[pname] = pns
+            if (parse(line)) baserows[pname, ++nbase[pname]] = pns
         close(basefile)
         while ((getline line < snapfile) > 0)
-            if (parse(line)) snap[pname] = pns
+            if (parse(line)) snaprows[pname, ++nsnap[pname]] = pns
         close(snapfile)
+        for (name in nbase) base[name] = median(baserows, name, nbase[name])
+        for (name in nsnap) snap[name] = median(snaprows, name, nsnap[name])
         if (length(base) == 0) { print "bench_compare: no benchmarks in " basefile > "/dev/stderr"; exit 2 }
         if (length(snap) == 0) { print "bench_compare: no benchmarks in " snapfile > "/dev/stderr"; exit 2 }
         fail = 0; base_only = 0; snap_only = 0
