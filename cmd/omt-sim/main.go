@@ -36,11 +36,13 @@
 //
 // -snapshot FILE checkpoints the protocol session's full state on exit as a
 // versioned, checksummed, byte-deterministic snapshot (requires a protocol
-// run: -loss, -crash-rate, -partition, -drift, or -restore). -restore FILE
-// resumes a checkpointed session instead of starting fresh: the snapshot is
-// decoded and validated, maintenance continues on the recorded round clock
-// until the audit is clean again, and the resumed radius is printed. A torn
-// or corrupt snapshot is rejected by checksum with an error, never a panic.
+// run: -loss, -crash-rate, -partition, -drift, or -restore), replacing FILE
+// atomically through a temporary file and a rename. -restore FILE resumes a
+// checkpointed session instead of starting fresh: the snapshot is decoded
+// and validated before anything else happens, maintenance continues on the
+// recorded round clock until the audit is clean again, and the resumed
+// radius is printed. A torn or corrupt snapshot is rejected by checksum with
+// an error, never a panic. -restore and -snapshot may name the same file.
 //
 //	omt-sim -n 300 -seed 3 -loss 0.2 -fail 3 -snapshot sess.omts
 //	omt-sim -restore sess.omts
@@ -64,17 +66,15 @@
 //	        -flight flight.jsonl -slo 'cert: protocol/certificate_ratio > 1.15 for 2'
 //
 // All are off by default and change nothing about the simulated results.
-// Output files are created up front, so an unwritable path fails before the
-// run starts.
+// Every flag and the -restore file are checked first; output files are then
+// created up front, so a rejected command line touches no file and an
+// unwritable path fails before the run starts.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 
 	"omtree"
@@ -86,43 +86,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "omt-sim:", err)
 		os.Exit(1)
 	}
-}
-
-// startPprof serves the default mux (which net/http/pprof registers on) at
-// addr. The listener outlives run — profiling is for interactive use; tests
-// do not pass -pprof.
-func startPprof(addr string) error {
-	if addr == "" {
-		return nil
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("pprof: %w", err)
-	}
-	go http.Serve(ln, nil)
-	return nil
-}
-
-// writeTraces dumps the recorder as Chrome trace-event JSON and/or a plain
-// text timeline to the pre-opened files.
-func writeTraces(rec *omtree.TraceRecorder, jsonF, textF *os.File) error {
-	if jsonF != nil {
-		if err := rec.WriteChromeJSON(jsonF); err != nil {
-			return err
-		}
-		if err := jsonF.Close(); err != nil {
-			return err
-		}
-	}
-	if textF != nil {
-		if _, err := textF.WriteString(rec.Text()); err != nil {
-			return err
-		}
-		if err := textF.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func run(args []string, out io.Writer) error {
@@ -153,101 +116,15 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := startPprof(*pprofAddr); err != nil {
-		return err
-	}
-	// The flight tuning flags only matter with a recorder; reject them alone
-	// so a typo'd invocation can't silently record nothing.
-	if *flightPath == "" {
-		intervalSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "flight-interval" {
-				intervalSet = true
-			}
-		})
-		if intervalSet {
-			return fmt.Errorf("-flight-interval requires -flight")
-		}
-		if *sloSpec != "" {
-			return fmt.Errorf("-slo requires -flight")
-		}
-	}
 	// Crash-safe checkpointing only applies to a live protocol session; the
 	// reliable build path has no session state to checkpoint.
 	if *snapshotPath != "" && *loss == 0 && *crashRate == 0 && *partitionSpec == "" &&
 		*driftRate == 0 && *restorePath == "" {
 		return fmt.Errorf("-snapshot requires a protocol run (-loss, -crash-rate, -partition, -drift, or -restore)")
 	}
-	if *restorePath != "" {
-		if *loss > 0 || *crashRate > 0 || *partitionSpec != "" || *driftRate > 0 {
-			return fmt.Errorf("-restore does not combine with -loss, -crash-rate, -partition, or -drift")
-		}
-		// Fail fast on an unreadable checkpoint too, before any output file
-		// is created.
-		if _, err := os.Stat(*restorePath); err != nil {
-			return fmt.Errorf("-restore: %w", err)
-		}
+	if *restorePath != "" && (*loss > 0 || *crashRate > 0 || *partitionSpec != "" || *driftRate > 0) {
+		return fmt.Errorf("-restore does not combine with -loss, -crash-rate, -partition, or -drift")
 	}
-	// Fail fast: every requested output must be writable before any work runs.
-	metricsF, err := cliutil.CreateOutput("metrics", *metricsPath)
-	if err != nil {
-		return err
-	}
-	traceF, err := cliutil.CreateOutput("trace", *tracePath)
-	if err != nil {
-		return err
-	}
-	traceTextF, err := cliutil.CreateOutput("trace-text", *traceTextPath)
-	if err != nil {
-		return err
-	}
-	flightF, err := cliutil.CreateOutput("flight", *flightPath)
-	if err != nil {
-		return err
-	}
-	openMetricsF, err := cliutil.CreateOutput("openmetrics", *openMetricsPath)
-	if err != nil {
-		return err
-	}
-	snapF, err := cliutil.CreateOutput("snapshot", *snapshotPath)
-	if err != nil {
-		return err
-	}
-	var reg *omtree.Observer
-	if metricsF != nil || flightF != nil || openMetricsF != nil {
-		reg = omtree.NewObserver()
-	}
-	var rec *omtree.TraceRecorder
-	if traceF != nil || traceTextF != nil {
-		rec = omtree.NewTraceRecorder(1 << 20)
-		rec.Observe(reg)
-	}
-	var fr *omtree.FlightRecorder
-	if flightF != nil {
-		rules, err := omtree.ParseSLORules(*sloSpec)
-		if err != nil {
-			return fmt.Errorf("-slo: %w", err)
-		}
-		fr = omtree.NewFlightRecorder(reg, omtree.FlightConfig{
-			Interval: *flightInterval, Rules: rules, Trace: rec,
-		})
-	}
-	finish := func() error {
-		if err := cliutil.WriteFlightReport(fr, out); err != nil {
-			return err
-		}
-		if err := cliutil.WriteMetricsJSON(reg, metricsF); err != nil {
-			return err
-		}
-		if err := cliutil.WriteFlightJSONL(fr, flightF); err != nil {
-			return err
-		}
-		if err := cliutil.WriteOpenMetrics(reg, fr, openMetricsF); err != nil {
-			return err
-		}
-		return writeTraces(rec, traceF, traceTextF)
-	}
-
 	pe, err := parsePartition(*partitionSpec)
 	if err != nil {
 		return err
@@ -255,76 +132,81 @@ func run(args []string, out io.Writer) error {
 	if *joinRate > 0 && pe == nil {
 		return fmt.Errorf("-join-rate requires -partition")
 	}
-
-	if *restorePath != "" {
-		o, err := runRestore(out, reg, rec, fr, *restorePath)
-		if err != nil {
-			return err
-		}
-		if err := cliutil.WriteSnapshot(o, snapF); err != nil {
-			return err
-		}
-		return finish()
-	}
-
-	if *driftRate > 0 {
-		if *loss > 0 || *crashRate > 0 || pe != nil {
+	faulty := *loss > 0 || *crashRate > 0 || pe != nil
+	var policy omtree.OverlayRepairPolicy
+	var strategy omtree.RepairStrategy
+	switch {
+	case *restorePath != "":
+	case *driftRate > 0:
+		if faulty {
 			return fmt.Errorf("-drift does not combine with -loss, -crash-rate, or -partition")
 		}
-		policy, err := omtree.ParseOverlayRepairPolicy(*repairPolicy)
-		if err != nil {
+		if policy, err = omtree.ParseOverlayRepairPolicy(*repairPolicy); err != nil {
 			return err
 		}
-		o, err := runDrift(out, reg, rec, fr, *n, *degree, *seed, *driftRate, policy)
-		if err != nil {
-			return err
+	default:
+		policySet := false
+		fs.Visit(func(f *flag.Flag) { policySet = policySet || f.Name == "repair-policy" })
+		if policySet {
+			return fmt.Errorf("-repair-policy requires -drift")
 		}
-		if err := cliutil.WriteSnapshot(o, snapF); err != nil {
-			return err
+		if faulty {
+			break
 		}
-		return finish()
+		switch *repairFlag {
+		case "grandparent":
+			strategy = omtree.RepairGrandparent
+		case "bestdelay":
+			strategy = omtree.RepairBestDelay
+		default:
+			return fmt.Errorf("unknown repair strategy %q", *repairFlag)
+		}
 	}
-	policySet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "repair-policy" {
-			policySet = true
+	// The checkpoint is an input: decode it before any output is created,
+	// so a torn or corrupt one leaves every output path as it was.
+	var restored *omtree.Overlay
+	if *restorePath != "" {
+		if restored, err = omtree.RestoreOverlayFile(*restorePath); err != nil {
+			return fmt.Errorf("-restore: %w", err)
 		}
-	})
-	if policySet {
-		return fmt.Errorf("-repair-policy requires -drift")
 	}
 
-	if *loss > 0 || *crashRate > 0 || pe != nil {
-		o, err := runFaulty(out, reg, rec, fr, *n, *degree, *packets, *failCount, *seed, *loss, *crashRate, pe, *joinRate)
-		if err != nil {
-			return err
-		}
-		if err := cliutil.WriteSnapshot(o, snapF); err != nil {
-			return err
-		}
-		return finish()
+	outputs := cliutil.Outputs{
+		Metrics: *metricsPath, Trace: *tracePath, TraceText: *traceTextPath,
+		Flight: *flightPath, FlightInterval: *flightInterval, SLO: *sloSpec,
+		OpenMetrics: *openMetricsPath, Snapshot: *snapshotPath, Pprof: *pprofAddr,
 	}
+	return cliutil.Run(fs, outputs, out, func(env *cliutil.Env) error {
+		var err error
+		switch {
+		case restored != nil:
+			env.Overlay = restored
+			err = runRestore(out, env, restored)
+		case *driftRate > 0:
+			env.Overlay, err = runDrift(out, env, *n, *degree, *seed, *driftRate, policy)
+		case faulty:
+			env.Overlay, err = runFaulty(out, env, *n, *degree, *packets, *failCount, *seed, *loss, *crashRate, pe, *joinRate)
+		default:
+			err = runReliable(out, env, *n, *degree, *packets, *failCount, *seed, *procDelay, strategy, *repairFlag)
+		}
+		return err
+	})
+}
+
+// runReliable builds the tree centrally, simulates its delivery, and with
+// -fail crashes internal nodes mid-session and repairs around them.
+func runReliable(out io.Writer, env *cliutil.Env, n, degree, packets, failCount int, seed uint64, procDelay float64, strategy omtree.RepairStrategy, strategyName string) error {
 	// Register the protocol schema even on the reliable path, so every
 	// snapshot carries the same counter set (zeros when no session ran).
 	var sessionStats omtree.OverlaySessionStats
-	omtree.RegisterSessionMetrics(reg, &sessionStats)
+	omtree.RegisterSessionMetrics(env.Reg, &sessionStats)
 
-	var strategy omtree.RepairStrategy
-	switch *repairFlag {
-	case "grandparent":
-		strategy = omtree.RepairGrandparent
-	case "bestdelay":
-		strategy = omtree.RepairBestDelay
-	default:
-		return fmt.Errorf("unknown repair strategy %q", *repairFlag)
-	}
-
-	r := omtree.NewRand(*seed)
-	receivers := r.UniformDiskN(*n, 1)
+	r := omtree.NewRand(seed)
+	receivers := r.UniformDiskN(n, 1)
 	source := omtree.Point2{}
 	res, err := omtree.Build(source, receivers,
-		omtree.WithMaxOutDegree(*degree), omtree.WithObserver(reg),
-		omtree.WithTrace(rec), omtree.WithFlight(fr))
+		omtree.WithMaxOutDegree(degree), omtree.WithObserver(env.Reg),
+		omtree.WithTrace(env.Trace), omtree.WithFlight(env.Flight))
 	if err != nil {
 		return err
 	}
@@ -332,23 +214,23 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "tree: %d nodes, variant %v, k=%d, radius %.4f (bound %.4f)\n",
 		res.Tree.N(), res.Variant, res.K, res.Radius, res.Bound)
 
-	sim, err := omtree.NewSim(res.Tree, omtree.SimConfig{Latency: dist, ProcDelay: *procDelay, Obs: reg, Trace: rec})
+	sim, err := omtree.NewSim(res.Tree, omtree.SimConfig{Latency: dist, ProcDelay: procDelay, Obs: env.Reg, Trace: env.Trace})
 	if err != nil {
 		return err
 	}
 	d := sim.Multicast()
 	fmt.Fprintf(out, "simulated delivery: max delay %.4f, %d forwards\n", d.MaxDelay, d.Forwards)
-	if *procDelay == 0 && !almost(d.MaxDelay, res.Radius) {
+	if procDelay == 0 && !almost(d.MaxDelay, res.Radius) {
 		return fmt.Errorf("simulation disagrees with analytic radius: %v vs %v", d.MaxDelay, res.Radius)
 	}
 
-	if *failCount <= 0 {
-		return finish()
+	if failCount <= 0 {
+		return nil
 	}
 
 	// Fail the first internal (forwarding) nodes mid-session.
 	var failed []int
-	for i := 1; i < res.Tree.N() && len(failed) < *failCount; i++ {
+	for i := 1; i < res.Tree.N() && len(failed) < failCount; i++ {
 		if res.Tree.OutDegree(i) > 0 {
 			failed = append(failed, i)
 		}
@@ -358,11 +240,11 @@ func run(args []string, out io.Writer) error {
 	}
 	failures := make([]omtree.Failure, 0, len(failed))
 	interval := 2 * res.Radius
-	failTime := float64(*packets/2) * interval
+	failTime := float64(packets/2) * interval
 	for _, f := range failed {
 		failures = append(failures, omtree.Failure{Node: f, Time: failTime})
 	}
-	session := sim.Session(*packets, interval, failures)
+	session := sim.Session(packets, interval, failures)
 	var affected, lostTotal int
 	for i, lost := range session.Lost {
 		if lost > 0 && i != res.Tree.Root() {
@@ -373,17 +255,17 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "failures: %d internal nodes at t=%.2f -> %d receivers lost %d packets total\n",
 		len(failed), failTime, affected, lostTotal)
 
-	rep, err := omtree.Repair(res.Tree, failed, *degree, dist, strategy)
+	rep, err := omtree.Repair(res.Tree, failed, degree, dist, strategy)
 	if err != nil {
 		return err
 	}
 	repairedDist := func(a, b int) float64 { return dist(rep.OldID[a], rep.OldID[b]) }
 	repairedRadius := rep.Tree.Radius(repairedDist)
 	fmt.Fprintf(out, "repair (%s): %d orphan subtrees reattached, radius %.4f -> %.4f (%.1f%% change)\n",
-		*repairFlag, rep.Reattached, res.Radius, repairedRadius,
+		strategyName, rep.Reattached, res.Radius, repairedRadius,
 		100*(repairedRadius-res.Radius)/res.Radius)
 
-	repairedSim, err := omtree.NewSim(rep.Tree, omtree.SimConfig{Latency: repairedDist, ProcDelay: *procDelay, Obs: reg, Trace: rec})
+	repairedSim, err := omtree.NewSim(rep.Tree, omtree.SimConfig{Latency: repairedDist, ProcDelay: procDelay, Obs: env.Reg, Trace: env.Trace})
 	if err != nil {
 		return err
 	}
@@ -395,20 +277,16 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "post-repair delivery: max delay %.4f, %d survivors missing\n", d2.MaxDelay, missing)
-	return finish()
+	return nil
 }
 
-// runRestore resumes a checkpointed protocol session: the snapshot is
-// decoded and validated, maintenance continues on the recorded round clock
-// until the strict audit passes again, and the resumed state is reported.
-func runRestore(out io.Writer, reg *omtree.Observer, rec *omtree.TraceRecorder, fr *omtree.FlightRecorder, path string) (*omtree.Overlay, error) {
-	o, err := omtree.RestoreOverlayFile(path)
-	if err != nil {
-		return nil, err
-	}
-	o.Observe(reg)
-	o.Trace(rec)
-	o.SetFlight(fr)
+// runRestore resumes a checkpointed protocol session: maintenance
+// continues on the recorded round clock until the strict audit passes
+// again, and the resumed state is reported.
+func runRestore(out io.Writer, env *cliutil.Env, o *omtree.Overlay) error {
+	o.Observe(env.Reg)
+	o.Trace(env.Trace)
+	o.SetFlight(env.Flight)
 	st := &o.Stats
 	fmt.Fprintf(out, "restored session: %d live members after %d maintenance rounds (%d joins, %d leaves, %d abrupt failures)\n",
 		o.N(), st.MaintenanceRounds, st.Joins, st.Leaves, st.AbruptFailures)
@@ -416,21 +294,21 @@ func runRestore(out io.Writer, reg *omtree.Observer, rec *omtree.TraceRecorder, 
 	// confirmed yet); converge back to a clean audit on the recorded clock.
 	rounds, err := o.Converge(24)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	radius, err := o.Radius()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Fprintf(out, "resumed: audit clean after %d rounds (round clock now %d), radius %.4f\n",
 		rounds, st.MaintenanceRounds, radius)
-	return o, nil
+	return nil
 }
 
 // runDrift exercises the kinetic control loop: a reliably built overlay's
 // coordinates jump under a seeded drift model while periodic re-estimation
 // sweeps refresh them and the certificate monitor repairs per policy.
-func runDrift(out io.Writer, reg *omtree.Observer, rec *omtree.TraceRecorder, fr *omtree.FlightRecorder, n, degree int, seed uint64, rate float64, policy omtree.OverlayRepairPolicy) (*omtree.Overlay, error) {
+func runDrift(out io.Writer, env *cliutil.Env, n, degree int, seed uint64, rate float64, policy omtree.OverlayRepairPolicy) (*omtree.Overlay, error) {
 	const (
 		period    = 3
 		threshold = 1.05
@@ -448,9 +326,9 @@ func runDrift(out io.Writer, reg *omtree.Observer, rec *omtree.TraceRecorder, fr
 	if err != nil {
 		return nil, err
 	}
-	o.Observe(reg)
-	o.Trace(rec)
-	o.SetFlight(fr)
+	o.Observe(env.Reg)
+	o.Trace(env.Trace)
+	o.SetFlight(env.Flight)
 	r := omtree.NewRand(seed)
 	for i := 0; i < n; i++ {
 		if _, _, err := o.Join(r.UniformDisk(1)); err != nil {
@@ -525,7 +403,7 @@ func parsePartition(s string) (*omtree.PartitionEvent, error) {
 // control plane and reports degradation and recovery. With a partition
 // schedule it additionally splits the network mid-run, storms joins at the
 // degraded overlay, and reports island formation and reconciliation.
-func runFaulty(out io.Writer, reg *omtree.Observer, rec *omtree.TraceRecorder, fr *omtree.FlightRecorder, n, degree, packets, failCount int, seed uint64, loss, crashRate float64, pe *omtree.PartitionEvent, joinRate float64) (*omtree.Overlay, error) {
+func runFaulty(out io.Writer, env *cliutil.Env, n, degree, packets, failCount int, seed uint64, loss, crashRate float64, pe *omtree.PartitionEvent, joinRate float64) (*omtree.Overlay, error) {
 	fmt.Fprintf(out, "unreliable control plane: loss %.0f%%, duplication %.0f%%, crash rate %.2f%%\n",
 		100*loss, 100*loss/2, 100*crashRate)
 
@@ -547,10 +425,10 @@ func runFaulty(out io.Writer, reg *omtree.Observer, rec *omtree.TraceRecorder, f
 	if err := o.SetTransport(plane, fcfg); err != nil {
 		return nil, err
 	}
-	o.Observe(reg)
-	plane.Observe(reg)
-	o.Trace(rec)
-	o.SetFlight(fr)
+	o.Observe(env.Reg)
+	plane.Observe(env.Reg)
+	o.Trace(env.Trace)
+	o.SetFlight(env.Flight)
 
 	// Members join while the network misbehaves; some give up after
 	// exhausting their retry budget.
@@ -644,8 +522,8 @@ func runFaulty(out io.Writer, reg *omtree.Observer, rec *omtree.TraceRecorder, f
 	sim, err := omtree.NewSim(t, omtree.SimConfig{
 		Latency: func(i, j int) float64 { return pts[i].Dist(pts[j]) },
 		Drop:    omtree.LinkDrop(seed^0xd07a, loss),
-		Obs:     reg,
-		Trace:   rec,
+		Obs:     env.Reg,
+		Trace:   env.Trace,
 	})
 	if err != nil {
 		return nil, err

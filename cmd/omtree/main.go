@@ -14,8 +14,10 @@
 // to FILE as JSONL, and a deterministic health report follows the build
 // stats on stdout), -slo RULES watches the sample against declarative
 // health rules, and -openmetrics FILE writes the build metrics as
-// Prometheus/OpenMetrics exposition text. Output files are created up
-// front, so an unwritable path fails before the build starts.
+// Prometheus/OpenMetrics exposition text. The points file is read and every
+// flag checked first; output files are then created up front, so a rejected
+// command line touches no file and an unwritable path fails before the
+// build starts.
 //
 // Points files are JSON: {"dim": D, "points": [[x, y, ...], ...]} with
 // points[0] the multicast source. Tree files use the tree's JSON codec.
@@ -175,18 +177,6 @@ func cmdBuild(args []string) error {
 	if *pointsPath == "" {
 		return fmt.Errorf("-points is required")
 	}
-	if *sloSpec != "" && *flightPath == "" {
-		return fmt.Errorf("-slo requires -flight")
-	}
-	// Fail fast: requested outputs must be writable before the build runs.
-	flightF, err := cliutil.CreateOutput("flight", *flightPath)
-	if err != nil {
-		return err
-	}
-	openMetricsF, err := cliutil.CreateOutput("openmetrics", *openMetricsPath)
-	if err != nil {
-		return err
-	}
 	pf, err := loadPoints(*pointsPath)
 	if err != nil {
 		return err
@@ -202,57 +192,20 @@ func cmdBuild(args []string) error {
 	if *workers != 0 {
 		opts = append(opts, omtree.WithParallelism(*workers))
 	}
-	var reg *omtree.Observer
-	var fr *omtree.FlightRecorder
-	if flightF != nil || openMetricsF != nil {
-		reg = omtree.NewObserver()
-		opts = append(opts, omtree.WithObserver(reg))
-	}
-	if flightF != nil {
-		rules, err := omtree.ParseSLORules(*sloSpec)
-		if err != nil {
-			return fmt.Errorf("-slo: %w", err)
+	var res *omtree.Result
+	outputs := cliutil.Outputs{Flight: *flightPath, SLO: *sloSpec, OpenMetrics: *openMetricsPath}
+	err = cliutil.Run(fs, outputs, os.Stdout, func(env *cliutil.Env) error {
+		if env.Reg != nil {
+			opts = append(opts, omtree.WithObserver(env.Reg))
 		}
-		fr = omtree.NewFlightRecorder(reg, omtree.FlightConfig{Rules: rules})
-		opts = append(opts, omtree.WithFlight(fr))
-	}
-
-	start := time.Now()
-	res, err := buildAny(pf, opts)
+		if env.Flight != nil {
+			opts = append(opts, omtree.WithFlight(env.Flight))
+		}
+		var err error
+		res, err = buildAndReport(pf, opts, *verify)
+		return err
+	})
 	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-
-	fmt.Printf("nodes:      %d (1 source + %d receivers)\n", res.Tree.N(), res.Tree.N()-1)
-	fmt.Printf("variant:    %v (max out-degree %d)\n", res.Variant, res.MaxOutDegree)
-	fmt.Printf("rings k:    %d\n", res.K)
-	fmt.Printf("radius:     %.6f (scale %.6f)\n", res.Radius, res.Scale)
-	fmt.Printf("core delay: %.6f\n", res.CoreDelay)
-	fmt.Printf("bound (7):  %.6f\n", res.Bound)
-	fmt.Printf("build time: %v\n", elapsed)
-
-	if *verify {
-		dist := func(i, j int) float64 {
-			return omtree.Vec(pf.Points[i]).Dist(omtree.Vec(pf.Points[j]))
-		}
-		violations := invariant.Check(res.Tree, len(pf.Points), 0, res.MaxOutDegree, dist, res.Radius)
-		if len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "omtree: invariant violated:", v)
-			}
-			return fmt.Errorf("%d invariant violations", len(violations))
-		}
-		fmt.Println("verify:     ok (spanning, degree bound, radius)")
-	}
-
-	if err := cliutil.WriteFlightReport(fr, os.Stdout); err != nil {
-		return err
-	}
-	if err := cliutil.WriteFlightJSONL(fr, flightF); err != nil {
-		return err
-	}
-	if err := cliutil.WriteOpenMetrics(reg, fr, openMetricsF); err != nil {
 		return err
 	}
 	if *out != "" {
@@ -271,6 +224,40 @@ func cmdBuild(args []string) error {
 		}
 	}
 	return nil
+}
+
+// buildAndReport builds the tree, prints its statistics and, with verify,
+// re-checks its invariants.
+func buildAndReport(pf *pointsFile, opts []omtree.Option, verify bool) (*omtree.Result, error) {
+	start := time.Now()
+	res, err := buildAny(pf, opts)
+	if err != nil {
+		return nil, err
+	}
+	elapsed := time.Since(start)
+
+	fmt.Printf("nodes:      %d (1 source + %d receivers)\n", res.Tree.N(), res.Tree.N()-1)
+	fmt.Printf("variant:    %v (max out-degree %d)\n", res.Variant, res.MaxOutDegree)
+	fmt.Printf("rings k:    %d\n", res.K)
+	fmt.Printf("radius:     %.6f (scale %.6f)\n", res.Radius, res.Scale)
+	fmt.Printf("core delay: %.6f\n", res.CoreDelay)
+	fmt.Printf("bound (7):  %.6f\n", res.Bound)
+	fmt.Printf("build time: %v\n", elapsed)
+
+	if verify {
+		dist := func(i, j int) float64 {
+			return omtree.Vec(pf.Points[i]).Dist(omtree.Vec(pf.Points[j]))
+		}
+		violations := invariant.Check(res.Tree, len(pf.Points), 0, res.MaxOutDegree, dist, res.Radius)
+		if len(violations) > 0 {
+			for _, v := range violations {
+				fmt.Fprintln(os.Stderr, "omtree: invariant violated:", v)
+			}
+			return nil, fmt.Errorf("%d invariant violations", len(violations))
+		}
+		fmt.Println("verify:     ok (spanning, degree bound, radius)")
+	}
+	return res, nil
 }
 
 func buildAny(pf *pointsFile, opts []omtree.Option) (*omtree.Result, error) {

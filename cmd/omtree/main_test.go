@@ -203,3 +203,20 @@ func TestCompareSubcommand(t *testing.T) {
 		t.Error("accepted missing -points")
 	}
 }
+
+// TestBuildRejectsBeforeTouchingOutputs: a build whose points file cannot
+// be read leaves a file already at an output path with its bytes.
+func TestBuildRejectsBeforeTouchingOutputs(t *testing.T) {
+	dir := t.TempDir()
+	om := filepath.Join(dir, "om.txt")
+	want := []byte("earlier run\n")
+	if err := os.WriteFile(om, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"build", "-openmetrics", om, "-points", filepath.Join(dir, "missing.json")}); err == nil {
+		t.Fatal("accepted a missing points file")
+	}
+	if got, err := os.ReadFile(om); err != nil || string(got) != string(want) {
+		t.Errorf("-openmetrics file now holds %q (%v)", got, err)
+	}
+}

@@ -27,18 +27,11 @@ type DriftSweepConfig struct {
 	Rates []float64
 	// Policies are compared at each rate (default none, local, full).
 	Policies []protocol.RepairPolicy
-	// JumpMean is the mean jump displacement (default 0.15).
-	JumpMean float64
 	// Rounds is the number of maintenance rounds driven per trial
 	// (default 24).
 	Rounds int
-	// ReestimatePeriod is the sweep cadence in rounds (default 3);
-	// DegradationThreshold is the certificate ratio that triggers the
-	// local policy (default 1.05 — repair on 5% degradation).
-	ReestimatePeriod     int
-	DegradationThreshold float64
-	Trials               int
-	Seed                 uint64
+	Trials int
+	Seed   uint64
 	// MaxOutDegree >= 3.
 	MaxOutDegree int
 	// Trace, when non-nil, records every trial's events on one recorder.
@@ -51,6 +44,17 @@ type DriftSweepConfig struct {
 	// recorder — the CLI's -flight surface for the drift sweep.
 	Flight *flight.Recorder
 }
+
+// The drift sweep's fixed model and repair trigger.
+const (
+	// driftJumpMean is the mean jump displacement.
+	driftJumpMean = 0.15
+	// driftReestimatePeriod is the re-estimation sweep cadence in rounds.
+	driftReestimatePeriod = 3
+	// driftThreshold is the certificate ratio that triggers the local
+	// policy: repair on 5% degradation.
+	driftThreshold = 1.05
+)
 
 // DriftRow aggregates one (rate, policy) cell across trials.
 type DriftRow struct {
@@ -87,21 +91,9 @@ func RunDriftSweep(cfg DriftSweepConfig) ([]DriftRow, error) {
 	if len(policies) == 0 {
 		policies = []protocol.RepairPolicy{protocol.RepairNone, protocol.RepairLocal, protocol.RepairFull}
 	}
-	jumpMean := cfg.JumpMean
-	if jumpMean == 0 {
-		jumpMean = 0.15
-	}
 	rounds := cfg.Rounds
 	if rounds <= 0 {
 		rounds = 24
-	}
-	period := cfg.ReestimatePeriod
-	if period <= 0 {
-		period = 3
-	}
-	threshold := cfg.DegradationThreshold
-	if threshold == 0 {
-		threshold = 1.05
 	}
 
 	rows := make([]DriftRow, 0, len(cfg.Rates)*len(policies))
@@ -119,8 +111,8 @@ func RunDriftSweep(cfg DriftSweepConfig) ([]DriftRow, error) {
 					Source: geom.Point2{}, Scale: 1,
 					K: protocol.SuggestK(cfg.N), MaxOutDegree: cfg.MaxOutDegree,
 					Drift: protocol.DriftConfig{
-						ReestimatePeriod:     period,
-						DegradationThreshold: threshold,
+						ReestimatePeriod:     driftReestimatePeriod,
+						DegradationThreshold: driftThreshold,
 						Policy:               policy,
 					},
 				})
@@ -145,7 +137,7 @@ func RunDriftSweep(cfg DriftSweepConfig) ([]DriftRow, error) {
 				// between cells instead of forcing grid-scale growth (which
 				// would escalate every local repair into a full rebuild).
 				m, err := coords.NewDriftModel(coords.DriftConfig{
-					Seed: seed ^ 0xd21f, JumpRate: rate, JumpMean: jumpMean,
+					Seed: seed ^ 0xd21f, JumpRate: rate, JumpMean: driftJumpMean,
 					InflationPerEpoch: 0.05, Bound: 0.99,
 				})
 				if err != nil {

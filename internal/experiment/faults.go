@@ -22,10 +22,6 @@ type FaultSweepConfig struct {
 	// LossRates are the per-attempt control-message loss probabilities to
 	// sweep, each in [0, 1).
 	LossRates []float64
-	// DupRate, CrashRate, DelayMean fill the rest of the fault scenario
-	// (defaults: 0.05, 0.01, and half the retry base timeout feel; see
-	// RunFaultSweep).
-	DupRate, CrashRate, DelayMean float64
 	// Ops is the number of churn operations performed under injection
 	// (default 4*sqrt(N), at least 50).
 	Ops    int
@@ -33,18 +29,27 @@ type FaultSweepConfig struct {
 	Seed   uint64
 	// MaxOutDegree >= 3.
 	MaxOutDegree int
-	// MaxRounds bounds the post-injection convergence loop (default
-	// ConfirmAfter+12 of the protocol's fault config).
-	MaxRounds int
-	// Packets is the data-plane session length used to measure delivery
-	// under the same loss rate (default 20).
-	Packets int
 	// Trace, when non-nil, records every trial's control- and data-plane
 	// events (joins, retries, fault verdicts, heartbeats, repairs, packet
 	// timelines) on one recorder. Trials run sequentially, so the timeline
 	// is deterministic for a fixed config. Nil disables tracing.
 	Trace *trace.Recorder
 }
+
+// The fault sweep's fixed scenario.
+const (
+	// faultDupRate, faultCrashRate and faultDelayMean fill the rest of the
+	// fault scenario beside each swept loss rate.
+	faultDupRate   = 0.05
+	faultCrashRate = 0.01
+	faultDelayMean = 0.1
+	// faultSettleRounds bounds the post-injection convergence loop beyond
+	// the fault config's ConfirmAfter.
+	faultSettleRounds = 12
+	// faultPackets is the data-plane session length used to measure
+	// delivery under the same loss rate.
+	faultPackets = 20
+)
 
 // FaultRow aggregates one loss rate across trials.
 type FaultRow struct {
@@ -88,25 +93,8 @@ func RunFaultSweep(cfg FaultSweepConfig) ([]FaultRow, error) {
 			ops = 50
 		}
 	}
-	packets := cfg.Packets
-	if packets <= 0 {
-		packets = 20
-	}
-	dup, crash, delay := cfg.DupRate, cfg.CrashRate, cfg.DelayMean
-	if dup == 0 {
-		dup = 0.05
-	}
-	if crash == 0 {
-		crash = 0.01
-	}
-	if delay == 0 {
-		delay = 0.1
-	}
 	fcfg := protocol.DefaultFaultConfig()
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = fcfg.ConfirmAfter + 12
-	}
+	maxRounds := fcfg.ConfirmAfter + faultSettleRounds
 
 	rows := make([]FaultRow, 0, len(cfg.LossRates))
 	for li, loss := range cfg.LossRates {
@@ -137,7 +125,7 @@ func RunFaultSweep(cfg FaultSweepConfig) ([]FaultRow, error) {
 
 			plane, err := faultplane.New(faultplane.Scenario{
 				Seed: seed ^ 0x5eed, LossRate: loss,
-				DupRate: dup, CrashRate: crash, DelayMean: delay,
+				DupRate: faultDupRate, CrashRate: faultCrashRate, DelayMean: faultDelayMean,
 			})
 			if err != nil {
 				return nil, err
@@ -208,13 +196,13 @@ func RunFaultSweep(cfg FaultSweepConfig) ([]FaultRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res := sim.Session(packets, 0.1, nil)
+			res := sim.Session(faultPackets, 0.1, nil)
 			missed := 0
 			for _, l := range res.Lost {
 				missed += l
 			}
 			if recvs := t.N() - 1; recvs > 0 {
-				delivery.Add(1 - float64(missed)/float64(packets*recvs))
+				delivery.Add(1 - float64(missed)/float64(faultPackets*recvs))
 			} else {
 				delivery.Add(1)
 			}

@@ -20,29 +20,33 @@ type PartitionSweepConfig struct {
 	// N is the warm membership built before the split.
 	N int
 	// Sides are the k-way splits to sweep (each >= 2).
-	Sides []int
-	// LossRate is the background message loss kept active through the run
-	// (default 0.05).
-	LossRate float64
-	// JoinRate is the admission-control token rate applied for the storm
-	// (default 2 joins per maintenance round; negative disables admission).
-	JoinRate float64
-	// StormJoins is the number of joins attempted per round while the
-	// overlay is split (default 3).
-	StormJoins int
-	// SplitAt and HealAt place the partition on the round clock (defaults
-	// 2 and 8).
-	SplitAt, HealAt int
-	Trials          int
-	Seed            uint64
+	Sides  []int
+	Trials int
+	Seed   uint64
 	// MaxOutDegree >= 3.
 	MaxOutDegree int
-	// MaxRounds bounds the post-heal convergence loop (default
-	// ConfirmAfter+16 of the protocol's fault config).
-	MaxRounds int
 	// Trace, when non-nil, records every trial's events on one recorder.
 	Trace *trace.Recorder
 }
+
+// The partition sweep's fixed scenario.
+const (
+	// partitionLoss is the background message loss kept active through
+	// the run.
+	partitionLoss = 0.05
+	// partitionJoinRate is the admission-control token rate, in joins per
+	// maintenance round, applied for the storm.
+	partitionJoinRate = 2
+	// partitionStormJoins is the number of joins attempted per round while
+	// the overlay is split.
+	partitionStormJoins = 3
+	// partitionSplitAt and partitionHealAt place the partition on the
+	// round clock.
+	partitionSplitAt, partitionHealAt = 2, 8
+	// partitionSettleRounds bounds the post-heal convergence loop beyond
+	// the fault config's ConfirmAfter.
+	partitionSettleRounds = 16
+)
 
 // PartitionRow aggregates one split width across trials.
 type PartitionRow struct {
@@ -77,30 +81,8 @@ func RunPartitionSweep(cfg PartitionSweepConfig) ([]PartitionRow, error) {
 	if cfg.MaxOutDegree < 3 {
 		return nil, fmt.Errorf("experiment: partition-sweep degree %d < 3", cfg.MaxOutDegree)
 	}
-	loss := cfg.LossRate
-	if loss == 0 {
-		loss = 0.05
-	}
-	joinRate := cfg.JoinRate
-	if joinRate == 0 {
-		joinRate = 2
-	}
-	storm := cfg.StormJoins
-	if storm <= 0 {
-		storm = 3
-	}
-	splitAt, healAt := cfg.SplitAt, cfg.HealAt
-	if splitAt <= 0 {
-		splitAt = 2
-	}
-	if healAt <= splitAt {
-		healAt = splitAt + 6
-	}
 	fcfg := protocol.DefaultFaultConfig()
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = fcfg.ConfirmAfter + 16
-	}
+	maxRounds := fcfg.ConfirmAfter + partitionSettleRounds
 
 	rows := make([]PartitionRow, 0, len(cfg.Sides))
 	for si, sides := range cfg.Sides {
@@ -127,7 +109,7 @@ func RunPartitionSweep(cfg PartitionSweepConfig) ([]PartitionRow, error) {
 			}
 
 			plane, err := faultplane.New(faultplane.Scenario{
-				Seed: seed ^ 0x5eed, LossRate: loss,
+				Seed: seed ^ 0x5eed, LossRate: partitionLoss,
 			})
 			if err != nil {
 				return nil, err
@@ -136,20 +118,18 @@ func RunPartitionSweep(cfg PartitionSweepConfig) ([]PartitionRow, error) {
 				return nil, err
 			}
 			if err := plane.SetSchedule([]faultplane.PartitionEvent{
-				{Sides: sides, Start: splitAt, Heal: healAt},
+				{Sides: sides, Start: partitionSplitAt, Heal: partitionHealAt},
 			}); err != nil {
 				return nil, err
 			}
 			// Admission throttles the storm, not the warm build.
-			if joinRate > 0 {
-				if err := o.SetAdmission(protocol.Admission{RatePerRound: joinRate}); err != nil {
-					return nil, err
-				}
+			if err := o.SetAdmission(protocol.Admission{RatePerRound: partitionJoinRate}); err != nil {
+				return nil, err
 			}
 
 			// Run the schedule through its heal, storming joins while split.
 			islands := 0
-			for plane.Ticks() <= healAt {
+			for plane.Ticks() <= partitionHealAt {
 				ms, err := o.MaintenanceRound()
 				if err != nil {
 					return nil, err
@@ -157,8 +137,8 @@ func RunPartitionSweep(cfg PartitionSweepConfig) ([]PartitionRow, error) {
 				if ms.Islands > islands {
 					islands = ms.Islands
 				}
-				if t := plane.Ticks(); t >= splitAt && t < healAt {
-					for i := 0; i < storm; i++ {
+				if t := plane.Ticks(); t >= partitionSplitAt && t < partitionHealAt {
+					for i := 0; i < partitionStormJoins; i++ {
 						// Queued, shed, served degraded, or refused outright
 						// (a dark side with no reachable island); the error
 						// taxonomy lands in the session counters either way.

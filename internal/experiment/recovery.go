@@ -28,9 +28,10 @@ type RecoverySweepConfig struct {
 	Seed       uint64
 	// MaxOutDegree >= 3.
 	MaxOutDegree int
-	// MaxRounds bounds the post-restore convergence loop (default 24).
-	MaxRounds int
 }
+
+// recoveryRounds bounds the post-restore convergence loop.
+const recoveryRounds = 24
 
 // RecoveryRow aggregates one kill point across trials.
 type RecoveryRow struct {
@@ -70,16 +71,11 @@ func RunRecoverySweep(cfg RecoverySweepConfig) ([]RecoveryRow, error) {
 	if len(points) == 0 {
 		points = defaultKillPoints
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 24
-	}
-
 	rows := make([]RecoveryRow, 0, len(points))
 	for pi, point := range points {
 		var size, torn, rounds, rejoined, ratio stats.Accumulator
 		for trial := 0; trial < cfg.Trials; trial++ {
-			out, err := runRecoveryTrial(point, cfg, trialSeed(cfg.Seed^0x6b72, pi, trial), maxRounds)
+			out, err := runRecoveryTrial(point, cfg, trialSeed(cfg.Seed^0x6b72, pi, trial))
 			if err != nil {
 				return nil, fmt.Errorf("experiment: %s trial %d: %w", point, trial, err)
 			}
@@ -110,7 +106,7 @@ type recoveryTrial struct {
 }
 
 // runRecoveryTrial kills one coordinator at the named point and restores.
-func runRecoveryTrial(point string, cfg RecoverySweepConfig, seed uint64, maxRounds int) (recoveryTrial, error) {
+func runRecoveryTrial(point string, cfg RecoverySweepConfig, seed uint64) (recoveryTrial, error) {
 	var out recoveryTrial
 	o, err := protocol.New(protocol.Config{
 		Source: geom.Point2{}, Scale: 1,
@@ -205,7 +201,7 @@ func runRecoveryTrial(point string, cfg RecoverySweepConfig, seed uint64, maxRou
 	}
 	// Converge: the undetected crash inside the checkpoint must be found
 	// and repaired before the strict audit passes.
-	for out.recoverRounds = 0; out.recoverRounds < maxRounds; out.recoverRounds++ {
+	for out.recoverRounds = 0; out.recoverRounds < recoveryRounds; out.recoverRounds++ {
 		if o2.Audit() == nil {
 			break
 		}
@@ -214,7 +210,7 @@ func runRecoveryTrial(point string, cfg RecoverySweepConfig, seed uint64, maxRou
 		}
 	}
 	if err := o2.Audit(); err != nil {
-		return out, fmt.Errorf("no clean audit after %d rounds: %w", maxRounds, err)
+		return out, fmt.Errorf("no clean audit after %d rounds: %w", recoveryRounds, err)
 	}
 	// The crashed member rejoins in place from its recorded position.
 	if _, err := o2.Restart(victim); err != nil {
