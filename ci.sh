@@ -51,7 +51,10 @@ echo "== coverage floors =="
 # 85.5%, 98.5% and 91.7% when their floors were set; invariant, the
 # conformance oracle every tree-producing path's tests lean on, measured
 # 99.4%; cliutil, the output lifecycle all three CLIs run through,
-# measured 92.0%) so honest refactors pass but a change that lands untested
+# measured 92.0%; par, the worker-pool fan-outs every parallel build and
+# rebuild runs on, measured 100.0%, and cmd/omtree, whose build creates
+# its -o and -dot files through that lifecycle, 85.5%, when their floors
+# were set) so honest refactors pass but a change that lands untested
 # code fails.
 check_cover() {
     pkg=$1 floor=$2
@@ -79,9 +82,11 @@ check_cover ./internal/invariant 95
 check_cover ./internal/knn 95
 check_cover ./internal/protocol 92
 check_cover ./internal/multigroup 90
+check_cover ./internal/par 97
 check_cover ./internal/snapshot 90
 check_cover ./internal/stats 89
 check_cover ./internal/tree 89
+check_cover ./cmd/omtree 82
 
 echo "== benchmarks, one iteration each =="
 # The scripts/bench.sh package set plus the root Table I, Figure 8 and

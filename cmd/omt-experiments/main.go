@@ -34,6 +34,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -163,7 +164,11 @@ func run(args []string, out io.Writer) error {
 	outputs := cliutil.Outputs{
 		Metrics: *metricsPath, Trace: *tracePath,
 		Flight: *flightPath, FlightInterval: *flightInterval, SLO: *sloSpec,
-		OpenMetrics: *openMetricsPath, CSV: csv, JSON: *jsonPath, Pprof: *pprofAddr,
+		OpenMetrics: *openMetricsPath, Pprof: *pprofAddr,
+		Files: []cliutil.File{
+			{Flag: "csv", Path: csv, Write: func(w io.Writer) error { return experiment.WriteCSV(s.manifest.Disk, w) }},
+			{Flag: "json", Path: *jsonPath, Write: s.manifest.writeJSON},
+		},
 	}
 	return cliutil.Run(fs, outputs, out, func(env *cliutil.Env) error {
 		s.env = env
@@ -178,8 +183,6 @@ func run(args []string, out io.Writer) error {
 			snap := env.Reg.Snapshot()
 			s.manifest.Metrics = &snap
 		}
-		env.CSV = func(w io.Writer) error { return experiment.WriteCSV(s.manifest.Disk, w) }
-		env.JSON = s.manifest
 		return nil
 	})
 }
@@ -201,6 +204,16 @@ type manifest struct {
 	Recovery  []experiment.RecoveryRow  `json:"recovery,omitempty"`
 	Groups    []experiment.GroupRow     `json:"groups,omitempty"`
 	Metrics   *obs.Snapshot             `json:"metrics,omitempty"`
+}
+
+// writeJSON writes the manifest as indented JSON.
+func (m *manifest) writeJSON(w io.Writer) error {
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
 }
 
 // sweep is one invocation's settings, shared by its sections, and the

@@ -15,9 +15,9 @@
 // stats on stdout), -slo RULES watches the sample against declarative
 // health rules, and -openmetrics FILE writes the build metrics as
 // Prometheus/OpenMetrics exposition text. The points file is read and every
-// flag checked first; output files are then created up front, so a rejected
-// command line touches no file and an unwritable path fails before the
-// build starts.
+// flag checked first; output files, -o and -dot included, are then created
+// up front, so a rejected command line touches no file and an unwritable
+// path fails before the build starts.
 //
 // Points files are JSON: {"dim": D, "points": [[x, y, ...], ...]} with
 // points[0] the multicast source. Tree files use the tree's JSON codec.
@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -192,8 +193,19 @@ func cmdBuild(args []string) error {
 	if *workers != 0 {
 		opts = append(opts, omtree.WithParallelism(*workers))
 	}
+	// -o - writes the tree to stdout after the run rather than to a file.
+	treePath := *out
+	if treePath == "-" {
+		treePath = ""
+	}
 	var res *omtree.Result
-	outputs := cliutil.Outputs{Flight: *flightPath, SLO: *sloSpec, OpenMetrics: *openMetricsPath}
+	outputs := cliutil.Outputs{
+		Flight: *flightPath, SLO: *sloSpec, OpenMetrics: *openMetricsPath,
+		Files: []cliutil.File{
+			{Flag: "o", Path: treePath, Write: func(w io.Writer) error { return encodeJSON(w, res.Tree) }},
+			{Flag: "dot", Path: *dotOut, Write: func(w io.Writer) error { return res.Tree.WriteDOT(w, nil) }},
+		},
+	}
 	err = cliutil.Run(fs, outputs, os.Stdout, func(env *cliutil.Env) error {
 		if env.Reg != nil {
 			opts = append(opts, omtree.WithObserver(env.Reg))
@@ -205,25 +217,21 @@ func cmdBuild(args []string) error {
 		res, err = buildAndReport(pf, opts, *verify)
 		return err
 	})
+	if err != nil || *out != "-" {
+		return err
+	}
+	return writeJSON("-", res.Tree)
+}
+
+// encodeJSON writes v as compact JSON with no trailing newline, the bytes
+// writeJSON puts in a file.
+func encodeJSON(w io.Writer, v any) error {
+	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	if *out != "" {
-		if err := writeJSON(*out, res.Tree); err != nil {
-			return fmt.Errorf("writing tree: %w", err)
-		}
-	}
-	if *dotOut != "" {
-		f, err := os.Create(*dotOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := res.Tree.WriteDOT(f, nil); err != nil {
-			return fmt.Errorf("writing DOT: %w", err)
-		}
-	}
-	return nil
+	_, err = w.Write(data)
+	return err
 }
 
 // buildAndReport builds the tree, prints its statistics and, with verify,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -219,4 +220,70 @@ func TestBuildRejectsBeforeTouchingOutputs(t *testing.T) {
 	if got, err := os.ReadFile(om); err != nil || string(got) != string(want) {
 		t.Errorf("-openmetrics file now holds %q (%v)", got, err)
 	}
+}
+
+// TestBuildUnwritableTreeFailsFirst: an -o path that cannot be created
+// fails before the build runs, so nothing is printed and the -openmetrics
+// file beside it is never written; with writable paths -o and -dot hold
+// the tree, and -o - prints it after the statistics.
+func TestBuildUnwritableTreeFailsFirst(t *testing.T) {
+	dir := t.TempDir()
+	pts := filepath.Join(dir, "pts.json")
+	if err := run([]string{"gen", "-n", "200", "-seed", "5", "-o", pts}); err != nil {
+		t.Fatal(err)
+	}
+	om := filepath.Join(dir, "om.txt")
+	stdout, err := captureStdout(t, func() error {
+		return run([]string{"build", "-points", pts, "-openmetrics", om, "-o", filepath.Join(dir, "missing", "tree.json")})
+	})
+	if err == nil || !strings.Contains(err.Error(), "-o:") {
+		t.Fatalf("err = %v, want an error naming -o", err)
+	}
+	if stdout != "" {
+		t.Errorf("the refused build printed %q", stdout)
+	}
+	if _, err := os.Stat(om); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the refused build left %s behind (%v)", filepath.Base(om), err)
+	}
+
+	treeFile, dotFile := filepath.Join(dir, "tree.json"), filepath.Join(dir, "tree.dot")
+	if _, err := captureStdout(t, func() error {
+		return run([]string{"build", "-points", pts, "-o", treeFile, "-dot", dotFile})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := os.ReadFile(treeFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dot, err := os.ReadFile(dotFile); err != nil || !strings.HasPrefix(string(dot), "digraph") {
+		t.Errorf("DOT file %q (%v)", dot, err)
+	}
+	stdout, err = captureStdout(t, func() error { return run([]string{"build", "-points", pts, "-o", "-"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(stdout, "nodes:") || !strings.HasSuffix(stdout, "\n"+string(tree)+"\n") {
+		t.Errorf("-o - printed %q, want the statistics then the tree file's bytes", stdout)
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected to a file and returns
+// what f printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	tmp, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stdout
+	os.Stdout = tmp
+	ferr := f()
+	os.Stdout = saved
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), ferr
 }

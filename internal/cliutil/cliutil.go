@@ -11,7 +11,6 @@
 package cliutil
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,7 +31,6 @@ import (
 // empty path or address leaves that output off.
 type Outputs struct {
 	Metrics, Trace, TraceText, Flight, OpenMetrics string
-	CSV, JSON                                      string
 	// Snapshot is replaced atomically at exit with the checkpoint of
 	// Env.Overlay.
 	Snapshot string
@@ -40,6 +38,16 @@ type Outputs struct {
 	SLO            string
 	FlightInterval int
 	Pprof          string
+	// Files are the CLI's own output files, created with the telemetry
+	// files and written after them, in list order.
+	Files []File
+}
+
+// File is one of a CLI's own output files: its flag, its path (empty
+// leaves it off), and what writes it once the body has run.
+type File struct {
+	Flag, Path string
+	Write      func(io.Writer) error
 }
 
 // Env is what a CLI's body runs with: the recorders its outputs asked for
@@ -51,9 +59,6 @@ type Env struct {
 
 	// Overlay is the protocol session -snapshot checkpoints.
 	Overlay *protocol.Overlay
-	// CSV writes the -csv file; JSON is marshaled into the -json file.
-	CSV  func(io.Writer) error
-	JSON any
 }
 
 // output is one file Run creates before the body runs and fills after it.
@@ -67,9 +72,9 @@ type output struct {
 // Run is the lifecycle. fs is the CLI's parsed flag set, which tells
 // whether -flight-interval was given; body runs the CLI's work. After the
 // body Run writes -snapshot, prints the flight report to stdout, and
-// writes -metrics, -flight, -openmetrics, -trace, -trace-text, -csv and
-// -json in that order. After a failed body the files are closed and left
-// as created.
+// writes -metrics, -flight, -openmetrics, -trace, -trace-text and then
+// the CLI's own Files, in that order. After a failed body the files are
+// closed and left as created.
 func Run(fs *flag.FlagSet, o Outputs, stdout io.Writer, body func(*Env) error) error {
 	if o.Flight == "" {
 		intervalSet := false
@@ -105,8 +110,9 @@ func Run(fs *flag.FlagSet, o Outputs, stdout io.Writer, body func(*Env) error) e
 			_, err := io.WriteString(w, env.Trace.Text())
 			return err
 		}},
-		{flag: "csv", path: o.CSV, write: func(env *Env, w io.Writer) error { return env.CSV(w) }},
-		{flag: "json", path: o.JSON, write: writeJSON},
+	}
+	for _, f := range o.Files {
+		outs = append(outs, &output{flag: f.Flag, path: f.Path, write: func(_ *Env, w io.Writer) error { return f.Write(w) }})
 	}
 	defer func() {
 		for _, out := range outs {
@@ -237,14 +243,4 @@ func writeOpenMetrics(env *Env, w io.Writer) error {
 		return env.Flight.WriteOpenMetrics(w)
 	}
 	return flight.WriteOpenMetrics(w, env.Reg.Snapshot())
-}
-
-// writeJSON writes the body's JSON value, indented.
-func writeJSON(env *Env, w io.Writer) error {
-	data, err := json.MarshalIndent(env.JSON, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
 }

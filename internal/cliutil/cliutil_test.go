@@ -76,7 +76,7 @@ func TestRunRejectsBeforeTouchingFiles(t *testing.T) {
 		{"bad pprof address", flags(t),
 			Outputs{Metrics: metrics, Pprof: ":-1"}, "pprof:"},
 		{"later path unwritable", flags(t),
-			Outputs{Metrics: metrics, OpenMetrics: fresh, JSON: filepath.Join(dir, "no", "x.json")}, "-json:"},
+			Outputs{Metrics: metrics, OpenMetrics: fresh, Files: []File{{Flag: "json", Path: filepath.Join(dir, "no", "x.json")}}}, "-json:"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,18 +232,30 @@ func TestWriteFlightArtifacts(t *testing.T) {
 	}
 }
 
-// The trace, CSV and JSON outputs are written from what the body left.
+// The trace outputs are written from what the body left, and a CLI's own
+// files after them, in list order.
 func TestRunWritesTraceAndTables(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
-	o := Outputs{Trace: path("t.json"), TraceText: path("t.txt"), CSV: path("rows.csv"), JSON: path("manifest.json")}
+	var rows string
+	var order []string
+	file := func(flag, name string) File {
+		return File{Flag: flag, Path: path(name), Write: func(w io.Writer) error {
+			order = append(order, flag)
+			if fi, err := os.Stat(path("t.txt")); err != nil || fi.Size() == 0 {
+				t.Errorf("-%s written before the telemetry files (%v)", flag, err)
+			}
+			_, err := io.WriteString(w, rows)
+			return err
+		}}
+	}
+	o := Outputs{
+		Trace: path("t.json"), TraceText: path("t.txt"),
+		Files: []File{file("csv", "rows.csv"), {Flag: "off"}, file("json", "manifest.json")},
+	}
 	err := Run(flags(t), o, io.Discard, func(env *Env) error {
 		env.Trace.Emit(env.Trace.NewTrace(), 0, "test/event", 1, 2, "")
-		env.CSV = func(w io.Writer) error {
-			_, err := io.WriteString(w, "n\n1\n")
-			return err
-		}
-		env.JSON = map[string]int{"n": 1}
+		rows = "n\n1\n"
 		return nil
 	})
 	if err != nil {
@@ -266,8 +278,11 @@ func TestRunWritesTraceAndTables(t *testing.T) {
 	if got := read("rows.csv"); got != "n\n1\n" {
 		t.Errorf("csv = %q", got)
 	}
-	if got := read("manifest.json"); got != "{\n  \"n\": 1\n}" {
+	if got := read("manifest.json"); got != "n\n1\n" {
 		t.Errorf("json = %q", got)
+	}
+	if len(order) != 2 || order[0] != "csv" || order[1] != "json" {
+		t.Errorf("files written in order %v, want [csv json]", order)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"omtree/internal/geom"
 )
@@ -10,10 +9,10 @@ import (
 // Certificate is the eq. 7 quality certificate frozen at the end of a
 // rebuild: the analytic radius upper bound the grid geometry guarantees,
 // and the radius the built tree actually realized over the coordinates it
-// was built from. When coordinates drift afterwards, RealizedRadius
-// recomputes the second number from refreshed positions while Bound stays
-// what was promised — the ratio of the two is the degradation signal the
-// protocol's kinetic repair acts on (DESIGN.md §2h).
+// was built from. When coordinates drift afterwards, the protocol
+// re-measures the radius over its live tree and refreshed positions while
+// Bound stays what was promised — the ratio of the two is the degradation
+// signal its kinetic repair acts on (DESIGN.md §2h).
 type Certificate struct {
 	// Bound is the certified eq. 7 radius upper bound at build time (0
 	// when the last build was degenerate or none has run).
@@ -64,74 +63,4 @@ func (s *BuildState) DirtyFraction() float64 {
 func (s *BuildState) ForceFull() {
 	s.needFull = true
 	s.last, s.legacy = nil, nil
-}
-
-// RealizedRadius recomputes the maximum source-to-member delay of the last
-// build's wiring over the current slot positions. Move updates positions
-// without rewiring, so after coordinate drift this is the delay the
-// certified tree actually achieves — compare against Certificate().Bound.
-// Slots added since the last rebuild are not wired yet and are skipped;
-// a member whose ancestor chain reaches a slot that left contributes
-// nothing, and neither does the departed slot (the overlay layer tracks its
-// own live tree for that case). Returns 0 before the first build.
-func (s *BuildState) RealizedRadius() float64 {
-	if !s.built {
-		return 0
-	}
-	// Delays by node id of the last build; a parent slot maps back to its
-	// node id by binary search over the build's ascending node order.
-	const unknown = -1.0
-	m := len(s.wired)
-	delay := make([]float64, m+1)
-	for i := range delay {
-		delay[i] = unknown
-	}
-	delay[0] = 0
-	nodeOf := func(slot int32) int {
-		if slot == 0 {
-			return 0
-		}
-		i, ok := slices.BinarySearch(s.wired, slot)
-		if !ok {
-			return -1
-		}
-		return i + 1
-	}
-	slotOf := func(node int) int32 {
-		if node == 0 {
-			return 0
-		}
-		return s.wired[node-1]
-	}
-	var radius float64
-	var chain []int
-	for i := 1; i <= m; i++ {
-		if delay[i] != unknown || !s.live.has(int(s.wired[i-1])) {
-			continue
-		}
-		// Walk up through live parents to a node with a known delay, then
-		// unwind. A chain longer than the tree is a cycle: no delay.
-		chain = chain[:0]
-		v := i
-		for delay[v] == unknown && len(chain) <= m {
-			p := s.parent[v]
-			if p < 0 || !s.live.has(int(p)) {
-				break // not wired into the last build, or the parent left
-			}
-			chain = append(chain, v)
-			if v = nodeOf(p); v < 0 {
-				break
-			}
-		}
-		if v < 0 || delay[v] == unknown {
-			continue
-		}
-		for c := len(chain) - 1; c >= 0; c-- {
-			u := chain[c]
-			delay[u] = delay[v] + s.geo.pos(slotOf(v)).Dist(s.geo.pos(slotOf(u)))
-			radius = max(radius, delay[u])
-			v = u
-		}
-	}
-	return radius
 }

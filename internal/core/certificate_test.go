@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"omtree/internal/geom"
@@ -85,14 +84,14 @@ func TestBuildStateMovePanics(t *testing.T) {
 	}
 }
 
-func TestCertificateAndRealizedRadius(t *testing.T) {
+// TestCertificate: the certificate is zero before any build, matches the
+// build's result after one, stays frozen while positions drift without a
+// rebuild, and re-freezes over the drifted positions at the next rebuild.
+func TestCertificate(t *testing.T) {
 	r := rng.New(33)
 	h := newStateHarness(t, geom.Point2{})
 	if c := h.bs.Certificate(); c != (Certificate{}) {
 		t.Fatalf("certificate before any build = %+v", c)
-	}
-	if h.bs.RealizedRadius() != 0 {
-		t.Fatal("realized radius before any build must be 0")
 	}
 	for i := 0; i < 120; i++ {
 		h.add(r.UniformDisk(1))
@@ -105,19 +104,12 @@ func TestCertificateAndRealizedRadius(t *testing.T) {
 	if cert.Bound != res.Bound || cert.Radius != res.Radius {
 		t.Fatalf("certificate %+v does not match result bound %v radius %v", cert, res.Bound, res.Radius)
 	}
-	if got := h.bs.RealizedRadius(); math.Abs(got-res.Radius) > 1e-12 {
-		t.Fatalf("realized radius right after build = %v, want %v", got, res.Radius)
-	}
 
-	// Drift every position outward without rewiring: the realized radius
-	// must grow past the build-time radius while the certificate's numbers
-	// stay frozen.
+	// Drift every position outward without rewiring: the certificate's
+	// numbers stay frozen.
 	for _, slot := range append([]int(nil), h.slots...) {
 		i := indexOfSlot(h.slots, slot)
 		h.move(i, h.pos[slot].Add(h.pos[slot].Scale(0.3)))
-	}
-	if got := h.bs.RealizedRadius(); got <= res.Radius {
-		t.Fatalf("realized radius after outward drift = %v, want > %v", got, res.Radius)
 	}
 	if c := h.bs.Certificate(); c != cert {
 		t.Fatalf("certificate changed without a rebuild: %+v vs %+v", c, cert)
@@ -130,9 +122,6 @@ func TestCertificateAndRealizedRadius(t *testing.T) {
 	}
 	if c := h.bs.Certificate(); c.Radius != res2.Radius || c.Bound != res2.Bound {
 		t.Fatalf("post-rebuild certificate %+v vs result %+v", c, res2)
-	}
-	if got := h.bs.RealizedRadius(); math.Abs(got-res2.Radius) > 1e-12 {
-		t.Fatalf("realized radius after rebuild = %v, want %v", got, res2.Radius)
 	}
 }
 
@@ -174,70 +163,4 @@ func indexOfSlot(slots []int, slot int) int {
 		}
 	}
 	return -1
-}
-
-// TestRealizedRadiusSkipsDepartedAncestors: after the member with the
-// largest subtree leaves, and before any rebuild, RealizedRadius covers
-// only the members whose whole ancestor chain is still live. It used to
-// walk through the departed slot's stale parent entry and keep reporting
-// the whole tree's radius.
-func TestRealizedRadiusSkipsDepartedAncestors(t *testing.T) {
-	r := rng.New(35)
-	h := newStateHarness(t, geom.Point2{})
-	for i := 0; i < 400; i++ {
-		h.add(r.UniformDisk(1))
-	}
-	res, _, err := h.bs.Rebuild()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node i >= 1 of the built tree is h.slots[i-1]. The departing node is
-	// the source's child above the farthest member: the largest subtree on
-	// the chain that realizes the radius.
-	tr := res.Tree
-	pos := func(v int) geom.Point2 {
-		if v == 0 {
-			return geom.Point2{}
-		}
-		return h.pos[h.slots[v-1]]
-	}
-	delay := func(v int, cut int) (float64, bool) {
-		var d float64
-		for u := v; u != 0; u = tr.Parent(u) {
-			if u == cut {
-				return 0, false
-			}
-			d += pos(u).Dist(pos(tr.Parent(u)))
-		}
-		return d, true
-	}
-	far, farDelay := 0, 0.0
-	for v := 1; v < tr.N(); v++ {
-		if d, _ := delay(v, -1); d > farDelay {
-			far, farDelay = v, d
-		}
-	}
-	gone := far
-	for tr.Parent(gone) != 0 {
-		gone = tr.Parent(gone)
-	}
-	size := tr.SubtreeSizes()
-	goneSlot := h.slots[gone-1]
-	h.bs.Remove(goneSlot)
-
-	// The radius over members whose chain to the source avoids the
-	// departed node, from the exported tree and the positions.
-	var want float64
-	for v := 1; v < tr.N(); v++ {
-		if d, ok := delay(v, gone); ok {
-			want = max(want, d)
-		}
-	}
-	if want >= res.Radius {
-		t.Fatalf("removing a subtree of %d nodes left the radius at %v; pick a test case where it shrinks", size[gone], want)
-	}
-	if got := h.bs.RealizedRadius(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("realized radius with slot %d (subtree of %d) gone = %v, want %v (built radius %v)",
-			goneSlot, size[gone], got, want, res.Radius)
-	}
 }

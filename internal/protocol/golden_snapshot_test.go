@@ -385,7 +385,7 @@ func TestSnapshotGoldenV1RetiredSlot(t *testing.T) {
 	var e snapshot.Encoder
 	o.Stats.Restores-- // as reencode does: the blob predates the restore
 	for _, f := range statsFields(&o.Stats) {
-		e.Int(*f)
+		e.Int(*f.v)
 	}
 	o.Stats.Restores++
 	start := len(again) - len(e.Bytes())

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"omtree/internal/faultplane"
 	"omtree/internal/geom"
 	"omtree/internal/obs"
 	"omtree/internal/obs/flight"
-	"omtree/internal/obs/trace"
 )
 
 // GroupSet runs several multicast sessions — one Overlay per group — over
@@ -20,15 +18,17 @@ import (
 // its own Transport or Faults is rejected: the set owns both), and
 // MaintenanceAll runs one failure-detector round across all groups while
 // advancing the shared transport's virtual round clock exactly once — G
-// groups share the heartbeat cadence instead of multiplying it.
+// groups share the heartbeat cadence instead of multiplying it. The set is
+// the one owner of that clock and of the flight recorder's: a group's own
+// MaintenanceRound ticks neither.
 //
 // Per-group control traffic lands on the attached registry as labeled
 // counters ("groupset/joins{group=...}" etc.), bounded by the registry's
 // label cap. Like Overlay, a GroupSet is not safe for concurrent use.
 type GroupSet struct {
-	shared *sharedTransport // nil when the set is reliable
-	faults FaultConfig
-	reg    *obs.Registry
+	transport Transport // nil when the set is reliable
+	faults    FaultConfig
+	reg       *obs.Registry
 
 	groups map[string]*Overlay
 	names  []string // sorted; deterministic MaintenanceAll order
@@ -53,11 +53,7 @@ func NewGroupSet(t Transport, faults FaultConfig, reg *obs.Registry) (*GroupSet,
 	} else if t != nil {
 		faults = DefaultFaultConfig()
 	}
-	gs := &GroupSet{faults: faults, reg: reg, groups: make(map[string]*Overlay)}
-	if t != nil {
-		gs.shared = &sharedTransport{t: t}
-	}
-	return gs, nil
+	return &GroupSet{transport: t, faults: faults, reg: reg, groups: make(map[string]*Overlay)}, nil
 }
 
 // Create starts a new group's session. cfg must leave Transport and Faults
@@ -75,8 +71,8 @@ func (s *GroupSet) Create(name string, cfg Config) (*Overlay, error) {
 	if cfg.Faults != (FaultConfig{}) {
 		return nil, fmt.Errorf("protocol: group %q supplies its own fault tuning; the set owns the shared one", name)
 	}
-	if s.shared != nil {
-		cfg.Transport = s.shared
+	if s.transport != nil {
+		cfg.Transport = s.transport
 		cfg.Faults = s.faults
 	}
 	o, err := New(cfg)
@@ -85,8 +81,8 @@ func (s *GroupSet) Create(name string, cfg Config) (*Overlay, error) {
 	}
 	o.reg = s.reg // build phases and overlay gauges share the set's registry
 	// Group rebuilds land "build" samples on the set's recorder, but the
-	// set sweep owns the round clock: a per-group tick would advance it G
-	// times per MaintenanceAll.
+	// set sweep owns both round clocks: a per-group tick would advance
+	// them G times per MaintenanceAll.
 	o.flight, o.flightShared = s.flight, true
 	s.groups[name] = o
 	i := sort.SearchStrings(s.names, name)
@@ -157,7 +153,7 @@ func (s *GroupSet) Rebuild(group string) (OpStats, error) {
 func (s *GroupSet) SetFlight(fr *flight.Recorder) {
 	s.flight = fr
 	for _, o := range s.groups {
-		o.flight, o.flightShared = fr, true
+		o.flight = fr
 	}
 }
 
@@ -165,13 +161,13 @@ func (s *GroupSet) SetFlight(fr *flight.Recorder) {
 func (s *GroupSet) Flight() *flight.Recorder { return s.flight }
 
 // MaintenanceAll runs one failure-detector round in every group (sorted
-// name order), advancing the shared transport's round clock exactly once:
-// scheduled fault events fire once per sweep, and every group's detector
-// observes the same epoch. Returns per-group stats keyed by name; the
-// first error aborts the sweep.
+// name order), advancing the shared transport's round clock exactly once,
+// before the first group: scheduled fault events fire once per sweep, and
+// every group's detector observes the same epoch. Returns per-group stats
+// keyed by name; the first error aborts the sweep.
 func (s *GroupSet) MaintenanceAll() (map[string]MaintenanceStats, error) {
-	if s.shared != nil {
-		s.shared.tick()
+	if rt, ok := s.transport.(RoundTicker); ok {
+		rt.Tick()
 	}
 	out := make(map[string]MaintenanceStats, len(s.groups))
 	for _, name := range s.names {
@@ -184,51 +180,4 @@ func (s *GroupSet) MaintenanceAll() (map[string]MaintenanceStats, error) {
 	// One flight round per sweep, sampled after every group settles.
 	s.flight.Tick()
 	return out, nil
-}
-
-// sharedTransport adapts one Transport for several Overlays. Delivery,
-// jitter, tracing, and partition state delegate straight through; the
-// round clock is the one piece that must not be multiplied — every
-// overlay's MaintenanceRound calls Tick, so the adapter forwards only the
-// tick the set itself arms per MaintenanceAll sweep and absorbs the rest.
-type sharedTransport struct {
-	t       Transport
-	pending bool // one forwarded Tick armed
-}
-
-func (s *sharedTransport) Attempt(from, to int32) faultplane.Outcome { return s.t.Attempt(from, to) }
-func (s *sharedTransport) Jitter() float64                           { return s.t.Jitter() }
-
-// AttemptTraced delegates when the wrapped transport can trace and draws
-// through the plain path otherwise — same stream either way, as the
-// TracedTransport contract requires.
-func (s *sharedTransport) AttemptTraced(from, to int32, tc trace.Ctx) faultplane.Outcome {
-	if tt, ok := s.t.(TracedTransport); ok {
-		return tt.AttemptTraced(from, to, tc)
-	}
-	return s.t.Attempt(from, to)
-}
-
-// tick arms one forwarded Tick for the next Tick() call.
-func (s *sharedTransport) tick() { s.pending = true }
-
-// Tick forwards the armed tick to the wrapped round clock and absorbs the
-// redundant per-overlay calls that follow within the same sweep.
-func (s *sharedTransport) Tick() {
-	if !s.pending {
-		return
-	}
-	s.pending = false
-	if rt, ok := s.t.(RoundTicker); ok {
-		rt.Tick()
-	}
-}
-
-// Partitioned reports the wrapped transport's partition state (0 — whole —
-// when it has none to report).
-func (s *sharedTransport) Partitioned() int {
-	if pt, ok := s.t.(PartitionedTransport); ok {
-		return pt.Partitioned()
-	}
-	return 0
 }

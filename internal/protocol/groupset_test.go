@@ -7,6 +7,7 @@ import (
 	"omtree/internal/faultplane"
 	"omtree/internal/geom"
 	"omtree/internal/obs"
+	"omtree/internal/obs/flight"
 	"omtree/internal/rng"
 )
 
@@ -193,5 +194,68 @@ func TestGroupSetSharedTransport(t *testing.T) {
 		if err := gs.Group(name).Audit(); err != nil {
 			t.Fatalf("group %s after convergence: %v", name, err)
 		}
+	}
+}
+
+// TestGroupSetEmptySweepTicksClock: MaintenanceAll advances the shared
+// round clock once per sweep even when the set has no group to run yet.
+func TestGroupSetEmptySweepTicksClock(t *testing.T) {
+	plane, err := faultplane.New(faultplane.Scenario{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := NewGroupSet(plane, FaultConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gs.MaintenanceAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gs.Create("a", groupCfg()); err != nil {
+		t.Fatal(err)
+	}
+	for sweep := 0; sweep < 3; sweep++ {
+		if _, err := gs.MaintenanceAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := plane.Ticks(); got != 4 {
+		t.Errorf("4 sweeps, the first over an empty set, advanced the clock %d ticks, want 4", got)
+	}
+}
+
+// TestGroupRoundLeavesSetClocks: a group's own MaintenanceRound, run
+// outside a sweep, ticks neither the shared transport's round clock nor
+// the set's flight recorder; the set's sweep owns both.
+func TestGroupRoundLeavesSetClocks(t *testing.T) {
+	plane, err := faultplane.New(faultplane.Scenario{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := NewGroupSet(plane, FaultConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := flight.New(obs.New(), flight.Config{})
+	gs.SetFlight(fr)
+	if _, err := gs.Create("a", groupCfg()); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		if _, err := gs.Group("a").MaintenanceRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := plane.Ticks(); got != 0 {
+		t.Errorf("3 group rounds outside a sweep advanced the shared clock %d ticks, want 0", got)
+	}
+	if got := fr.Rounds(); got != 0 {
+		t.Errorf("3 group rounds outside a sweep advanced the flight clock %d rounds, want 0", got)
+	}
+	if _, err := gs.MaintenanceAll(); err != nil {
+		t.Fatal(err)
+	}
+	if plane.Ticks() != 1 || fr.Rounds() != 1 {
+		t.Errorf("one sweep: shared clock %d, flight clock %d, want 1 and 1", plane.Ticks(), fr.Rounds())
 	}
 }

@@ -368,11 +368,7 @@ func (o *Overlay) relocate(id int32, p geom.Point2, st *OpStats) {
 	if newCell := int32(o.g.CellOf(polar)); newCell != n.cell {
 		st.Messages++ // membership handoff between the two cells
 		o.removeMember(n.cell, id)
-		if n.isRep {
-			n.isRep = false
-			o.reps[n.cell] = -1
-			o.electRep(n.cell, st)
-		}
+		o.resign(id, st)
 		n.cell = newCell
 		o.members[newCell] = append(o.members[newCell], id)
 	}

@@ -154,7 +154,6 @@ type node struct {
 	parent   int32 // -1 for source, -2 when dead
 	children []int32
 	delay    float64 // measured source-to-node delay (nodes observe this)
-	isRep    bool
 	// susp counts consecutive heartbeat rounds in which every monitor of
 	// this node observed silence (the failure detector's state: 0 alive,
 	// >= FaultConfig.SuspectAfter suspected, >= ConfirmAfter confirmed).
@@ -188,8 +187,8 @@ type Overlay struct {
 	// members lists alive node ids per cell (the source is not a member of
 	// cell 0; it anchors it).
 	members [][]int32
-	// reps[cell] is the representative node (-1 none). reps[0] stays -1:
-	// the source anchors ring 0.
+	// reps[cell] is the representative node (-1 none), the one record of
+	// the role (see isRep). reps[0] stays -1: the source anchors ring 0.
 	reps  []int32
 	alive int // live members, the source included: the true entries of live
 
@@ -214,9 +213,9 @@ type Overlay struct {
 	// rec is the attached event recorder (see Trace); nil by default.
 	rec *trace.Recorder
 	// flight is the attached flight recorder (see SetFlight); nil by
-	// default. MaintenanceRound ticks it once per sweep unless flightShared
-	// is set, in which case a GroupSet owns the round clock and ticks once
-	// per MaintenanceAll instead.
+	// default. MaintenanceRound ticks it and the transport's round clock
+	// once per round unless flightShared is set: a group of a GroupSet
+	// shares both clocks, and MaintenanceAll ticks each once per sweep.
 	flight       *flight.Recorder
 	flightShared bool
 	// ttrans is the transport's traced view, cached by SetTransport so
@@ -392,9 +391,8 @@ func (o *Overlay) N() int { return o.alive }
 // two core slots a representative reserves for future child-cell
 // representatives.
 func (o *Overlay) residual(id int32) int {
-	n := &o.nodes[id]
-	r := o.cfg.MaxOutDegree - len(n.children)
-	if n.isRep || id == 0 {
+	r := o.cfg.MaxOutDegree - len(o.nodes[id].children)
+	if id == 0 || o.isRep(id) {
 		// Reserved core slots not yet consumed: count attached children
 		// that are themselves core links (child-cell reps) against the
 		// reservation rather than the local budget.
@@ -415,13 +413,15 @@ func (o *Overlay) residual(id int32) int {
 func (o *Overlay) coreChildren(id int32) int {
 	c := 0
 	for _, ch := range o.nodes[id].children {
-		n := &o.nodes[ch]
-		if n.isRep && n.cell != o.nodes[id].cell {
+		if o.isRep(ch) && o.nodes[ch].cell != o.nodes[id].cell {
 			c++
 		}
 	}
 	return c
 }
+
+// isRep reports whether id represents its grid cell.
+func (o *Overlay) isRep(id int32) bool { return o.reps[o.nodes[id].cell] == id }
 
 // attach wires child under parent and sets the child's measured delay.
 // A fresh link starts with a clean per-link silence counter.
@@ -524,12 +524,9 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 		// plain loss. A degraded-mode island may still be able to serve
 		// this join locally.
 		if parent := o.degradedAttach(id, &st); parent >= 0 {
-			o.live[id] = true
-			o.members[cell] = append(o.members[cell], id)
-			o.alive++
+			o.admit(id)
 			o.Stats.Joins++
 			o.Stats.DegradedJoins++
-			o.trackDrift(id, p)
 			joined = true
 			return int(id), st, nil
 		}
@@ -546,7 +543,6 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 		anchor := o.ancestorAnchor(ring, idx, p, &st)
 		if o.exchange(id, anchor, &st) {
 			o.reps[cell] = id
-			o.nodes[id].isRep = true
 			o.attach(id, anchor)
 		} else {
 			// The anchor is unreachable: join as an ordinary member via a
@@ -598,13 +594,21 @@ func (o *Overlay) join(p geom.Point2) (int, OpStats, error) {
 		o.attach(id, parent)
 	}
 
-	o.live[id] = true
-	o.members[cell] = append(o.members[cell], id)
-	o.alive++
+	o.admit(id)
 	o.Stats.Joins++
-	o.trackDrift(id, p)
 	joined = true
 	return int(id), st, nil
+}
+
+// admit makes an attached joiner a live member of its cell: the live bit,
+// the cell's member list, the live count and drift tracking. Joins and
+// restarts share it.
+func (o *Overlay) admit(id int32) {
+	n := &o.nodes[id]
+	o.live[id] = true
+	o.members[n.cell] = append(o.members[n.cell], id)
+	o.alive++
+	o.trackDrift(id, n.pos)
 }
 
 // dropJoiner rolls back a refused join: the joiner's slot, always the
@@ -811,13 +815,7 @@ func (o *Overlay) Leave(id int) (OpStats, error) {
 	}
 	o.detachChild(parent, int32(id))
 	o.removeMember(n.cell, int32(id))
-
-	// Representative re-election.
-	if n.isRep {
-		n.isRep = false
-		o.reps[n.cell] = -1
-		o.electRep(n.cell, &st)
-	}
+	o.resign(int32(id), &st)
 
 	// Reattach orphans: grandparent first, then walk up, then fallback.
 	orphans := n.children
@@ -951,7 +949,6 @@ func (o *Overlay) Rebuild() (OpStats, error) {
 		}
 		n.parent = parentDead
 		n.children = nil
-		n.isRep = false
 		n.isCoord = false
 		n.susp = 0
 		n.pmiss = 0
@@ -1026,7 +1023,6 @@ func (o *Overlay) Rebuild() (OpStats, error) {
 	for _, id := range memberIDs {
 		n := &o.nodes[id]
 		n.children = n.children[:0]
-		n.isRep = false
 		n.isCoord = false // the rebuild re-wires every island under the source
 		n.pmiss = 0
 	}
@@ -1041,9 +1037,7 @@ func (o *Overlay) Rebuild() (OpStats, error) {
 		if cell == 0 || len(o.members[cell]) == 0 {
 			continue
 		}
-		best := o.closestToArc(int32(cell), func(int32) bool { return true })
-		o.reps[cell] = best
-		o.nodes[best].isRep = true
+		o.reps[cell] = o.closestToArc(int32(cell), func(int32) bool { return true })
 	}
 	o.Stats.Rebuilds++
 	if !full {

@@ -9,6 +9,7 @@ import (
 
 	"omtree/internal/core"
 	"omtree/internal/geom"
+	"omtree/internal/obs"
 	"omtree/internal/rng"
 )
 
@@ -270,13 +271,13 @@ func TestRepReelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.nodes[a].isRep || o.nodes[b].isRep {
-		t.Fatalf("rep roles wrong: a=%v b=%v", o.nodes[a].isRep, o.nodes[b].isRep)
+	if !o.isRep(int32(a)) || o.isRep(int32(b)) {
+		t.Fatalf("rep roles wrong: a=%v b=%v", o.isRep(int32(a)), o.isRep(int32(b)))
 	}
 	if _, err := o.Leave(a); err != nil {
 		t.Fatal(err)
 	}
-	if !o.nodes[b].isRep {
+	if !o.isRep(int32(b)) {
 		t.Error("survivor not re-elected as representative")
 	}
 	if o.Stats.RepElections != 1 {
@@ -404,6 +405,34 @@ func TestRefusedJoinCountsMessages(t *testing.T) {
 	}
 	if got := o.Stats.JoinMessages - before; got != st.Messages {
 		t.Errorf("JoinMessages moved by %d, the refused join sent %d", got, st.Messages)
+	}
+}
+
+// TestSessionMetricsFollowStatsTable: RegisterSessionMetrics publishes
+// exactly the named statsFields entries, each reading its own field, and
+// leaves out the three unnamed ones.
+func TestSessionMetricsFollowStatsTable(t *testing.T) {
+	var st SessionStats
+	reg := obs.New()
+	RegisterSessionMetrics(reg, &st)
+	fields := statsFields(&st)
+	for i, f := range fields {
+		*f.v = i + 1
+	}
+	snap := reg.Snapshot()
+	published := 0
+	for i, f := range fields {
+		if f.name == "" {
+			continue
+		}
+		published++
+		if got := snap.Counter(f.name); got != int64(i+1) {
+			t.Errorf("%s = %d, want %d", f.name, got, i+1)
+		}
+	}
+	if published != len(fields)-3 || len(snap.Counters) != published {
+		t.Errorf("%d of %d fields named, %d counters published; want all but 3, each once",
+			published, len(fields), len(snap.Counters))
 	}
 }
 

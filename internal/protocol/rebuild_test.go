@@ -123,11 +123,6 @@ func TestRebuildLeavesRingZeroToSource(t *testing.T) {
 	if o.reps[0] != -1 {
 		t.Errorf("reps[0] = %d after Rebuild, want -1", o.reps[0])
 	}
-	for _, m := range o.members[0] {
-		if o.nodes[m].isRep {
-			t.Errorf("ring-0 member %d is marked a representative (residual %d)", m, o.residual(m))
-		}
-	}
 	for cell := 1; cell < len(o.members); cell++ {
 		if len(o.members[cell]) > 0 && o.reps[cell] < 0 {
 			t.Errorf("cell %d has %d members and no representative", cell, len(o.members[cell]))

@@ -85,29 +85,6 @@ func (o *Overlay) killpoint(name string) error {
 	return nil
 }
 
-// statsFields lists every SessionStats field once, in declaration order —
-// the single source of truth for the stats section of the payload, so the
-// encoder and decoder cannot drift apart. The seventh slot held the counter
-// of a retired repair round; v1 keeps it as a discarded value, written as 0
-// and dropped on read.
-func statsFields(s *SessionStats) []*int {
-	return []*int{
-		&s.Joins, &s.Leaves, &s.JoinMessages, &s.LeaveMessages,
-		&s.RepElections, &s.FallbackScans, new(int),
-		&s.Rebuilds, &s.IncrementalRebuilds, &s.RebuildMessages,
-		&s.AbruptFailures, &s.Attempts, &s.AttemptsDelivered,
-		&s.Retries, &s.Timeouts, &s.MessagesLost, &s.DuplicatesDelivered,
-		&s.InjectedCrashes, &s.Heartbeats, &s.MaintenanceRounds,
-		&s.MaintenanceMessages, &s.FalseSuspects, &s.FalseConfirms,
-		&s.OrphanNodeRounds, &s.DegradedSubtrees, &s.CoordElections,
-		&s.IslandMerges, &s.Reconciliations, &s.DegradedJoins,
-		&s.JoinsQueued, &s.QueuedAdmitted, &s.JoinsShed,
-		&s.DriftReestimates, &s.DriftedNodes, &s.DriftMessages,
-		&s.LocalRepairs, &s.FullRebuildFallbacks,
-		&s.Rejoins, &s.SnapshotWrites, &s.Restores,
-	}
-}
-
 func putRawPoint(e *snapshot.Encoder, p geom.Point2) {
 	e.Float64(p.X)
 	e.Float64(p.Y)
@@ -248,8 +225,10 @@ func (o *Overlay) encodeTo(e *snapshot.Encoder, putPt core.PointEncoder) {
 		e.Float64(o.nodes[i].delay)
 	}
 	e.Bools(o.live)
+	// v1's representative column, derived from reps: the decoder rejects
+	// a column that disagrees with them.
 	for i := range o.nodes {
-		e.Bool(o.nodes[i].isRep)
+		e.Bool(o.isRep(int32(i)))
 	}
 	// The failure-detector counters are zero on every node a detector
 	// round is not currently counting against, so they go out sparse:
@@ -287,7 +266,7 @@ func (o *Overlay) encodeTo(e *snapshot.Encoder, putPt core.PointEncoder) {
 	// Session counters — including the round clock MaintenanceRound
 	// resumes from.
 	for _, f := range statsFields(&o.Stats) {
-		e.Int(*f)
+		e.Int(*f.v)
 	}
 }
 
@@ -403,7 +382,6 @@ func decodeOverlay(d *snapshot.Decoder, getPt core.PointDecoder) (*Overlay, erro
 			n.parent = parents[i]
 			n.children = children[i]
 			n.delay = delays[i]
-			n.isRep = isRepCol[i]
 			n.isCoord = isCoordCol[i]
 		}
 	}
@@ -430,7 +408,7 @@ func decodeOverlay(d *snapshot.Decoder, getPt core.PointDecoder) (*Overlay, erro
 	driftRounds := d.Int()
 	var stats SessionStats
 	for _, f := range statsFields(&stats) {
-		*f = d.Int()
+		*f.v = d.Int()
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("overlay: %w", err)
@@ -501,6 +479,12 @@ func decodeOverlay(d *snapshot.Decoder, getPt core.PointDecoder) (*Overlay, erro
 	for cell, r := range reps {
 		if r < -1 || int(r) >= nnodes {
 			return corrupt("cell %d represented by %d", cell, r)
+		}
+	}
+	for i := range nodes {
+		if cell := nodes[i].cell; isRepCol[i] != (reps[cell] == int32(i)) {
+			return corrupt("node %d's representative flag %v disagrees with cell %d's representative %d",
+				i, isRepCol[i], cell, reps[cell])
 		}
 	}
 	if math.IsNaN(admTokens) || math.IsInf(admTokens, 0) || admTokens < 0 {
@@ -728,12 +712,8 @@ func (s *GroupSet) WriteSnapshot(w io.Writer) error {
 		s.groups[name].encodeTo(&body, putPt)
 	}
 	var e snapshot.Encoder
-	e.Bool(s.shared != nil)
-	pending := false
-	if s.shared != nil {
-		pending = s.shared.pending
-	}
-	e.Bool(pending)
+	e.Bool(s.transport != nil)
+	e.Bool(false) // reserved: once an armed round-clock tick; read and ignored
 	encodeFaultConfig(&e, s.faults)
 	e.Uvarint(uint64(len(table)))
 	for _, p := range table {
@@ -768,7 +748,7 @@ func RestoreGroupSet(r io.Reader, t Transport, reg *obs.Registry) (*GroupSet, er
 	}
 
 	hadShared := d.Bool()
-	pending := d.Bool()
+	d.Bool() // reserved (see WriteSnapshot); an old armed tick is dropped
 	faults := decodeFaultConfig(d)
 	ntable := d.Length(16)
 	table := make([]geom.Point2, ntable)
@@ -801,10 +781,7 @@ func RestoreGroupSet(r io.Reader, t Transport, reg *obs.Registry) (*GroupSet, er
 		return corrupt("shared transport without fault tuning")
 	}
 
-	gs := &GroupSet{faults: faults, reg: reg, groups: make(map[string]*Overlay, ngroups)}
-	if t != nil {
-		gs.shared = &sharedTransport{t: t, pending: pending}
-	}
+	gs := &GroupSet{transport: t, faults: faults, reg: reg, groups: make(map[string]*Overlay, ngroups)}
 	prev := ""
 	for i := 0; i < ngroups; i++ {
 		name := d.String()
@@ -819,13 +796,13 @@ func RestoreGroupSet(r io.Reader, t Transport, reg *obs.Registry) (*GroupSet, er
 		if err != nil {
 			return nil, err
 		}
-		if gs.shared != nil {
-			if err := o.SetTransport(gs.shared, gs.faults); err != nil {
+		if t != nil {
+			if err := o.SetTransport(t, faults); err != nil {
 				return corrupt("%v", err)
 			}
 		}
 		o.reg = reg
-		o.flightShared = true // the set owns the round clock (see SetFlight)
+		o.flightShared = true // the set owns both round clocks (see Create)
 		o.Stats.Restores++
 		gs.groups[name] = o
 		gs.names = append(gs.names, name)
@@ -857,10 +834,13 @@ func (o *Overlay) Restart(id int) (OpStats, error) {
 		return st, fmt.Errorf("protocol: node %d is already alive", id)
 	}
 	endOp := o.beginOp("protocol/restart", int32(id), "")
-	outcome := "ok"
-	defer func() { endOp(outcome) }()
+	outcome := "refused"
+	defer func() {
+		o.Stats.JoinMessages += st.Messages
+		endOp(outcome)
+	}()
 
-	if n.parent != parentDead || n.isRep || len(n.children) > 0 {
+	if n.parent != parentDead || o.isRep(int32(id)) || len(n.children) > 0 {
 		o.repairDead(int32(id), &st)
 	}
 	o.removeMember(n.cell, int32(id)) // a lost goodbye may still list it
@@ -875,12 +855,10 @@ func (o *Overlay) Restart(id int) (OpStats, error) {
 	if !o.exchange(int32(id), 0, &st) {
 		if parent := o.degradedAttach(int32(id), &st); parent >= 0 {
 			o.Stats.DegradedJoins++
-			o.finishRestart(int32(id), &st)
+			o.finishRestart(int32(id))
 			outcome = "degraded"
 			return st, nil
 		}
-		outcome = "refused"
-		o.Stats.JoinMessages += st.Messages
 		return st, fmt.Errorf("protocol: restart could not reach the source")
 	}
 	parent := o.bestLocalParent(n.cell, n.pos)
@@ -888,29 +866,21 @@ func (o *Overlay) Restart(id int) (OpStats, error) {
 		parent = o.descendParent(n.pos, o.residual, &st)
 	}
 	if parent < 0 {
-		outcome = "refused"
-		o.Stats.JoinMessages += st.Messages
 		return st, fmt.Errorf("protocol: overlay out of capacity")
 	}
 	if !o.exchange(int32(id), parent, &st) {
-		outcome = "refused"
-		o.Stats.JoinMessages += st.Messages
 		return st, fmt.Errorf("protocol: restart could not reach a parent")
 	}
 	o.attach(int32(id), parent)
-	o.finishRestart(int32(id), &st)
+	o.finishRestart(int32(id))
+	outcome = "ok"
 	return st, nil
 }
 
-// finishRestart marks the restarted node live again and books the rejoin.
-func (o *Overlay) finishRestart(id int32, st *OpStats) {
-	n := &o.nodes[id]
-	o.live[id] = true
-	o.members[n.cell] = append(o.members[n.cell], id)
-	o.alive++
+// finishRestart admits the restarted node again and books the rejoin.
+func (o *Overlay) finishRestart(id int32) {
+	o.admit(id)
 	o.refreshDelays(id) // surviving orphans rode back in under the node
 	o.Stats.Rejoins++
-	o.Stats.JoinMessages += st.Messages
-	o.trackDrift(id, n.pos)
-	o.emit("protocol/restarted", id, n.parent, "")
+	o.emit("protocol/restarted", id, o.nodes[id].parent, "")
 }

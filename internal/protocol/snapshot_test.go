@@ -6,11 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"omtree/internal/coords"
 	"omtree/internal/core"
 	"omtree/internal/faultplane"
+	"omtree/internal/geom"
 	"omtree/internal/rng"
 	"omtree/internal/snapshot"
 )
@@ -508,6 +510,174 @@ func TestRestartErrors(t *testing.T) {
 	}
 	if _, err := o.Restart(1); err == nil {
 		t.Error("restarted a live node")
+	}
+}
+
+// TestRefusedRestartCountsMessages drives each refused Restart exit and
+// checks that JoinMessages moves by exactly the messages the restart sent.
+func TestRefusedRestartCountsMessages(t *testing.T) {
+	// x leaves gracefully, fully cleaned; a sits under the source and
+	// takes its last local slot (K 1, degree 3: two slots stay reserved).
+	setup := func(t *testing.T) (o *Overlay, x, a int) {
+		t.Helper()
+		o, err := New(Config{Source: geom.Point2{}, Scale: 1, K: 1, MaxOutDegree: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x, _, err = o.Join(geom.Point2{X: 0.02}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.Leave(x); err != nil {
+			t.Fatal(err)
+		}
+		if a, _, err = o.Join(geom.Point2{X: 0.01}); err != nil {
+			t.Fatal(err)
+		}
+		return o, x, a
+	}
+	cases := []struct {
+		name string
+		prep func(t *testing.T, o *Overlay, x, a int)
+		want string
+	}{
+		{"source unreachable", func(t *testing.T, o *Overlay, x, a int) {
+			if err := o.SetTransport(blackhole{victim: int32(x)}, DefaultFaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+		}, "could not reach the source"},
+		{"out of capacity", func(t *testing.T, o *Overlay, x, a int) {
+			if err := o.FailAbrupt(a); err != nil { // a dead child still holds the slot
+				t.Fatal(err)
+			}
+		}, "out of capacity"},
+		{"parent unreachable", func(t *testing.T, o *Overlay, x, a int) {
+			if err := o.SetTransport(blackhole{victim: int32(a)}, DefaultFaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+		}, "could not reach a parent"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o, x, a := setup(t)
+			tc.prep(t, o, x, a)
+			before := o.Stats.JoinMessages
+			st, err := o.Restart(x)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+			if st.Messages == 0 {
+				t.Fatal("the refused restart reports no messages")
+			}
+			if got := o.Stats.JoinMessages - before; got != st.Messages {
+				t.Errorf("JoinMessages moved by %d, the refused restart sent %d", got, st.Messages)
+			}
+			if o.live[x] || o.Stats.Rejoins != 0 {
+				t.Errorf("a refused restart revived the node (live %v, rejoins %d)", o.live[x], o.Stats.Rejoins)
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsDisagreeingRepColumn: the v1 representative column is
+// derived from reps, so a payload whose column disagrees with them (one
+// byte flipped, then resealed so the checksum passes) is corrupt.
+func TestRestoreRejectsDisagreeingRepColumn(t *testing.T) {
+	o := snapshotSession(t, 37)
+	blob, err := o.checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := snapshot.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One byte per node, the column follows the liveness column, whose
+	// node-1 byte is the only one that moves with node 1's liveness.
+	o.live[1] = !o.live[1]
+	moved, err := o.checkpoint()
+	o.live[1] = !o.live[1]
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload2, err := snapshot.Open(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 0
+	for at < len(payload) && payload[at] == payload2[at] {
+		at++
+	}
+	col := at - 1 + len(o.nodes) // node i's flag is payload[col+i]
+	rep, other := int32(-1), int32(-1)
+	for i := int32(1); int(i) < len(o.nodes); i++ {
+		flag := byte(0)
+		if o.isRep(i) {
+			flag, rep = 1, i
+		} else {
+			other = i
+		}
+		if payload[col+int(i)] != flag {
+			t.Fatalf("node %d's flag is not at offset %d", i, col+int(i))
+		}
+	}
+	if rep < 0 || other < 0 {
+		t.Fatal("the session needs a representative and a plain member")
+	}
+	if _, err := RestoreBytes(snapshot.Seal(snapshot.KindOverlay, payload)); err != nil {
+		t.Fatalf("the resealed, untouched payload does not restore: %v", err)
+	}
+	for _, flip := range []int32{rep, other} {
+		tampered := append([]byte(nil), payload...)
+		tampered[col+int(flip)] ^= 1
+		if _, err := RestoreBytes(snapshot.Seal(snapshot.KindOverlay, tampered)); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("node %d's flag flipped: err = %v, want ErrCorrupt", flip, err)
+		}
+	}
+}
+
+// TestGroupSetReservedByteIgnored: the group-set payload's second byte,
+// once an armed round-clock tick, is reserved. A set written with it set
+// restores, and re-encodes with it clear.
+func TestGroupSetReservedByteIgnored(t *testing.T) {
+	plane, err := faultplane.New(faultplane.Scenario{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := NewGroupSet(plane, FaultConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gs.Create("a", groupCfg()); err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(41)
+	for i := 0; i < 15; i++ {
+		gs.Join("a", r.UniformDisk(1))
+	}
+	var buf bytes.Buffer
+	if err := gs.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := snapshot.Open(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payload[0] != 1 || payload[1] != 0 {
+		t.Fatalf("payload opens %v, want a shared transport and a clear reserved byte", payload[:2])
+	}
+	set := append([]byte(nil), payload...)
+	set[1] = 1
+	gs2, err := RestoreGroupSet(bytes.NewReader(snapshot.Seal(snapshot.KindGroupSet, set)), plane, nil)
+	if err != nil {
+		t.Fatalf("reserved byte 1: %v", err)
+	}
+	gs2.Group("a").Stats.Restores--
+	var again bytes.Buffer
+	if err := gs2.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Error("the restored set does not re-encode to the original blob")
 	}
 }
 

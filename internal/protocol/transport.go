@@ -298,9 +298,10 @@ func (o *Overlay) MaintenanceRound() (MaintenanceStats, error) {
 	defer led.end()
 
 	// Phase 0: advance the transport's virtual round clock (scheduled
-	// partition events fire here), note split/heal transitions on the
-	// timeline, then refill the admission bucket and admit queued joins.
-	if rt, ok := o.transport.(RoundTicker); ok {
+	// partition events fire here) unless a GroupSet sweep owns it, note
+	// split/heal transitions on the timeline, then refill the admission
+	// bucket and admit queued joins.
+	if rt, ok := o.transport.(RoundTicker); ok && !o.flightShared {
 		rt.Tick()
 	}
 	if pt, ok := o.transport.(PartitionedTransport); ok {
@@ -566,13 +567,7 @@ func (o *Overlay) repairDead(id int32, st *OpStats) bool {
 	// Membership removal is local at the cell (the representative and the
 	// members observed the silence through their own probes).
 	o.removeMember(n.cell, id)
-
-	// Representative re-election among the survivors.
-	if n.isRep {
-		n.isRep = false
-		o.reps[n.cell] = -1
-		o.electRep(n.cell, st)
-	}
+	o.resign(id, st)
 
 	// Orphan adoption: live children climb to the nearest live ancestor
 	// with room; an orphan whose handshake fails stays put for next round.
@@ -674,10 +669,18 @@ func (o *Overlay) electRep(cell int32, st *OpStats) bool {
 		return false
 	}
 	o.reps[cell] = best
-	o.nodes[best].isRep = true
 	o.Stats.RepElections++
 	o.emit("protocol/elect", best, -1, "cell="+strconv.Itoa(int(cell)))
 	return true
+}
+
+// resign vacates id's representative role, if it holds one, and the
+// cell's survivors elect a successor.
+func (o *Overlay) resign(id int32, st *OpStats) {
+	if cell := o.nodes[id].cell; o.reps[cell] == id {
+		o.reps[cell] = -1
+		o.electRep(cell, st)
+	}
 }
 
 // closestToArc returns the member of cell closest to the middle of the
